@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -426,10 +427,15 @@ def _cache_load(path: Path):
 
 def _cache_store(path: Path, envelope: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(envelope, fh, sort_keys=True)
-    os.replace(tmp, path)
+    # a temp file per writer, so concurrent writers of one key never share it
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(envelope, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def run_job(raw: dict, use_cache: bool = True, cache_dir: Path | None = None) -> dict:

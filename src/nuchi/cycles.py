@@ -30,6 +30,7 @@ IrrationalPoint rather than approximating.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -270,9 +271,7 @@ def _rational_roots_squarefree(coeffs):
         roots.append(Fraction(0))
         coeffs = coeffs[k:]
     # clear denominators to integers
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
     if a0 == 0:
@@ -293,12 +292,6 @@ def _rational_roots_squarefree(coeffs):
             work, rem = _uni_divmod(work, [-cand, Fraction(1)])
             assert not rem
     return sorted(roots), len(_uni_trim(work)) <= 1
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int):
@@ -322,8 +315,7 @@ def rational_points_of_zero_dim(I: Ideal):
     ring = I.ring
     roots_per_var = []
     for i in range(ring.arity):
-        others = set(range(ring.arity)) - {i}
-        elim = eliminate(I, others) if others else Ideal(ring, groebner_basis(I).elements)
+        elim = eliminate(I, set(range(ring.arity)) - {i})
         if not elim.generators:
             raise InputError("ideal is not zero-dimensional: empty eliminant")
         gen = min(elim.generators, key=lambda g: g.degree_in(i))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,17 +40,13 @@ from .poly import (
 class Infinite:
     """Marker value for an infinite colength or vanishing order.
 
-    ``bound_limited`` is set when the verdict comes from hitting a configured
-    enumeration bound rather than from an exact criterion.
+    It is always an exact verdict, never the result of a cut-off.
     """
 
-    __slots__ = ("bound_limited",)
-
-    def __init__(self, bound_limited: bool = False):
-        self.bound_limited = bound_limited
+    __slots__ = ()
 
     def __repr__(self):
-        return "INFINITE(bound-limited)" if self.bound_limited else "INFINITE"
+        return "INFINITE"
 
     def __eq__(self, other):
         return isinstance(other, Infinite)
@@ -548,98 +545,87 @@ def monomial_minimal_generators(monos: Iterable[tuple]) -> list:
     return minimal
 
 
-def staircase_count(lead_monos: Sequence[tuple], arity: int, degree_bound: int = 64):
+def _k_numerator(gens: Sequence[tuple]) -> list:
+    """Coefficients of the K-polynomial N(t), with HS(R/I) = N(t)/(1-t)^n.
+
+    Bigatti's pivot recursion ("Computation of Hilbert-Poincare series",
+    JPAA 119, 1997): for a monomial p, N(I) = N(I + (p)) + t^deg(p) N(I : p).
+    The pivot is a power of a variable shared by the most generators, at the
+    lower median of its exponents; both branches strictly enlarge I, so the
+    recursion ends, at pairwise-coprime generators with N = prod (1 - t^deg).
+    """
+    gens = monomial_minimal_generators(gens)
+    if any(mono_degree(g) == 0 for g in gens):
+        return [0]  # unit ideal
+    counts = Counter(i for g in gens for i, e in enumerate(g) if e)
+    shared = [i for i, c in counts.items() if c > 1]
+    if not shared:
+        num = [1]
+        for g in gens:
+            shifted = [0] * mono_degree(g) + num
+            num = [a - b for a, b in itertools.zip_longest(num, shifted, fillvalue=0)]
+        return num
+    x = max(shared, key=lambda i: (counts[i], -i))
+    exps = sorted(g[x] for g in gens if g[x])
+    e = exps[(len(exps) - 1) // 2]
+    pivot = tuple(e if i == x else 0 for i in range(len(gens[0])))
+    plus = _k_numerator(gens + [pivot])
+    colon = [0] * e + _k_numerator(
+        [tuple(max(a - e, 0) if i == x else a for i, a in enumerate(g)) for g in gens]
+    )
+    return [a + b for a, b in itertools.zip_longest(plus, colon, fillvalue=0)]
+
+
+def _strip_one_minus_t(num: list):
+    """(Q, k) with N(t) = (1-t)^k Q(t) and Q(1) != 0, for a nonzero N."""
+    k = 0
+    while sum(num) == 0:
+        num = list(itertools.accumulate(num[:-1]))  # q_j = n_0 + ... + n_j
+        k += 1
+    return num, k
+
+
+def staircase_count(lead_monos: Sequence[tuple], arity: int):
     """Number of monomials outside the monomial ideal, or INFINITE.
 
-    Exact infiniteness test first: the count is finite iff every variable has
-    a pure power among the generators.  The count itself walks degree levels
-    and stops at the first level fully inside the ideal; ``degree_bound`` is
-    an honesty backstop and produces a bound-limited INFINITE when hit.
+    Read off the exact K-polynomial N(t): the count is finite iff (1-t)^arity
+    divides N, and then it is Q(1) for Q = N/(1-t)^arity, the Hilbert series
+    of the quotient as a polynomial.  INFINITE is always a verified infinity.
     """
-    gens = monomial_minimal_generators(lead_monos)
-    if any(mono_degree(g) == 0 for g in gens):
+    num = _k_numerator(lead_monos)
+    if not any(num):
         return 0  # unit ideal
-    if arity == 0:
-        return 1 if not gens else 0
-    for i in range(arity):
-        if not any(all(e == 0 for k, e in enumerate(g) if k != i) for g in gens):
-            return INFINITE
-    count = 0
-    for d in itertools.count():
-        if d > degree_bound:
-            return Infinite(bound_limited=True)
-        level = [
-            m
-            for m in _compositions(d, arity)
-            if not any(mono_divides(g, m) for g in gens)
-        ]
-        if not level:
-            return count
-        count += len(level)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    q, k = _strip_one_minus_t(num)
+    return sum(q) if k == arity else INFINITE
 
 
 def monomial_ideal_dimension(lead_monos: Sequence[tuple], arity: int) -> int:
-    """Krull dimension of R / (monomial ideal), by maximal independent sets.
+    """Krull dimension of R / (monomial ideal); -1 for the unit ideal.
 
-    A variable subset S is independent when no generator is supported inside
-    S; the dimension is the largest such |S|.
+    It is the pole order of the Hilbert series at t = 1: arity minus the
+    number of (1-t) factors of the K-polynomial.
     """
-    gens = monomial_minimal_generators(lead_monos)
-    if any(mono_degree(g) == 0 for g in gens):
+    num = _k_numerator(lead_monos)
+    if not any(num):
         return -1
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
-    for size in range(arity, -1, -1):
-        for S in itertools.combinations(range(arity), size):
-            sset = set(S)
-            if all(not sup <= sset for sup in supports):
-                return size
-    return 0
-
-
-def _hilbert_numerator(gens: Sequence[tuple]) -> list:
-    """Coefficients of the K-polynomial N(t) with HS = N(t)/(1-t)^n.
-
-    Inclusion-exclusion over subsets of the minimal generators; fine at desk
-    scale where minimal generator counts stay small.
-    """
-    if len(gens) > 20:
-        raise InputError("too many monomial generators for inclusion-exclusion")
-    coeffs: dict = {0: 1}
-    for size in range(1, len(gens) + 1):
-        for subset in itertools.combinations(gens, size):
-            lcm = subset[0]
-            for m in subset[1:]:
-                lcm = mono_lcm(lcm, m)
-            d = mono_degree(lcm)
-            coeffs[d] = coeffs.get(d, 0) + (-1) ** size
-    out = [0] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return out
+    return arity - _strip_one_minus_t(num)[1]
 
 
 # -------------------------------------------------------------- measurements
 
-def colength(I: Ideal, order: MonomialOrder = DEGREVLEX, degree_bound: int = 64):
+def colength(I: Ideal, order: MonomialOrder = DEGREVLEX):
     """Vector-space dimension of (local) ring modulo I, or INFINITE.
 
     This is the number of standard monomials: monomials outside the
-    leading-term ideal of a basis under ``order``.  A local order measures
-    the localization at the origin, a global one the full quotient ring.
+    leading-term ideal of a basis under ``order``, counted exactly from the
+    K-polynomial of that ideal (see :func:`staircase_count`).  A local order
+    measures the localization at the origin, a global one the full quotient
+    ring.
     """
     basis = basis_for(I, order)
     if not basis.elements:
         return INFINITE if I.ring.arity > 0 else 1
-    return staircase_count(basis.leading_monomials(), I.ring.arity, degree_bound)
+    return staircase_count(basis.leading_monomials(), I.ring.arity)
 
 
 def krull_dimension(I: Ideal) -> int:
@@ -654,9 +640,10 @@ def hs_multiplicity(I: Ideal) -> int:
     """Hilbert-Samuel multiplicity of the local ring at the origin.
 
     Computed from the tangent cone: the Hilbert series of the associated
-    graded ring is N(t)/(1-t)^n with N read off the local leading-term
-    ideal, and the multiplicity is the value at 1 after cancelling every
-    (1-t) factor (equivalently the normalized leading Hilbert coefficient).
+    graded ring is N(t)/(1-t)^n with N the exact K-polynomial of the local
+    leading-term ideal, and the multiplicity is Q(1) for Q the quotient of N
+    by every (1-t) factor (equivalently the normalized leading Hilbert
+    coefficient).
     """
     if not I.generators:
         raise InputError("multiplicity of the zero ideal is not defined")
@@ -664,24 +651,8 @@ def hs_multiplicity(I: Ideal) -> int:
         if g.constant_term() != 0:
             raise OriginNotOnVariety(f"generator {g} does not vanish at the origin")
     basis = standard_basis(I, LOCAL_DEGREVLEX)
-    gens = monomial_minimal_generators(basis.leading_monomials())
-    num = _hilbert_numerator(gens)
-
-    def value_at_one(coeffs):
-        return sum(coeffs)
-
-    def divide_by_one_minus_t(coeffs):
-        # N(t) = (1-t) * Q(t): q_k = sum_{i<=k} n_i
-        out, acc = [], 0
-        for c in coeffs[:-1] if len(coeffs) > 1 else [0]:
-            acc += c
-            out.append(acc)
-        # exact division requires the running total to close at 0
-        return out or [0]
-
-    while value_at_one(num) == 0 and any(num):
-        num = divide_by_one_minus_t(num)
-    e = value_at_one(num)
+    q, _ = _strip_one_minus_t(_k_numerator(basis.leading_monomials()))
+    e = sum(q)
     if e <= 0:
         raise AssertionError("Hilbert-Samuel multiplicity must be positive")
     return e

@@ -193,6 +193,11 @@ def milnor_number(f: Polynomial, point: Sequence):
     return colength(jac, LOCAL_DEGREVLEX)
 
 
+def _fibre_euler(mu: int, n: int) -> int:
+    """chi(F) = 1 + (-1)^(n-1) * mu, the imported Milnor-theory fact."""
+    return 1 + (-1) ** (n - 1) * mu
+
+
 def milnor_fibre_euler(f: Polynomial, point: Sequence) -> int:
     """Euler characteristic of the Milnor fibre at an isolated critical point.
 
@@ -204,8 +209,7 @@ def milnor_fibre_euler(f: Polynomial, point: Sequence) -> int:
         raise NotCriticalPoint(f"df does not vanish at {tuple(point)}")
     if isinstance(mu, Infinite):
         raise NonIsolatedCriticalPoint(f"critical point {tuple(point)} is not isolated")
-    n = f.ring.arity
-    return 1 + (-1) ** (n - 1) * mu
+    return _fibre_euler(mu, f.ring.arity)
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,7 @@ def behrend_report(presentation: Union[Polynomial, Ideal], point: Sequence) -> N
             raise PointNotOnVariety(f"{tuple(point)} is not on the critical locus of {f}")
         n = f.ring.arity
         if not isinstance(mu, Infinite):
-            nu = (-1) ** n * (1 - milnor_fibre_euler(f, point))
+            nu = (-1) ** n * (1 - _fibre_euler(mu, n))
             return NuReport(nu=nu, route="milnor", mu=mu)
         check = is_smooth_at(jacobian_ideal(f), point)
         if check.smooth:

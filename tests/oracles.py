@@ -150,3 +150,32 @@ def monomial_lattice_colength(gens, arity):
         if not any(mono_divides(g, cell) for g in gens):
             count += 1
     return count
+
+
+def monomial_subset_dimension(gens, arity):
+    """Krull dimension of R/(monomial ideal) by maximal independent sets.
+
+    A variable subset S is independent when no generator is supported inside
+    S; the dimension is the largest such |S|, and -1 for the unit ideal.
+    """
+    if any(not any(g) for g in gens):
+        return -1
+    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
+    for size in range(arity, -1, -1):
+        for S in itertools.combinations(range(arity), size):
+            if all(not sup <= set(S) for sup in supports):
+                return size
+    return 0
+
+
+def kouchnirenko_mu(a, b, c, d):
+    """Milnor number of x^a + y^b + x^c*y^d at the origin (c, d >= 1).
+
+    Kouchnirenko (Invent. Math. 32, 1976) for a convenient Newton-nondegenerate
+    f in two variables: mu = 2*Area - a - b + 1, where Area lies under the
+    Newton boundary.  The boundary bends at (c, d) when that point lies below
+    the segment from (a, 0) to (0, b); its two edges are binomial faces, which
+    are always nondegenerate.
+    """
+    twice_area = a * d + b * c if c * b + d * a < a * b else a * b
+    return twice_area - a - b + 1

@@ -1,4 +1,7 @@
 import json
+import os
+
+import pytest
 
 import nuchi.cli as cli
 from nuchi.cli import cache_key, main, normalize_spec, run_job
@@ -176,6 +179,29 @@ def test_cache_corrupt_entry_recomputed(tmp_path, capsys):
     assert json.loads(entry.read_text())["payload"] == first["payload"]
 
 
+def test_cache_store_uses_a_temp_file_per_writer(tmp_path, monkeypatch):
+    sources = []
+    replace = os.replace
+
+    def recording_replace(src, dst):
+        sources.append(src)
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", recording_replace)
+    entry = tmp_path / "key.json"
+    cli._cache_store(entry, {"payload": 1})
+    cli._cache_store(entry, {"payload": 2})
+    assert len(set(sources)) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["key.json"]
+    assert json.loads(entry.read_text()) == {"payload": 2}
+
+
+def test_cache_store_failure_leaves_no_temp_file(tmp_path):
+    with pytest.raises(TypeError):
+        cli._cache_store(tmp_path / "key.json", {"payload": object()})
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- batch mode
 
 def test_batch_mode_preserves_order(tmp_path, capsys):
@@ -206,6 +232,16 @@ def test_milnor_non_isolated_refusal(tmp_path, capsys):
     )
     assert code == 2
     assert json.loads(out)["refusal"]["code"] == "NON_ISOLATED"
+
+
+def test_milnor_past_degree_64(tmp_path, capsys):
+    code, out, _ = run_cli(
+        ["milnor", "--ring", "x,y", "--f", "x^70+y^2", "--point", "0,0",
+         "--cache-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["payload"]["mu"] == 69
 
 
 def test_pretty_output_is_valid_json(tmp_path, capsys):

@@ -2,13 +2,13 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nuchi.errors import OriginNotOnVariety, RingMismatch
 from nuchi.groebner import (
     DEGREVLEX,
     INFINITE,
     Ideal,
-    Infinite,
     LOCAL_DEGREVLEX,
     colength,
     eliminate,
@@ -16,6 +16,7 @@ from nuchi.groebner import (
     hs_multiplicity,
     ideal_membership,
     krull_dimension,
+    monomial_ideal_dimension,
     normal_form,
     standard_basis,
 )
@@ -25,6 +26,7 @@ from .oracles import (
     macaulay_colength_global,
     macaulay_colength_local,
     monomial_lattice_colength,
+    monomial_subset_dimension,
 )
 from .strategies import RING_XY, polynomials
 
@@ -205,9 +207,8 @@ def test_colength_local_vs_global():
     assert colength(I, DEGREVLEX) == 3
 
 
-def test_colength_bound_limited_flag():
-    result = colength(ideal("x^70", "y"), degree_bound=10)
-    assert isinstance(result, Infinite) and result.bound_limited
+def test_colength_past_degree_64():
+    assert colength(ideal("x^70", "y")) == 70
 
 
 @pytest.mark.parametrize(
@@ -257,6 +258,20 @@ def test_krull_dimension_examples():
     assert krull_dimension(ideal("x", "x - 1")) == -1  # unit ideal
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6),
+        )
+    )
+)
+def test_monomial_ideal_dimension_matches_subset_oracle(case):
+    arity, gens = case
+    assert monomial_ideal_dimension(gens, arity) == monomial_subset_dimension(gens, arity)
+
+
 # -------------------------------------------------------------- multiplicity
 
 def test_hs_multiplicity_examples():
@@ -268,6 +283,12 @@ def test_hs_multiplicity_examples():
 def test_hs_multiplicity_requires_origin():
     with pytest.raises(OriginNotOnVariety):
         hs_multiplicity(ideal("x - 1"))
+
+
+def test_hs_multiplicity_many_generators():
+    # (x, y)^21 has 22 minimal generators; its multiplicity is binom(22, 2)
+    power = Ideal(R2, [R2.parse(f"x^{21 - i}*y^{i}") for i in range(22)])
+    assert hs_multiplicity(power) == 231
 
 
 def test_hs_multiplicity_higher_cusp():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nuchi.errors import NonIsolatedCriticalPoint, NotCriticalPoint, PointNotOnVariety, Unsupported
 from nuchi.groebner import Ideal, Infinite
@@ -18,6 +20,8 @@ from nuchi.singular import (
     milnor_fibre_euler,
     milnor_number,
 )
+
+from .oracles import kouchnirenko_mu
 
 R1 = Ring(("x",))
 R2 = Ring(("x", "y"))
@@ -70,6 +74,27 @@ def test_milnor_not_critical():
 
 def test_milnor_non_isolated():
     assert isinstance(milnor_number(R2.parse("x^2"), ORIGIN2), Infinite)
+
+
+@pytest.mark.parametrize("k", [64, 65, 100, 200, 500])
+def test_milnor_a_k_past_degree_64(k):
+    assert milnor_number(a_k(R2, k), ORIGIN2) == k
+
+
+@pytest.mark.parametrize("a,b,c,d,mu", [(12, 13, 5, 5, 101), (40, 41, 15, 15, 1135)])
+def test_milnor_matches_kouchnirenko(a, b, c, d, mu):
+    f = R2.parse(f"x^{a} + y^{b} + x^{c}*y^{d}")
+    assert kouchnirenko_mu(a, b, c, d) == mu
+    assert milnor_number(f, ORIGIN2) == mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 30), st.integers(2, 30), st.integers(1, 15), st.integers(1, 15)
+)
+def test_milnor_matches_kouchnirenko_on_random_trinomials(a, b, c, d):
+    f = R2.parse(f"x^{a} + y^{b} + x^{c}*y^{d}")
+    assert milnor_number(f, ORIGIN2) == kouchnirenko_mu(a, b, c, d)
 
 
 def test_milnor_away_from_origin():
