@@ -3,7 +3,8 @@
 JSON is the sole machine output (one envelope per job on stdout); human
 tables go to stderr behind ``--pretty``.  Exit codes: 0 success, 1 malformed
 input, 2 mathematical refusal (the checker determined the answer is "no",
-e.g. a non-critical point or irrational support).
+e.g. a non-critical point or irrational support).  A batch runs every job
+and exits with 1 if any job was malformed, else 2 if any was refused.
 
 Results are cached content-addressed under a digest of the canonical job
 serialization plus the engine version; ``--no-cache`` disables the cache and
@@ -88,7 +89,7 @@ HEURISTIC_NOTE = "heuristic: finite-field point counts fitted by an integer poly
 
 def _ring_from_spec(spec) -> Ring:
     ring = spec.get("ring")
-    if not ring or "vars" not in ring:
+    if not isinstance(ring, dict) or not isinstance(ring.get("vars"), (list, tuple)):
         raise InputError("job needs a ring declaration before any polynomial input")
     domain = QQ if not ring.get("char") else GF(int(ring["char"]))
     return Ring(tuple(ring["vars"]), domain)
@@ -445,12 +446,13 @@ def run_job(raw: dict, use_cache: bool = True, cache_dir: Path | None = None) ->
     directory = cache_dir or default_cache_dir()
     entry = directory / f"{key}.json"
     if use_cache:
+        start = time.monotonic()
         if entry.exists():
             stored = _cache_load(entry)
             if stored is not None:
                 stored = dict(stored)
                 stored["cache"] = "hit"
-                stored["timing_ms"] = 0.0
+                stored["timing_ms"] = round((time.monotonic() - start) * 1000.0, 3)
                 return stored
             print(
                 f"warning: corrupt cache entry {entry}, recomputing",
@@ -606,6 +608,42 @@ def _raw_spec_from_args(args) -> dict:
     return raw
 
 
+def _refusal_envelope(command, exc: Refusal) -> dict:
+    return {
+        "command": command,
+        "refusal": {"code": exc.code, "message": str(exc)},
+        "engine_version": __version__,
+    }
+
+
+def _run_batch(raw_jobs: list, use_cache: bool, cache_dir: Path | None):
+    """One envelope per job, in input order, and the batch's exit code.
+
+    A job that is refused or malformed gets an envelope with its own
+    ``refusal`` or ``error`` object, and the jobs after it still run.  The
+    exit code is 1 if any job was malformed, else 2 if any was refused.
+    """
+    envelopes = []
+    malformed = refused = False
+    for job in raw_jobs:
+        command = job.get("command") if isinstance(job, dict) else None
+        try:
+            if not isinstance(job, dict):
+                raise InputError("a job spec must be a JSON object")
+            envelopes.append(run_job(job, use_cache, cache_dir))
+        except Refusal as exc:
+            envelopes.append(_refusal_envelope(command, exc))
+            refused = True
+        except (InputError, OSError, ValueError) as exc:
+            envelopes.append({
+                "command": command,
+                "error": {"message": str(exc)},
+                "engine_version": __version__,
+            })
+            malformed = True
+    return envelopes, 1 if malformed else 2 if refused else 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -616,9 +654,9 @@ def main(argv=None) -> int:
             raw_jobs = json.loads(Path(args.jobs).read_text(encoding="utf-8"))
             if not isinstance(raw_jobs, list):
                 raise InputError("--jobs file must contain a JSON array of job specs")
-            envelopes = [run_job(job, use_cache, cache_dir) for job in raw_jobs]
+            envelopes, code = _run_batch(raw_jobs, use_cache, cache_dir)
             _emit(envelopes, args.pretty)
-            return 0
+            return code
         if not args.command:
             parser.print_help(sys.stderr)
             return 1
@@ -628,12 +666,7 @@ def main(argv=None) -> int:
             _pretty_tables(envelope)
         return 0
     except Refusal as exc:
-        refusal = {
-            "command": getattr(args, "command", None),
-            "refusal": {"code": exc.code, "message": str(exc)},
-            "engine_version": __version__,
-        }
-        _emit(refusal, args.pretty)
+        _emit(_refusal_envelope(args.command, exc), args.pretty)
         return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     Ring,
+    _check_exponents,
     elimination_order,
     mono_degree,
     mono_div,
@@ -119,15 +120,9 @@ class _RevKey:
         return self.key == other.key
 
 
-def _division(
-    f: Polynomial,
-    reducers: Sequence[Polynomial],
-    order: MonomialOrder,
-    track: bool = False,
-):
-    """Full multivariate division for a global order.
+def _division(f: Polynomial, reducers: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
+    """Remainder of full multivariate division for a global order.
 
-    Returns (remainder, quotients); quotients is None unless ``track``.
     Deterministic: reducers are tried in list order.  The working support is
     kept in a lazy max-heap so each step costs log of the support size.
     """
@@ -139,13 +134,12 @@ def _division(
     heap = [(_RevKey(key(m)), m) for m in h]
     heapq.heapify(heap)
     rem: dict = {}
-    quots = [ring.zero() for _ in reducers] if track else None
     while heap:
         _, m = heapq.heappop(heap)
         if m not in h:
             continue  # stale entry
         c = h.pop(m)
-        for idx, (g, (gm, gc)) in enumerate(zip(reducers, leads)):
+        for g, (gm, gc) in zip(reducers, leads):
             if mono_divides(gm, m):
                 qm = mono_div(m, gm)
                 qc = dom.div(c, gc)
@@ -163,12 +157,11 @@ def _division(
                     else:
                         h[mm] = dom.neg(v)
                         heapq.heappush(heap, (_RevKey(key(mm)), mm))
-                if track:
-                    quots[idx] = quots[idx] + Polynomial(ring, [(qm, qc)])
                 break
         else:
             rem[m] = c
-    return Polynomial(ring, rem), quots
+    _check_exponents(rem)  # lex reduction can raise exponents past any input's
+    return Polynomial(ring, rem, _merged=True)
 
 
 def _ecart(f: Polynomial, order: MonomialOrder) -> int:
@@ -236,8 +229,7 @@ def normal_form(f: Polynomial, basis: StandardBasis) -> Polynomial:
     if not basis.elements:
         return f
     if basis.order.is_global:
-        rem, _ = _division(f, basis.elements, basis.order)
-        return rem
+        return _division(f, basis.elements, basis.order)
     h = _mora_nf(f, basis.elements, basis.order)
     return _tail_clean_local(h, basis.elements, basis.order)
 
@@ -277,8 +269,7 @@ def _buchberger_loop(gens: Sequence[Polynomial], order: MonomialOrder):
 
     def reduce_spoly(s: Polynomial) -> Polynomial:
         if order.is_global:
-            rem, _ = _division(s, basis, order)
-            return rem
+            return _division(s, basis, order)
         return _mora_nf(s, basis, order)
 
     while queue:
@@ -338,7 +329,7 @@ def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX, verify: bool = Fa
     reduced = []
     for idx, g in enumerate(basis):
         others = basis[:idx] + basis[idx + 1 :]
-        rem, _ = _division(g, others, order) if others else (g, None)
+        rem = _division(g, others, order) if others else g
         reduced.append(rem.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
     result = StandardBasis(order, tuple(reduced), I)
@@ -379,7 +370,7 @@ def _assert_spolys_vanish(basis: StandardBasis) -> None:
         for j in range(i):
             s = _s_poly(elems[i], elems[j], basis.order)
             if basis.order.is_global:
-                rem, _ = _division(s, list(elems), basis.order)
+                rem = _division(s, list(elems), basis.order)
             else:
                 rem = _mora_nf(s, list(elems), basis.order)
             if not rem.is_zero():

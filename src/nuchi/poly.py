@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -266,40 +267,77 @@ class Ring:
 
 # -------------------------------------------------------------- polynomials
 
+def _degrevlex_descending(term):
+    """Ascending sort key that lists terms in descending degrevlex order.
+
+    It is the negated degrevlex key: (-degree, reversed exponents) needs no
+    per-exponent negation.
+    """
+    m = term[0]
+    return (-sum(m), m[::-1])
+
+
+def _validated_terms(ring: Ring, terms) -> list:
+    """Merge outside input into nonzero (monomial, scalar) pairs.
+
+    Every exponent is checked and every coefficient coerced into the domain.
+    """
+    items = terms.items() if isinstance(terms, Mapping) else terms
+    merged: dict = {}
+    coerce = ring.domain.coerce
+    add = ring.domain.add
+    arity = ring.arity
+    for mono, coeff in items:
+        mono = tuple(int(e) for e in mono)
+        if len(mono) != arity:
+            raise ArityMismatch(f"monomial {mono} has wrong length for {ring!r}")
+        for e in mono:
+            if e < 0:
+                raise InputError(f"negative exponent in monomial {mono}")
+            if e > MAX_EXPONENT:
+                raise ExponentOverflow(f"exponent {e} exceeds 32-bit range")
+        c = coerce(coeff)
+        if mono in merged:
+            merged[mono] = add(merged[mono], c)
+        else:
+            merged[mono] = c
+    return [(m, c) for m, c in merged.items() if c != 0]
+
+
+def _check_exponents(monos) -> None:
+    for m in monos:
+        if m and max(m) > MAX_EXPONENT:
+            raise ExponentOverflow(f"exponent {max(m)} exceeds 32-bit range")
+
+
 class Polynomial:
     """Immutable sparse polynomial over a :class:`Ring`.
 
     Terms are merged, zero coefficients dropped, and storage is sorted in
     descending degrevlex order, which makes printing canonical.
+
+    ``Polynomial(ring, terms)`` validates its input: exponents are checked
+    and coefficients coerced into the domain.  Arithmetic builds its results
+    with ``_merged=True`` from a dict it has merged itself, which skips that
+    validation; operations that can raise exponents check for overflow
+    themselves.  ``_hash`` and ``_lead`` (the leading term for the last order
+    asked) are lazy caches of values that depend only on the terms.
     """
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms", "_hash", "_lead")
 
-    def __init__(self, ring: Ring, terms):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict = {}
-        coerce = ring.domain.coerce
-        add = ring.domain.add
-        arity = ring.arity
-        for mono, coeff in items:
-            mono = tuple(int(e) for e in mono)
-            if len(mono) != arity:
-                raise ArityMismatch(f"monomial {mono} has wrong length for {ring!r}")
-            for e in mono:
-                if e < 0:
-                    raise InputError(f"negative exponent in monomial {mono}")
-                if e > MAX_EXPONENT:
-                    raise ExponentOverflow(f"exponent {e} exceeds 32-bit range")
-            c = coerce(coeff)
-            if mono in merged:
-                merged[mono] = add(merged[mono], c)
-            else:
-                merged[mono] = c
-        cleaned = [(m, c) for m, c in merged.items() if c != 0]
-        cleaned.sort(key=lambda mc: DEGREVLEX.key(mc[0]), reverse=True)
+    def __init__(self, ring: Ring, terms, *, _merged: bool = False):
+        if _merged:
+            # arithmetic results: a dict of distinct monomials to domain
+            # scalars, already validated; only zeros and order are left
+            cleaned = [(m, c) for m, c in terms.items() if c != 0]
+        else:
+            cleaned = _validated_terms(ring, terms)
+        cleaned.sort(key=_degrevlex_descending)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", tuple(cleaned))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -329,14 +367,30 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(mono_degree(m) for m, _ in self._terms)
+        return sum(self._terms[0][0])  # storage is degree-descending
 
     def leading_term(self, order: MonomialOrder = DEGREVLEX):
         """The order-maximal (monomial, coefficient) pair."""
-        if not self._terms:
+        lead = self._lead
+        if lead is not None and lead[0] is order:
+            return lead[1]
+        terms = self._terms
+        if not terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        key = order.key
-        return max(self._terms, key=lambda mc: key(mc[0]))
+        if order.kind == "degrevlex":
+            term = terms[0]
+        elif order.kind == "local_degrevlex":
+            # the first term of the lowest-degree block of the storage order
+            i = len(terms) - 1
+            low = sum(terms[i][0])
+            while i and sum(terms[i - 1][0]) == low:
+                i -= 1
+            term = terms[i]
+        else:
+            key = order.key
+            term = max(terms, key=lambda mc: key(mc[0]))
+        object.__setattr__(self, "_lead", (order, term))
+        return term
 
     def degree_in(self, i: int) -> int:
         if not self._terms:
@@ -365,19 +419,24 @@ class Polynomial:
         add = self.ring.domain.add
         for m, c in other._terms:
             out[m] = add(out[m], c) if m in out else c
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, out, _merged=True)
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.ring.domain.neg
-        return Polynomial(self.ring, [(m, neg(c)) for m, c in self._terms])
+        return Polynomial(self.ring, {m: neg(c) for m, c in self._terms}, _merged=True)
 
     def __sub__(self, other):
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        dom = self.ring.domain
+        sub, neg = dom.sub, dom.neg
+        for m, c in other._terms:
+            out[m] = sub(out[m], c) if m in out else neg(c)
+        return Polynomial(self.ring, out, _merged=True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -393,20 +452,34 @@ class Polynomial:
                 m = mono_mul(m1, m2)
                 c = dom.mul(c1, c2)
                 out[m] = dom.add(out[m], c) if m in out else c
-        return Polynomial(self.ring, out)
+        if self.total_degree() + other.total_degree() > MAX_EXPONENT:
+            _check_exponents(out)
+        return Polynomial(self.ring, out, _merged=True)
 
     __rmul__ = __mul__
 
     def mul_term(self, mono: Monomial, coeff: Scalar) -> "Polynomial":
         """Multiply by a single term, the workhorse of division loops."""
-        dom = self.ring.domain
-        return Polynomial(
-            self.ring, [(mono_mul(m, mono), dom.mul(c, coeff)) for m, c in self._terms]
-        )
+        ring = self.ring
+        if len(mono) != ring.arity:
+            raise ArityMismatch(f"monomial {mono} has wrong length for {ring!r}")
+        if min(mono, default=0) < 0:
+            raise InputError(f"negative exponent in monomial {mono}")
+        coeff = ring.domain.coerce(coeff)
+        mul = ring.domain.mul
+        out = {mono_mul(m, mono): mul(c, coeff) for m, c in self._terms}
+        if self.total_degree() + sum(mono) > MAX_EXPONENT:
+            _check_exponents(out)
+        return Polynomial(ring, out, _merged=True)
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise InputError(f"polynomial exponent must be a non-negative integer, got {e!r}")
+        if len(self._terms) == 1 and e:
+            m, c = self._terms[0]
+            mono = tuple(x * e for x in m)
+            _check_exponents((mono,))
+            return Polynomial(self.ring, {mono: self.ring.domain.pow(c, e)}, _merged=True)
         result = self.ring.one()
         base = self
         while e:
@@ -422,8 +495,8 @@ class Polynomial:
         if not self._terms:
             return self
         _, lc = self.leading_term(order)
-        dom = self.ring.domain
-        return Polynomial(self.ring, [(m, dom.div(c, lc)) for m, c in self._terms])
+        div = self.ring.domain.div
+        return Polynomial(self.ring, {m: div(c, lc) for m, c in self._terms}, _merged=True)
 
     # -------------------------------------------------------------- calculus
 
@@ -432,15 +505,15 @@ class Polynomial:
         if not 0 <= i < self.ring.arity:
             raise IndexError(f"variable index {i} out of range for {self.ring!r}")
         dom = self.ring.domain
-        out = []
+        out = {}
         for m, c in self._terms:
             e = m[i]
             if e == 0:
                 continue
             mono = list(m)
             mono[i] = e - 1
-            out.append((tuple(mono), dom.mul(c, dom.coerce(e))))
-        return Polynomial(self.ring, out)
+            out[tuple(mono)] = dom.mul(c, dom.coerce(e))
+        return Polynomial(self.ring, out, _merged=True)
 
     # ----------------------------------------------------------- evaluation
 
@@ -489,13 +562,57 @@ class Polynomial:
         return acc
 
     def shift(self, point: Sequence) -> "Polynomial":
-        """Translate the point to the origin: substitute x_i -> x_i + P_i."""
-        if len(point) != self.ring.arity:
+        """Translate the point to the origin: substitute x_i -> x_i + P_i.
+
+        One pass over the terms: each expands by the binomial theorem,
+        prod_i (x_i + P_i)^e_i = sum_k prod_i C(e_i, k_i) P_i^(e_i - k_i) x^k,
+        into one dict, so the only polynomial built is the result.  Over Q
+        the expansion runs in integers: with P_i = a_i/d_i, a term c*x^e is
+        c / prod_i d_i^e_i times sum_k prod_i C(e_i, k_i) a_i^(e_i-k_i) d_i^k_i,
+        and every term is brought to one common denominator.
+        """
+        ring = self.ring
+        if len(point) != ring.arity:
             raise ArityMismatch("shift point has wrong arity")
-        values = [
-            self.ring.variable(i) + self.ring.constant(point[i]) for i in range(self.ring.arity)
-        ]
-        return self.substitute(values)
+        dom = ring.domain
+        coords = [dom.coerce(p) for p in point]
+        if not any(coords):
+            return self
+        char = dom.char
+        nums = [p if char else p.numerator for p in coords]
+        dens = [1 if char else p.denominator for p in coords]
+        rows: dict = {}  # (i, e) -> nonzero (k, C(e, k) a_i^(e-k) d_i^k), k <= e
+
+        def row(i: int, e: int) -> list:
+            if (i, e) not in rows:
+                a, d = nums[i], dens[i]
+                r = [(k, comb(e, k) * a ** (e - k) * d**k) for k in range(e + 1)]
+                rows[(i, e)] = [(k, b % char) for k, b in r if b % char] if char else r
+            return rows[(i, e)]
+
+        terms = []  # (monomial, integer numerator, denominator)
+        for m, c in self._terms:
+            den = 1 if char else c.denominator
+            for d, e in zip(dens, m):
+                den *= d**e
+            terms.append((m, c if char else c.numerator, den))
+        common = lcm(*(den for _, _, den in terms))
+        out: dict = {}
+        for m, top, den in terms:
+            partial = [((), top * (common // den))]  # expansions of leading variables
+            for i, e in enumerate(m):
+                if e == 0 or nums[i] == 0:
+                    partial = [(mono + (e,), v) for mono, v in partial]
+                else:
+                    r = row(i, e)
+                    partial = [(mono + (k,), v * b) for mono, v in partial for k, b in r]
+            for mono, v in partial:
+                out[mono] = out.get(mono, 0) + v
+        if char:
+            out = {mono: v % char for mono, v in out.items()}
+        else:
+            out = {mono: Fraction(v, common) for mono, v in out.items()}
+        return Polynomial(ring, out, _merged=True)
 
     def transport(self, target: Ring, index_map: Sequence[int]) -> "Polynomial":
         """Re-home into ``target``, sending old variable i to index_map[i]."""
@@ -695,6 +812,8 @@ class _Parser:
 
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     """Parse an expression into canonical form; printing round-trips."""
+    if not isinstance(text, str):
+        raise InputError(f"a polynomial must be given as text, got {text!r}")
     return _Parser(text, ring).parse()
 
 

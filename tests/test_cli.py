@@ -142,6 +142,15 @@ def test_cache_hit_is_byte_identical(tmp_path):
     assert payload_bytes(off) == payload_bytes(first)
 
 
+def test_cache_hit_reports_its_lookup_time(tmp_path, monkeypatch):
+    run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
+    clock = iter([100.0, 100.0025])
+    monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+    hit = run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
+    assert hit["cache"] == "hit"
+    assert hit["timing_ms"] == 2.5
+
+
 def test_cache_normalization_shares_entries(tmp_path):
     # different spellings of the same polynomial hash identically
     a = dict(job_behrend())
@@ -222,6 +231,32 @@ def test_batch_mode_preserves_order(tmp_path, capsys):
     assert [e["command"] for e in envelopes] == ["milnor", "hilb-demo", "behrend"]
     assert envelopes[0]["payload"]["mu"] == 1
     assert envelopes[2]["payload"]["nu"] == 2
+
+
+def test_batch_mode_continues_after_failed_jobs(tmp_path, capsys):
+    ring = {"vars": ["x"], "char": 0}
+    ok = {"command": "milnor", "ring": ring, "f": "x^3", "point": "0"}
+    refused = {"command": "milnor", "ring": ring, "f": "x^3", "point": "5"}
+    malformed = {"command": "milnor", "ring": ring, "f": "x + z", "point": "0"}
+    jobs_file = tmp_path / "jobs.json"
+
+    untyped = [[1], dict(ok, ring=5), dict(ok, f=5)]
+    jobs_file.write_text(json.dumps([ok, refused, malformed, ok] + untyped))
+    code, out, _ = run_cli(["--jobs", str(jobs_file), "--no-cache"], capsys)
+    envelopes = json.loads(out)
+    assert code == 1
+    assert [e["command"] for e in envelopes] == ["milnor"] * 4 + [None, "milnor", "milnor"]
+    assert envelopes[0]["payload"] == envelopes[3]["payload"] == {"mu": 2}
+    assert envelopes[1]["refusal"]["code"] == "NOT_CRITICAL"
+    assert "'z'" in envelopes[2]["error"]["message"]
+    assert all("error" in e for e in envelopes[4:])
+
+    jobs_file.write_text(json.dumps([refused, ok]))
+    code, out, _ = run_cli(["--jobs", str(jobs_file), "--no-cache"], capsys)
+    assert code == 2
+    assert [sorted(e) for e in json.loads(out)][1] == [
+        "cache", "command", "engine_version", "payload", "provenance", "timing_ms"
+    ]
 
 
 def test_milnor_non_isolated_refusal(tmp_path, capsys):

@@ -18,7 +18,10 @@ from nuchi.poly import (
     GF,
     LEX,
     LOCAL_DEGREVLEX,
+    MAX_EXPONENT,
+    Polynomial,
     Ring,
+    elimination_order,
     parse_point,
     parse_polynomial,
 )
@@ -187,6 +190,24 @@ def test_shift_translates_origin():
     assert g.shift(point).evaluate((0, 0)) == g.evaluate(point)
 
 
+RING_XYZ_F7 = Ring(("x", "y", "z"), GF(7))
+
+
+@settings(max_examples=150)
+@pytest.mark.parametrize("ring", [RING_XYZ, RING_XYZ_F7], ids=["QQ", "GF7"])
+@given(data=st.data())
+def test_shift_matches_substitution(ring, data):
+    f = data.draw(polynomials(ring, max_terms=6, max_exp=4))
+    point = data.draw(rational_points(3))
+    values = [ring.variable(i) + ring.constant(p) for i, p in enumerate(point)]
+    assert f.shift(point) == f.substitute(values)
+
+
+@given(polynomials(RING_XYZ))
+def test_shift_by_zero_is_identity(f):
+    assert f.shift((0, 0, 0)) == f
+
+
 # ------------------------------------------------------------ leading terms
 
 def test_leading_term_degrevlex_prefers_degree():
@@ -215,6 +236,47 @@ def test_leading_term_multiplicative_global(order, f, g):
     pm, pc = (f * g).leading_term(order)
     assert pm == tuple(a + b for a, b in zip(fm, gm))
     assert pc == fc * gc
+
+
+ORDERS = [LEX, DEGREVLEX, LOCAL_DEGREVLEX, elimination_order({0})]
+
+
+@settings(max_examples=80)
+@given(
+    f=polynomials(RING_XYZ, max_terms=4),
+    g=polynomials(RING_XYZ, max_terms=4),
+    h=nonzero_polynomials(RING_XYZ, max_terms=4),
+)
+def test_leading_term_cache_follows_the_order(f, g, h):
+    # arithmetic results, each asked for its leading term under every order
+    # in turn, so a cached term of another order would be returned stale
+    for p in (f * g + h, h - f * h, -(h * h) + g, h.mul_term((1, 0, 2), 3), h.monic(LEX)):
+        if p.is_zero():
+            continue
+        for _ in range(2):
+            for order in ORDERS:
+                expected = max(p.terms(), key=lambda mc: order.key(mc[0]))
+                assert p.leading_term(order) == expected
+
+
+def test_exponent_overflow_in_arithmetic():
+    x = RING_X.variable(0)
+    top = Polynomial(RING_X, {(MAX_EXPONENT,): 1})
+    with pytest.raises(ExponentOverflow):
+        top * x
+    with pytest.raises(ExponentOverflow):
+        top.mul_term((1,), 1)
+    with pytest.raises(ExponentOverflow):
+        Polynomial(RING_X, {(2**30,): 1}) ** 2
+    # a large total degree alone is no overflow
+    y = RING_XY.variable(1)
+    assert (Polynomial(RING_XY, {(MAX_EXPONENT, 0): 1}) * y).terms() == (((MAX_EXPONENT, 1), 1),)
+
+
+def test_pow_of_a_single_term():
+    assert RING_XY.parse("-2*x*y^3") ** 5 == RING_XY.parse("-32*x^5*y^15")
+    f7 = Ring(("x",), GF(7)).parse("3*x^2")
+    assert f7**6 == Ring(("x",), GF(7)).parse("x^12")
 
 
 # ------------------------------------------------------------------- points
