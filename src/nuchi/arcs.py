@@ -143,10 +143,6 @@ class ArcSeries:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "order", order)
 
-    def base_point(self) -> tuple:
-        """Constant coefficients, the image of t = 0 (parameter polynomials)."""
-        return tuple(s.coeffs[0] for s in self.components)
-
     def __repr__(self):
         names = self.ambient_ring.variables
         lines = [f"{x}(t) = {s}" for x, s in zip(names, self.components)]

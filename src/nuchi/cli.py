@@ -7,19 +7,21 @@ e.g. a non-critical point or irrational support).  A batch runs every job
 and exits with 1 if any job was malformed, else 2 if any was refused.
 
 Results are cached content-addressed under a digest of the canonical job
-serialization plus the engine version; ``--no-cache`` disables the cache and
-``--cache-dir`` / the NUCHI_CACHE_DIR environment variable relocate it.
-Payloads are byte-identical across runs and across cache hits and misses.
+serialization, the engine version and the package sources; ``--no-cache``
+disables the cache and ``--cache-dir`` / the NUCHI_CACHE_DIR environment
+variable relocate it.  Payloads are byte-identical across runs and across
+cache hits and misses.
 
 Job specifications (also accepted in batch via ``--jobs file.json``, an
-array of specs) use the schemas documented in the README; every polynomial
-is normalized to canonical printing before hashing, so equivalent spellings
-share cache entries.
+array of specs) use the schemas documented in the README.  Each job's inputs
+are parsed once; the normalized spec keeps the parsed objects, and their
+canonical printing is hashed, so equivalent spellings share cache entries.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -32,13 +34,12 @@ from pathlib import Path
 from . import __version__
 from .arcs import (
     INFINITE_WITHIN_TRUNCATION,
-    arc_from_strings,
+    ArcSeries,
     arc_vanishing_order,
     lagrangian_obstruction,
     parse_arc,
 )
 from .cycles import (
-    CurveCycle,
     MONOMIAL,
     Presentation,
     REGULAR_SEQUENCE,
@@ -58,7 +59,7 @@ from .euler import (
     weighted_euler,
 )
 from .groebner import Ideal, Infinite
-from .poly import GF, QQ, Ring, parse_point
+from .poly import GF, QQ, Polynomial, Ring, parse_point
 from .singular import NOT_CRITICAL, OneForm, behrend_report, is_almost_closed, milnor_number
 
 COMMANDS = (
@@ -78,34 +79,18 @@ MILNOR_FIBRE_NOTE = (
     "imported fact: chi(Milnor fibre) = 1 + (-1)^(n-1)*mu for isolated "
     "critical points (classical Milnor theory)"
 )
-CURVE_EU_NOTE = (
-    "imported fact: the local Euler obstruction of a curve equals its "
-    "Hilbert-Samuel multiplicity"
-)
 HEURISTIC_NOTE = "heuristic: finite-field point counts fitted by an integer polynomial"
 
 
 # ----------------------------------------------------------- normalization
 
-def _ring_from_spec(spec) -> Ring:
-    ring = spec.get("ring")
-    if not isinstance(ring, dict) or not isinstance(ring.get("vars"), (list, tuple)):
-        raise InputError("job needs a ring declaration before any polynomial input")
-    domain = QQ if not ring.get("char") else GF(int(ring["char"]))
-    return Ring(tuple(ring["vars"]), domain)
-
-
-def _canonical_ring(ring: Ring):
-    return {"vars": list(ring.variables), "char": ring.domain.char}
-
-
-def _canonical_point(text, ring: Ring):
-    coords = parse_point(text if isinstance(text, str) else ",".join(map(str, text)), ring.arity)
-    return [str(c) for c in coords]
-
-
 def normalize_spec(raw: dict) -> dict:
-    """Validate a raw job dict and rewrite every input in canonical form."""
+    """Validate a raw job dict and parse every input once.
+
+    The spec keeps the parsed objects: the ``Ring``, ``Polynomial``s, the
+    point as a tuple of ``Fraction``s and the ``ArcSeries``.  Any malformed
+    field raises ``InputError``.
+    """
     if "command" not in raw:
         raise InputError("job is missing the command field")
     command = raw["command"]
@@ -113,80 +98,79 @@ def normalize_spec(raw: dict) -> dict:
         raise InputError(f"unknown command {command!r}")
     spec: dict = {"command": command}
 
-    def norm_polys(field, required=True):
-        exprs = raw.get(field)
-        if exprs is None:
-            if required:
-                raise InputError(f"command {command} requires {field!r}")
-            return None
-        ring = _ring_from_spec(raw)
-        return [str(ring.parse(e)) for e in exprs]
+    if command not in ("weighted-euler", "hilb-demo"):
+        ring = spec["ring"] = _ring(raw)
 
-    if command in ("milnor", "behrend", "almost-closed", "arc-check", "normal-cone",
-                   "cycle", "nu", "chi-oracle"):
-        ring = _ring_from_spec(raw)
-        spec["ring"] = _canonical_ring(ring)
+    def polys(field):
+        exprs = _require(raw, field)
+        if not isinstance(exprs, (list, tuple)):
+            raise InputError(f"{field!r} must be an array of polynomials")
+        return [ring.parse(e) for e in exprs]
+
+    def form():
+        components = polys("form")
+        if len(components) != ring.arity:
+            raise InputError("a 1-form needs one component per ring variable")
+        return components
 
     if command == "milnor":
-        spec["f"] = str(ring.parse(_require(raw, "f")))
-        spec["point"] = _canonical_point(_require(raw, "point"), ring)
+        spec["f"] = ring.parse(_require(raw, "f"))
+        spec["point"] = _point(_require(raw, "point"), ring)
     elif command == "behrend":
         if "critical_locus" in raw:
-            spec["critical_locus"] = str(ring.parse(raw["critical_locus"]))
+            spec["critical_locus"] = ring.parse(raw["critical_locus"])
         elif "ideal" in raw:
-            spec["ideal"] = norm_polys("ideal")
+            spec["ideal"] = polys("ideal")
         else:
             raise InputError("behrend needs critical_locus or ideal")
-        spec["point"] = _canonical_point(_require(raw, "point"), ring)
+        spec["point"] = _point(_require(raw, "point"), ring)
     elif command == "almost-closed":
-        form = norm_polys("form")
-        if len(form) != ring.arity:
-            raise InputError("a 1-form needs one component per ring variable")
-        spec["form"] = form
+        spec["form"] = form()
     elif command == "arc-check":
-        form = norm_polys("form")
-        if len(form) != ring.arity:
-            raise InputError("a 1-form needs one component per ring variable")
-        spec["form"] = form
-        arc = parse_arc(_require(raw, "arc"), ring)
-        spec["arc"] = {
-            "order": arc.order,
-            "params": list(arc.param_ring.variables),
-            "components": [str(s) for s in arc.components],
-        }
+        spec["form"] = form()
+        arc = _require(raw, "arc")
+        if not isinstance(arc, str):
+            raise InputError("'arc' must be arc text")
+        spec["arc"] = parse_arc(arc, ring)
         if raw.get("m") is not None:
-            spec["m"] = int(raw["m"])
+            spec["m"] = _integer(raw["m"], "m")
     elif command == "normal-cone":
-        spec["ideal"] = norm_polys("ideal")
+        spec["ideal"] = polys("ideal")
     elif command == "cycle":
         spec["class"] = _presentation_class(_require(raw, "class"))
-        spec["ideal"] = norm_polys("ideal")
+        spec["ideal"] = polys("ideal")
     elif command == "nu":
-        spec["point"] = _canonical_point(_require(raw, "point"), ring)
+        spec["point"] = _point(_require(raw, "point"), ring)
         if "critical_locus" in raw:
-            spec["critical_locus"] = str(ring.parse(raw["critical_locus"]))
+            spec["critical_locus"] = ring.parse(raw["critical_locus"])
         elif "ideal" in raw and "class" in raw:
             spec["class"] = _presentation_class(raw["class"])
-            spec["ideal"] = norm_polys("ideal")
+            spec["ideal"] = polys("ideal")
         else:
             raise InputError("nu needs critical_locus, or class plus ideal")
     elif command == "weighted-euler":
-        strata = Stratification.from_json(_require(raw, "strata"))
-        func = ConstructibleFunction(_require(raw, "function"))
+        strata = _stratification(_require(raw, "strata"))
         spec["strata"] = [
             {"label": s.label, "chi": s.chi, "dim": s.dim, "how": s.how,
              "heuristic": s.heuristic}
             for s in strata.strata
         ]
-        spec["function"] = func.as_dict()
+        values = _require(raw, "function")
+        if not isinstance(values, dict):
+            raise InputError("'function' must be an object from stratum labels to integers")
+        spec["function"] = ConstructibleFunction(
+            {k: _integer(v, "function value") for k, v in values.items()}
+        ).as_dict()
     elif command == "chi-oracle":
-        spec["ideal"] = norm_polys("ideal")
+        spec["ideal"] = polys("ideal")
         primes = _require(raw, "primes")
         if isinstance(primes, str):
-            primes = [int(p) for p in primes.split(",") if p.strip()]
-        spec["primes"] = [int(p) for p in primes]
+            primes = [p for p in primes.split(",") if p.strip()]
+        elif not isinstance(primes, (list, tuple)):
+            raise InputError("'primes' must be an array or comma-separated text")
+        spec["primes"] = [_integer(p, "primes") for p in primes]
     elif command == "hilb-demo":
-        spec["n_max"] = int(_require(raw, "n_max"))
+        spec["n_max"] = _integer(_require(raw, "n_max"), "n_max")
     return spec
 
 
@@ -196,11 +180,48 @@ def _require(raw: dict, field: str):
     return raw[field]
 
 
+def _integer(value, field: str) -> int:
+    # int() alone would truncate 2.5, read true as 1 and raise OverflowError on inf
+    if isinstance(value, str) or type(value) is int or isinstance(value, float) and value.is_integer():
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{field!r} must be an integer, got {value!r}")
+
+
+def _ring(raw: dict) -> Ring:
+    ring = raw.get("ring")
+    if not isinstance(ring, dict) or not isinstance(ring.get("vars"), (list, tuple)):
+        raise InputError("job needs a ring declaration before any polynomial input")
+    domain = GF(_integer(ring["char"], "char")) if ring.get("char") else QQ
+    return Ring(tuple(ring["vars"]), domain)
+
+
+def _point(value, ring: Ring) -> tuple:
+    if isinstance(value, (list, tuple)):
+        value = ",".join(map(str, value))
+    elif not isinstance(value, str):
+        raise InputError("'point' must be comma-separated text or an array of coordinates")
+    return parse_point(value, ring.arity)
+
+
 def _presentation_class(name: str) -> str:
     name = str(name)
     if name not in (SMOOTH, REGULAR_SEQUENCE, MONOMIAL):
         raise InputError(f"unknown presentation class {name!r}")
     return name
+
+
+def _stratification(entries) -> Stratification:
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and "label" in e and "chi" in e for e in entries
+    ):
+        raise InputError("'strata' must be an array of objects with a label and a chi")
+    return Stratification.from_json([
+        dict(e, chi=_integer(e["chi"], "chi"), dim=_integer(e.get("dim", 0), "dim"))
+        for e in entries
+    ])
 
 
 # --------------------------------------------------------------- execution
@@ -212,20 +233,9 @@ def execute_spec(spec: dict):
     return handler(spec)
 
 
-def _ideal_from(spec, field="ideal") -> Ideal:
-    ring = _ring_from_spec(spec)
-    return Ideal.from_strings(ring, spec[field])
-
-
-def _point_from(spec, ring: Ring):
-    return tuple(Fraction(c) for c in spec["point"])
-
-
 def _handle_milnor(spec):
-    ring = _ring_from_spec(spec)
-    f = ring.parse(spec["f"])
-    point = _point_from(spec, ring)
-    mu = milnor_number(f, point)
+    point = spec["point"]
+    mu = milnor_number(spec["f"], point)
     if mu is NOT_CRITICAL:
         raise NotCriticalPoint(f"df does not vanish at {tuple(map(str, point))}")
     if isinstance(mu, Infinite):
@@ -234,22 +244,18 @@ def _handle_milnor(spec):
 
 
 def _handle_behrend(spec):
-    ring = _ring_from_spec(spec)
-    point = _point_from(spec, ring)
     if "critical_locus" in spec:
-        presentation = ring.parse(spec["critical_locus"])
+        presentation = spec["critical_locus"]
     else:
-        presentation = _ideal_from(spec)
-    report = behrend_report(presentation, point)
+        presentation = Ideal(spec["ring"], spec["ideal"])
+    report = behrend_report(presentation, spec["point"])
     if report.route == "milnor":
         return {"nu": report.nu, "route": "milnor", "mu": report.mu}, [MILNOR_FIBRE_NOTE]
     return {"nu": report.nu, "route": "smooth", "dim": report.local_dim}, []
 
 
 def _handle_almost_closed(spec):
-    ring = _ring_from_spec(spec)
-    omega = OneForm.from_strings(ring, spec["form"])
-    check = is_almost_closed(omega)
+    check = is_almost_closed(OneForm(spec["ring"], spec["form"]))
     if check.almost_closed:
         payload = {
             "almost_closed": True,
@@ -269,15 +275,8 @@ def _handle_almost_closed(spec):
 
 
 def _handle_arc_check(spec):
-    ring = _ring_from_spec(spec)
-    omega = OneForm.from_strings(ring, spec["form"])
-    # the canonical component strings re-parse under the arc grammar
-    arc = arc_from_strings(
-        ring,
-        spec["arc"]["components"],
-        order=spec["arc"]["order"],
-        params=spec["arc"]["params"],
-    )
+    omega = OneForm(spec["ring"], spec["form"])
+    arc = spec["arc"]
     order = arc_vanishing_order(omega, arc)
     infinite = order is INFINITE_WITHIN_TRUNCATION
     payload = {
@@ -296,8 +295,7 @@ def _handle_arc_check(spec):
 
 
 def _handle_normal_cone(spec):
-    I = _ideal_from(spec)
-    report = normal_cone_ideal(I)
+    report = normal_cone_ideal(Ideal(spec["ring"], spec["ideal"]))
     doubled = report.ideal.ring
     payload = {
         "ring": list(doubled.variables),
@@ -319,31 +317,19 @@ def _handle_normal_cone(spec):
     return payload, []
 
 
-def _cycle_payload_and_notes(cycle):
-    notes = []
-    if any(isinstance(d, CurveCycle) for _, d in cycle.terms):
-        notes.append(CURVE_EU_NOTE)
-    return cycle.to_payload(), notes
-
-
 def _handle_cycle(spec):
-    presentation = Presentation(spec["class"], _ideal_from(spec))
-    cycle = distinguished_cycle(presentation)
-    payload, notes = _cycle_payload_and_notes(cycle)
-    return {"cycle": payload}, notes
+    cycle = distinguished_cycle(Presentation(spec["class"], Ideal(spec["ring"], spec["ideal"])))
+    return {"cycle": cycle.to_payload()}, []
 
 
 def _handle_nu(spec):
-    ring = _ring_from_spec(spec)
-    point = _point_from(spec, ring)
     if "critical_locus" in spec:
-        presentation = presentation_from_critical_locus(ring.parse(spec["critical_locus"]))
+        presentation = presentation_from_critical_locus(spec["critical_locus"])
     else:
-        presentation = Presentation(spec["class"], _ideal_from(spec))
+        presentation = Presentation(spec["class"], Ideal(spec["ring"], spec["ideal"]))
     cycle = distinguished_cycle(presentation)
-    value = euler_obstruction(cycle, point)
-    cycle_payload, notes = _cycle_payload_and_notes(cycle)
-    return {"nu": value, "route": "cycle", "cycle": cycle_payload}, notes
+    value = euler_obstruction(cycle, spec["point"])
+    return {"nu": value, "route": "cycle", "cycle": cycle.to_payload()}, []
 
 
 def _handle_weighted_euler(spec):
@@ -356,8 +342,7 @@ def _handle_weighted_euler(spec):
 
 
 def _handle_chi_oracle(spec):
-    I = _ideal_from(spec)
-    result = point_count_chi(I, spec["primes"])
+    result = point_count_chi(Ideal(spec["ring"], spec["ideal"]), spec["primes"])
     payload = {
         "chi": result.chi,
         "flag": result.flag,
@@ -394,12 +379,36 @@ _HANDLERS = {
 
 # ------------------------------------------------------------------- cache
 
+def _canonical(obj):
+    """The JSON form of a parsed object in a spec: what its input normalizes to."""
+    if isinstance(obj, (Polynomial, Fraction)):
+        return str(obj)
+    if isinstance(obj, Ring):
+        return {"vars": list(obj.variables), "char": obj.domain.char}
+    if isinstance(obj, ArcSeries):
+        return {
+            "order": obj.order,
+            "params": list(obj.param_ring.variables),
+            "components": [str(s) for s in obj.components],
+        }
+    raise TypeError(f"no canonical JSON form for {type(obj).__name__}")
+
+
 def canonical_spec_json(spec: dict) -> str:
-    return json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    return json.dumps(spec, sort_keys=True, separators=(",", ":"), default=_canonical)
+
+
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """SHA-256 over the package's source files, read on the first cache lookup."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def cache_key(spec: dict) -> str:
-    blob = canonical_spec_json(spec) + "|" + __version__
+    blob = "|".join((canonical_spec_json(spec), __version__, _source_digest()))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -161,10 +161,6 @@ class Domain:
             if self.char >= 2**31 or not _is_prime(self.char):
                 raise InputError(f"characteristic must be 0 or a prime < 2^31, got {self.char}")
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.char != 0
-
     def coerce(self, value) -> Scalar:
         if self.char == 0:
             return Fraction(value)
@@ -196,9 +192,6 @@ class Domain:
     def pow(self, a: Scalar, e: int) -> Scalar:
         return pow(a, e, self.char) if self.char else a**e
 
-    def scalar_str(self, a: Scalar) -> str:
-        return str(a)
-
 
 QQ = Domain(0)
 
@@ -213,7 +206,7 @@ _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_
 
 
 def _valid_ident(name: str) -> bool:
-    return bool(name) and not name[0].isdigit() and set(name) <= _IDENT_OK
+    return isinstance(name, str) and bool(name) and not name[0].isdigit() and set(name) <= _IDENT_OK
 
 
 @dataclass(frozen=True)
@@ -225,11 +218,11 @@ class Ring:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        if len(set(self.variables)) != len(self.variables):
-            raise InputError("duplicate variable names")
         for name in self.variables:
             if not _valid_ident(name):
                 raise InputError(f"invalid variable name {name!r}")
+        if len(set(self.variables)) != len(self.variables):
+            raise InputError("duplicate variable names")
 
     @property
     def arity(self) -> int:

@@ -185,9 +185,10 @@ def milnor_number(f: Polynomial, point: Sequence):
     Jacobian ideal (all cases signalled in the return value, no exceptions).
     """
     point = as_point(point, f.ring)
-    if any(v != 0 for v in gradient_at(f, point)):
+    jac = jacobian_ideal(f)  # drops the zero partials, which vanish everywhere
+    if any(g.evaluate(point) != 0 for g in jac.generators):
         return NOT_CRITICAL
-    jac = shift_ideal(jacobian_ideal(f), point)
+    jac = shift_ideal(jac, point)
     if not jac.generators:
         return INFINITE  # constant f: every point critical, never isolated
     return colength(jac, LOCAL_DEGREVLEX)

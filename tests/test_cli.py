@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import nuchi.arcs as arcs
 import nuchi.cli as cli
-from nuchi.cli import cache_key, main, normalize_spec, run_job
+import nuchi.poly as poly
+from nuchi.cli import canonical_spec_json, cache_key, main, normalize_spec, run_job
 
 
 def payload_bytes(envelope):
@@ -170,6 +174,97 @@ def test_cache_engine_version_bump_misses(tmp_path, monkeypatch):
     assert bumped["cache"] == "miss"
 
 
+def test_cache_source_change_misses(tmp_path, monkeypatch):
+    first = run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
+    assert first["cache"] == "miss"
+    assert run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)["cache"] == "hit"
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    changed = run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
+    assert changed["cache"] == "miss"
+    assert payload_bytes(changed) == payload_bytes(first)
+
+
+def test_source_digest_is_read_on_the_first_cache_key():
+    probe = (
+        "import nuchi.cli as c; n = c._source_digest.cache_info().currsize; "
+        "c.cache_key({'command': 'hilb-demo', 'n_max': 1}); "
+        "print(n, c._source_digest.cache_info().currsize, len(c._source_digest()))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert done.stdout.split() == ["0", "1", "64"], done.stderr
+
+
+# One job per command, each in a non-canonical spelling, and the canonical
+# JSON its cache key is built from.  A change to these strings moves every
+# cache key of that command.
+RING = {"vars": ["x", "y"], "char": 0}
+PINNED_SPECS = [
+    ({"command": "milnor", "ring": {"vars": ["x", "y"]}, "f": "y^3 + 1*x^2 + 0*x",
+      "point": "0, -2/4"},
+     '{"command":"milnor","f":"y^3 + x^2","point":["0","-1/2"],'
+     '"ring":{"char":0,"vars":["x","y"]}}'),
+    ({"command": "behrend", "ring": RING, "ideal": ["-x^2 + y", "2*x"], "point": ["1/2", 0]},
+     '{"command":"behrend","ideal":["-x^2 + y","2*x"],"point":["1/2","0"],'
+     '"ring":{"char":0,"vars":["x","y"]}}'),
+    ({"command": "almost-closed", "ring": RING, "form": ["(y)", "-y*x + x"]},
+     '{"command":"almost-closed","form":["y","-x*y + x"],"ring":{"char":0,"vars":["x","y"]}}'),
+    ({"command": "arc-check", "ring": RING, "form": ["y", "0*x"],
+      "arc": "order: 4\ny = t*v  # fibre\nx = u\n", "m": "2"},
+     '{"arc":{"components":["(u)*t^0","(v)*t^1"],"order":4,"params":["u","v"]},'
+     '"command":"arc-check","form":["y","0"],"m":2,"ring":{"char":0,"vars":["x","y"]}}'),
+    ({"command": "normal-cone", "ring": {"vars": ["x", "y"], "char": 7},
+      "ideal": ["y*x", "8*x^2"]},
+     '{"command":"normal-cone","ideal":["x*y","x^2"],"ring":{"char":7,"vars":["x","y"]}}'),
+    ({"command": "cycle", "ring": RING, "class": "monomial", "ideal": ["y*x^2", "x*x*x"]},
+     '{"class":"monomial","command":"cycle","ideal":["x^2*y","x^3"],'
+     '"ring":{"char":0,"vars":["x","y"]}}'),
+    ({"command": "nu", "ring": RING, "critical_locus": "(x+y)^2 - 2*x*y", "point": [0, "0/3"]},
+     '{"command":"nu","critical_locus":"x^2 + y^2","point":["0","0"],'
+     '"ring":{"char":0,"vars":["x","y"]}}'),
+    ({"command": "weighted-euler",
+      "strata": [{"label": "pt", "chi": "1", "how": "Heuristic fit"},
+                 {"label": 7, "chi": -1, "dim": "1"}],
+      "function": {"pt": "2", "7": 3}},
+     '{"command":"weighted-euler","function":{"7":3,"pt":2},"strata":['
+     '{"chi":1,"dim":0,"heuristic":true,"how":"Heuristic fit","label":"pt"},'
+     '{"chi":-1,"dim":1,"heuristic":false,"how":"declared","label":"7"}]}'),
+    ({"command": "chi-oracle", "ring": RING, "ideal": ["y*x - 1"], "primes": "2, 3,5"},
+     '{"command":"chi-oracle","ideal":["x*y - 1"],"primes":[2,3,5],'
+     '"ring":{"char":0,"vars":["x","y"]}}'),
+    ({"command": "hilb-demo", "n_max": "4"}, '{"command":"hilb-demo","n_max":4}'),
+]
+
+
+@pytest.mark.parametrize("raw, expected", PINNED_SPECS, ids=[r["command"] for r, _ in PINNED_SPECS])
+def test_cache_key_input_is_pinned(raw, expected):
+    assert canonical_spec_json(normalize_spec(raw)) == expected
+
+
+def test_canonical_json_refuses_unknown_objects():
+    with pytest.raises(TypeError):
+        canonical_spec_json({"command": "milnor", "f": object()})
+
+
+@pytest.mark.parametrize("raw, parses", [
+    ({"command": "milnor", "ring": RING, "f": "x^2 + y^3", "point": "0,0"}, 1),
+    ({"command": "nu", "ring": RING, "critical_locus": "x^2 + y^3", "point": "0,0"}, 1),
+    ({"command": "arc-check", "ring": RING, "form": ["y", "0"], "arc": "x = u\ny = v*t"}, 4),
+], ids=["milnor", "nu", "arc-check"])
+def test_each_job_parses_its_polynomials_once(raw, parses, monkeypatch):
+    calls = []
+    parse = poly.parse_polynomial
+
+    def counting_parse(text, ring):
+        calls.append(text)
+        return parse(text, ring)
+
+    for module in (poly, arcs):
+        monkeypatch.setattr(module, "parse_polynomial", counting_parse)
+    run_job(raw, use_cache=False)
+    assert len(calls) == parses
+
+
 def test_cache_corrupt_entry_recomputed(tmp_path, capsys):
     first = run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
     key = cache_key(normalize_spec(job_behrend()))
@@ -257,6 +352,34 @@ def test_batch_mode_continues_after_failed_jobs(tmp_path, capsys):
     assert [sorted(e) for e in json.loads(out)][1] == [
         "cache", "command", "engine_version", "payload", "provenance", "timing_ms"
     ]
+
+
+def test_batch_mode_malformed_fields_get_error_envelopes(tmp_path, capsys):
+    ok = {"command": "milnor", "ring": RING, "f": "x^2 + y^2", "point": "0,0"}
+    form = ["y", "0"]
+    malformed = [
+        {"command": "normal-cone", "ring": RING, "ideal": "xy"},
+        {"command": "chi-oracle", "ring": RING, "ideal": ["x*y - 1"], "primes": 5},
+        {"command": "almost-closed", "ring": RING, "form": 5},
+        dict(ok, point=5),
+        {"command": "hilb-demo", "n_max": [1]},
+        {"command": "hilb-demo", "n_max": 2.5},
+        {"command": "hilb-demo", "n_max": float("inf")},
+        {"command": "hilb-demo", "n_max": True},
+        {"command": "arc-check", "ring": RING, "form": form, "arc": "x = u\ny = v*t", "m": [1]},
+        {"command": "arc-check", "ring": RING, "form": form, "arc": 5},
+        {"command": "weighted-euler", "strata": [{"label": "a", "chi": 1}], "function": 5},
+        {"command": "weighted-euler", "strata": [{"label": "a"}], "function": {"a": 1}},
+        dict(ok, ring={"vars": [5]}),
+    ]
+    jobs_file = tmp_path / "jobs.json"
+    jobs_file.write_text(json.dumps([ok] + malformed))
+    code, out, _ = run_cli(["--jobs", str(jobs_file), "--no-cache"], capsys)
+    envelopes = json.loads(out)
+    assert code == 1
+    assert [e["command"] for e in envelopes] == [j["command"] for j in [ok] + malformed]
+    assert envelopes[0]["payload"] == {"mu": 1}
+    assert all(sorted(e) == ["command", "engine_version", "error"] for e in envelopes[1:])
 
 
 def test_milnor_non_isolated_refusal(tmp_path, capsys):

@@ -72,6 +72,22 @@ def test_milnor_not_critical():
     assert milnor_number(R1.parse("x^3"), (5,)) is NOT_CRITICAL
 
 
+def test_milnor_differentiates_once(monkeypatch):
+    calls = []
+    derivative = Polynomial.derivative
+
+    def counting_derivative(self, i):
+        calls.append(i)
+        return derivative(self, i)
+
+    monkeypatch.setattr(Polynomial, "derivative", counting_derivative)
+    assert milnor_number(R2.parse("x^3 + y^2"), ORIGIN2) == 2
+    assert milnor_number(R2.parse("x^3 + y"), ORIGIN2) is NOT_CRITICAL
+    # the zero partial in x is dropped, and y^2 is critical along y = 0
+    assert isinstance(milnor_number(R2.parse("y^2"), (5, 0)), Infinite)
+    assert calls == [0, 1] * 3
+
+
 def test_milnor_non_isolated():
     assert isinstance(milnor_number(R2.parse("x^2"), ORIGIN2), Infinite)
 
