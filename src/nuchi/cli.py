@@ -28,6 +28,7 @@ import os
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,7 +201,10 @@ def _ring(raw: dict) -> Ring:
 
 def _point(value, ring: Ring) -> tuple:
     if isinstance(value, (list, tuple)):
-        value = ",".join(map(str, value))
+        # floats are written out in full: the text form refuses exponents
+        value = ",".join(
+            format(Decimal(repr(v)), "f") if isinstance(v, float) else str(v) for v in value
+        )
     elif not isinstance(value, str):
         raise InputError("'point' must be comma-separated text or an array of coordinates")
     return parse_point(value, ring.arity)

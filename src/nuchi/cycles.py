@@ -22,9 +22,11 @@ External mathematical import: the local Euler obstruction of a curve at a
 point equals its Hilbert-Samuel multiplicity there.  It is used only for
 curve-kind cycle descriptors and is flagged in CLI provenance.
 
-Splitting a zero-dimensional ideal into points is done with univariate
-eliminants and exact rational root extraction; non-rational support raises
-IrrationalPoint rather than approximating.
+Splitting a zero-dimensional ideal into points needs one degrevlex basis:
+each variable's eliminant is read off it as a minimal polynomial (FGLM), and
+the rational root theorem on its squarefree part finds its rational roots
+exactly.  Non-rational support raises IrrationalPoint rather than
+approximating; splitting is over Q only.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .errors import (
     UnsupportedPresentation,
 )
 from .groebner import (
-    DEGREVLEX,
     Ideal,
     Infinite,
     LOCAL_DEGREVLEX,
@@ -56,6 +57,7 @@ from .groebner import (
     krull_dimension,
     monomial_ideal_dimension,
     monomial_minimal_generators,
+    normal_form,
     staircase_count,
 )
 from .poly import Polynomial, Ring
@@ -205,139 +207,124 @@ class Cycle:
         return " + ".join(f"{c}*[{d.to_payload()['kind']}]" for c, d in self.terms)
 
 
-# ------------------------------------------------------- univariate splitting
+# ------------------------------------------------------------ point splitting
 
-def _univariate_coeffs(g: Polynomial, var: int) -> list:
-    coeffs = [Fraction(0)] * (g.degree_in(var) + 1)
-    for mono, c in g.terms():
-        if any(e and i != var for i, e in enumerate(mono)):
-            raise InputError(f"{g} is not univariate in variable {var}")
-        coeffs[mono[var]] += c
-    return coeffs
+def _eliminant(basis: StandardBasis, var: int) -> list:
+    """Coefficients, lowest first, of the monic generator of I meet Q[x_var].
 
-
-def _uni_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _uni_trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    return coeffs
-
-
-def _uni_divmod(a, b):
-    a = list(a)
-    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(_uni_trim(a)) >= len(b):
-        a = _uni_trim(a)
-        shift = len(a) - len(b)
-        q = a[-1] / b[-1]
-        out[shift] = q
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-    return out, _uni_trim(a)
+    FGLM (Faugere-Gianni-Lazard-Mora, JSC 16, 1993): the generator is the
+    first linear dependency among the normal forms of 1, x, x^2, ... modulo
+    the basis, so the loop ends within colength + 1 steps when the colength
+    is finite.  Each row is a normal form (monomial keys) together with the
+    combination of powers it stands for (integer keys), reduced against the
+    earlier rows in order.
+    """
+    step = tuple(int(i == var) for i in range(basis.ring.arity))
+    rows = []
+    nf = normal_form(basis.ring.one(), basis)
+    for k in itertools.count():
+        vec = dict(nf.terms())
+        vec[k] = Fraction(1)
+        for pivot, row in rows:
+            c = vec.get(pivot)
+            if c:
+                for key, a in row.items():
+                    vec[key] = vec.get(key, 0) - c * a
+                    if not vec[key]:
+                        del vec[key]
+        pivot = next((key for key in vec if isinstance(key, tuple)), None)
+        if pivot is None:
+            return [vec.get(j, 0) for j in range(k + 1)]
+        rows.append((pivot, {key: a / vec[pivot] for key, a in vec.items()}))
+        nf = normal_form(nf.mul_term(step, 1), basis)
 
 
-def _uni_gcd(a, b):
-    a, b = _uni_trim(list(a)), _uni_trim(list(b))
-    while b:
-        _, r = _uni_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _primitive(f: list) -> list:
+    content = math.gcd(*f)
+    return [c // content for c in f] if content else f
 
 
-def _uni_derivative(coeffs):
-    return _uni_trim([coeffs[i] * i for i in range(1, len(coeffs))])
+def _pseudo_remainder(f: list, g: list) -> list:
+    """The primitive part of the remainder of lc(g)^k * f by g, for integer
+    coefficient lists (lowest first)."""
+    while len(f) >= len(g):
+        lead, shift = f[-1], len(f) - len(g)
+        f = [c * g[-1] for c in f[:-1]]
+        for j, c in enumerate(g[:-1]):
+            f[shift + j] -= lead * c
+        while f and not f[-1]:
+            f.pop()
+    return _primitive(f)
 
 
-def _rational_roots_squarefree(coeffs):
-    """All rational roots of a squarefree polynomial, plus a fully-split flag."""
-    coeffs = _uni_trim(list(coeffs))
-    if len(coeffs) <= 1:
-        return [], True
-    roots = []
-    # factor out x^k
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    if k:
-        roots.append(Fraction(0))
-        coeffs = coeffs[k:]
-    # clear denominators to integers
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    if a0 == 0:
-        candidates = set()
-    else:
-        candidates = {
-            Fraction(s * p, q)
-            for p in _divisors(a0)
-            for q in _divisors(an)
-            for s in (1, -1)
-        }
-    work = [Fraction(c) for c in ints]
-    for cand in sorted(candidates):
-        if len(work) <= 1:
-            break
-        if _uni_eval(work, cand) == 0:
-            roots.append(cand)
-            work, rem = _uni_divmod(work, [-cand, Fraction(1)])
-            assert not rem
-    return sorted(roots), len(_uni_trim(work)) <= 1
+def _rational_roots(coeffs: list):
+    """The distinct rational roots of a nonzero polynomial (coefficients
+    lowest first) and whether they split it over Q.
+
+    The rational root theorem lists the candidates r/s from the squarefree
+    part p / gcd(p, p'), so that their number does not grow with the
+    multiplicities; p splits when that part has as many roots as its degree.
+    """
+    zeros = next(k for k, c in enumerate(coeffs) if c)
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    p = _primitive([int(c * den) for c in coeffs[zeros:]])
+    g, h = list(p), _primitive([k * c for k, c in enumerate(p)][1:])
+    while h:
+        g, h = h, _pseudo_remainder(g, h)
+    # g is primitive, so the quotient is integral (Gauss) and its end
+    # coefficients divide those of p
+    n = len(p) - len(g)
+    squarefree = [0] * (n + 1)
+    for k in reversed(range(n + 1)):
+        squarefree[k] = p[k + len(g) - 1] // g[-1]
+        for j, c in enumerate(g):
+            p[k + j] -= squarefree[k] * c
+    low, high = (_divisors(abs(c)) for c in (squarefree[0], squarefree[-1]))
+    candidates = {Fraction(r, s) for r in low for s in high}
+    roots = [
+        r for r in candidates | {-r for r in candidates}
+        if sum(c * r.numerator**k * r.denominator ** (n - k) for k, c in enumerate(squarefree)) == 0
+    ]
+    return sorted(roots + [Fraction(0)] * bool(zeros)), len(roots) == n
 
 
 def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
-def rational_points_of_zero_dim(I: Ideal):
-    """All rational points of a zero-dimensional Z(I).
+def _points_from_basis(I: Ideal, basis: StandardBasis):
+    """Rational points of Z(I) from its degrevlex basis (finite colength).
 
-    Per-variable eliminants are made squarefree and split over Q; any
-    irrational coordinate raises IrrationalPoint.  The candidate grid is
-    filtered by exact evaluation.
+    Each coordinate ranges over the rational roots of its eliminant, and the
+    candidate grid is filtered by exact evaluation.
     """
     ring = I.ring
+    # the unit ideal, whose basis is (1), has no points in any characteristic
+    if ring.domain.char and any(map(any, basis.leading_monomials())):
+        raise InputError("point splitting needs characteristic 0")
     roots_per_var = []
     for i in range(ring.arity):
-        elim = eliminate(I, set(range(ring.arity)) - {i})
-        if not elim.generators:
-            raise InputError("ideal is not zero-dimensional: empty eliminant")
-        gen = min(elim.generators, key=lambda g: g.degree_in(i))
-        coeffs = _univariate_coeffs(gen, i)
-        sqfree = coeffs
-        deriv = _uni_derivative(coeffs)
-        if deriv:
-            g = _uni_gcd(coeffs, deriv)
-            if len(g) > 1:
-                sqfree, rem = _uni_divmod(coeffs, g)
-                assert not rem
-        roots, split = _rational_roots_squarefree(sqfree)
+        roots, split = _rational_roots(_eliminant(basis, i))
         if not split:
             raise IrrationalPoint(
                 f"support of the ideal has irrational {ring.variables[i]}-coordinates"
             )
         roots_per_var.append(roots)
-    points = []
-    for combo in itertools.product(*roots_per_var):
-        if all(g.evaluate(combo) == 0 for g in I.generators):
-            points.append(tuple(combo))
-    return tuple(sorted(points))
+    grid = itertools.product(*roots_per_var)
+    return tuple(sorted(P for P in grid if all(g.evaluate(P) == 0 for g in I.generators)))
+
+
+def rational_points_of_zero_dim(I: Ideal):
+    """All rational points of a zero-dimensional Z(I), over Q.
+
+    InputError if Z(I) is not zero-dimensional or the field is not Q;
+    IrrationalPoint if a coordinate of the support is irrational.
+    """
+    basis = groebner_basis(I)
+    if isinstance(staircase_count(basis.leading_monomials(), I.ring.arity), Infinite):
+        raise InputError("ideal is not zero-dimensional")
+    return _points_from_basis(I, basis)
 
 
 def local_colength_at(I: Ideal, point) -> int:
@@ -389,9 +376,6 @@ def normal_cone_ideal(I: Ideal) -> ConeIdealReport:
     n = ring.arity
     gens = I.generators
     r = len(gens)
-    gb = groebner_basis(I)
-    if gb.elements and gb.elements[0].total_degree() == 0:
-        raise UnitIdeal("normal cone of the empty scheme")
     stem = "p" if r == n else "y"
     fiber_names = _fresh_names(ring.variables, [f"{stem}{k + 1}" for k in range(r)])
     doubled = Ring(ring.variables + tuple(fiber_names), ring.domain)
@@ -412,6 +396,10 @@ def normal_cone_ideal(I: Ideal) -> ConeIdealReport:
     cone_gens += [g.transport(doubled, base_map) for g in gens]
     J = Ideal(doubled, cone_gens)
     reduced = groebner_basis(J)
+    # J contains I, and the cone of a nonempty scheme is nonempty: J = (1)
+    # exactly when I = (1)
+    if reduced.elements and reduced.elements[0].total_degree() == 0:
+        raise UnitIdeal("normal cone of the empty scheme")
     J_canonical = Ideal(doubled, reduced.elements)
     fiber_indices = tuple(range(n, n + r))
     if reduced.elements:
@@ -521,30 +509,33 @@ def monomial_presentation(I: Ideal) -> Presentation:
 def presentation_from_critical_locus(f: Polynomial) -> Presentation:
     """Choose a supported presentation class for X = Z(df).
 
-    Prefers the regular-sequence class (generator count equals arity and the
-    colength is finite), falls back to the monomial class when the partials
-    are monomials, and refuses otherwise.
+    Monomial partials are a regular sequence when there are arity-many of
+    them and their staircase is finite, and the monomial class otherwise.
+    Other partials are declared a regular sequence when there are
+    arity-many of them; :func:`distinguished_cycle` then checks the
+    colength.  Anything else is refused.
     """
     from .singular import jacobian_ideal
 
     I = jacobian_ideal(f)
-    if len(I.generators) == I.ring.arity and not isinstance(
-        colength(I, DEGREVLEX), Infinite
-    ):
-        return Presentation(REGULAR_SEQUENCE, I)
+    arity_many = len(I.generators) == I.ring.arity
     if I.generators and all(len(g.terms()) == 1 for g in I.generators):
-        return Presentation(MONOMIAL, I)
+        monos = [g.terms()[0][0] for g in I.generators]
+        finite = not isinstance(staircase_count(monos, I.ring.arity), Infinite)
+        return Presentation(REGULAR_SEQUENCE if arity_many and finite else MONOMIAL, I)
+    if arity_many:
+        return Presentation(REGULAR_SEQUENCE, I)
     raise UnsupportedPresentation(
-        "critical locus is neither zero-dimensional with arity-many partials "
-        "nor presented by monomial partials"
+        "critical locus is neither presented by arity-many partials "
+        "nor by monomial partials"
     )
 
 
 def distinguished_cycle(presentation: Presentation) -> Cycle:
     """The signed cycle of the normal cone of X in its ambient space.
 
-    Smooth class: (-1)^dim [X].  Zero-dimensional regular sequences: the
-    cone is X x A^n, so the cycle is sum of local colengths over the
+    Smooth class: (-1)^dim [X].  Zero-dimensional regular sequences (over
+    Q): the cone is X x A^n, so the cycle is sum of local colengths over the
     rational support points (IrrationalPoint if the support is not
     rational).  Monomial class: combinatorial components of the cone ideal,
     each contributing (-1)^(dim of projection) * multiplicity times its
@@ -563,10 +554,11 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
                 "regular-sequence class needs exactly arity-many generators, "
                 f"got {len(I.generators)}"
             )
-        total = colength(I, DEGREVLEX)
+        basis = groebner_basis(I)
+        total = staircase_count(basis.leading_monomials(), ring.arity)
         if isinstance(total, Infinite):
             raise UnsupportedPresentation("regular-sequence class requires finite colength")
-        points = rational_points_of_zero_dim(I)
+        points = _points_from_basis(I, basis)
         terms = []
         accounted = 0
         for P in points:

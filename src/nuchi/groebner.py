@@ -386,6 +386,32 @@ def basis_for(I: Ideal, order: MonomialOrder) -> StandardBasis:
 
 # ----------------------------------------------------- membership with proof
 
+def _divide_tracked(f: Polynomial, items, order: MonomialOrder):
+    """Full division of f by tracked basis elements, (g, rep) pairs.
+
+    Returns (remainder, cofactors) with f - remainder = sum cofactors[k] *
+    gens[k], for the generators the reps are written in; ``items`` is
+    nonempty.
+    """
+    ring, dom = f.ring, f.ring.domain
+    h = f
+    cof = tuple(ring.zero() for _ in items[0][1])
+    rem_terms: list = []
+    while not h.is_zero():
+        hm, hc = h.leading_term(order)
+        for g, grep in items:
+            gm, gc = g.leading_term(order)
+            if mono_divides(gm, hm):
+                qm, qc = mono_div(hm, gm), dom.div(hc, gc)
+                h = h - g.mul_term(qm, qc)
+                cof = tuple(c + p.mul_term(qm, qc) for c, p in zip(cof, grep))
+                break
+        else:
+            rem_terms.append((hm, hc))
+            h = h - Polynomial(ring, [(hm, hc)])
+    return Polynomial(ring, rem_terms), cof
+
+
 def _tracked_buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
     """Buchberger with representation tracking.
 
@@ -417,24 +443,6 @@ def _tracked_buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
         _, lc = g.leading_term(order)
         items.append((g.monic(order), rep_scale(unit_rep(k), dom.div(one, lc))))
 
-    def divide_tracked(f: Polynomial):
-        h = f
-        rep = tuple(ring.zero() for _ in gens)
-        rem_terms: list = []
-        while not h.is_zero():
-            hm, hc = h.leading_term(order)
-            for g, grep in items:
-                gm, gc = g.leading_term(order)
-                if mono_divides(gm, hm):
-                    qm, qc = mono_div(hm, gm), dom.div(hc, gc)
-                    h = h - g.mul_term(qm, qc)
-                    rep = tuple(r + p.mul_term(qm, qc) for r, p in zip(rep, grep))
-                    break
-            else:
-                rem_terms.append((hm, hc))
-                h = h - Polynomial(ring, [(hm, hc)])
-        return Polynomial(ring, rem_terms), rep
-
     pairs = {(i, j) for j in range(len(items)) for i in range(j)}
     while pairs:
         i, j = min(pairs)
@@ -449,7 +457,7 @@ def _tracked_buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
         srep = rep_sub(
             rep_term(frep, mf, dom.div(one, fc)), rep_term(grep, mg, dom.div(one, gc))
         )
-        rem, qrep = divide_tracked(s)
+        rem, qrep = _divide_tracked(s, items, order)
         rem_rep = rep_sub(srep, qrep)
         if not rem.is_zero():
             _, lc = rem.leading_term(order)
@@ -476,21 +484,10 @@ def ideal_membership(f: Polynomial, I: Ideal, certificate: bool = False):
             return True, ()
         return False, None
     items = _tracked_buchberger(I.generators, DEGREVLEX)
-    ring, dom = f.ring, f.ring.domain
-    h = f
-    cof = tuple(ring.zero() for _ in I.generators)
-    while not h.is_zero():
-        hm, hc = h.leading_term(DEGREVLEX)
-        for g, grep in items:
-            gm, gc = g.leading_term(DEGREVLEX)
-            if mono_divides(gm, hm):
-                qm, qc = mono_div(hm, gm), dom.div(hc, gc)
-                h = h - g.mul_term(qm, qc)
-                cof = tuple(c + p.mul_term(qm, qc) for c, p in zip(cof, grep))
-                break
-        else:
-            return False, None
-    check = ring.zero()
+    rem, cof = _divide_tracked(f, items, DEGREVLEX)
+    if not rem.is_zero():
+        return False, None
+    check = f.ring.zero()
     for c, g in zip(cof, I.generators):
         check = check + c * g
     if check != f:

@@ -811,12 +811,18 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
 
 
 def parse_point(text: str, arity: int):
-    """Parse comma-separated rational coordinates, e.g. ``0,1/2,-3``."""
+    """Parse comma-separated rational coordinates, e.g. ``0,1/2,-3``.
+
+    Decimals such as ``0.5`` are exact; exponent notation is refused, since
+    ``1e1000000`` would build a million-digit integer.
+    """
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != arity:
         raise ArityMismatch(f"expected {arity} coordinates, got {len(parts)}")
     coords = []
     for p in parts:
+        if "e" in p or "E" in p:
+            raise InputError(f"bad coordinate {p!r}: exponent notation is not accepted")
         try:
             coords.append(Fraction(p))
         except (ValueError, ZeroDivisionError) as exc:

@@ -382,6 +382,45 @@ def test_batch_mode_malformed_fields_get_error_envelopes(tmp_path, capsys):
     assert all(sorted(e) == ["command", "engine_version", "error"] for e in envelopes[1:])
 
 
+def test_exponent_notation_point_does_not_stall_a_batch(tmp_path, capsys):
+    # "1e1000000" would build a million-digit integer; floats in an array
+    # point are written out in full, so they still parse exactly
+    ok = {"command": "milnor", "ring": {"vars": ["x"], "char": 0}, "f": "x^3", "point": "0"}
+    floats = {"command": "milnor", "ring": {"vars": ["x", "y"], "char": 0},
+              "f": "(x - 1/100000)^3 + (y - 10000000000000000)^2", "point": [1e-05, 1e16]}
+    jobs_file = tmp_path / "jobs.json"
+    jobs_file.write_text(json.dumps([dict(ok, point="1e1000000"), ok, floats]))
+    code, out, _ = run_cli(["--jobs", str(jobs_file), "--no-cache"], capsys)
+    envelopes = json.loads(out)
+    assert code == 1
+    assert sorted(envelopes[0]) == ["command", "engine_version", "error"]
+    assert "exponent notation" in envelopes[0]["error"]["message"]
+    assert envelopes[1]["payload"] == {"mu": 2}
+    assert envelopes[2]["payload"] == {"mu": 2}
+
+
+def test_prime_field_point_splitting_is_an_input_error(tmp_path, capsys):
+    # exit 2 is a verified "no"; over F_p the splitter has no verdict
+    nu = ["--ring", "x", "--char", "7", "--critical-locus", "x^3-3*x", "--point", "1",
+          "--no-cache"]
+    code, out, err = run_cli(["nu"] + nu, capsys)
+    assert code == 1 and out == "" and "characteristic 0" in err
+    code, out, _ = run_cli(["behrend"] + nu, capsys)
+    assert code == 0 and json.loads(out)["payload"]["nu"] == 1
+    F5 = {"vars": ["x", "y"], "char": 5}
+    jobs = [
+        {"command": "nu", "ring": {"vars": ["x"], "char": 7},
+         "critical_locus": "x^3-3*x", "point": "1"},
+        {"command": "cycle", "ring": F5, "class": "regular-sequence", "ideal": ["x^2-1", "y"]},
+    ]
+    jobs_file = tmp_path / "jobs.json"
+    jobs_file.write_text(json.dumps(jobs))
+    code, out, _ = run_cli(["--jobs", str(jobs_file), "--no-cache"], capsys)
+    assert code == 1
+    for envelope in json.loads(out):
+        assert "characteristic 0" in envelope["error"]["message"]
+
+
 def test_milnor_non_isolated_refusal(tmp_path, capsys):
     code, out, _ = run_cli(
         ["milnor", "--ring", "x,y", "--f", "x^2", "--point", "0,0",

@@ -1,13 +1,23 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nuchi.errors import IrrationalPoint, KindMismatch, UnitIdeal, UnsupportedPresentation
-from nuchi.groebner import Ideal
-from nuchi.poly import Ring
+from nuchi.errors import (
+    InputError,
+    IrrationalPoint,
+    KindMismatch,
+    UnitIdeal,
+    UnsupportedPresentation,
+)
+from nuchi.groebner import Ideal, eliminate, groebner_basis
+from nuchi.poly import GF, Ring
 from nuchi.singular import behrend_at, jacobian_ideal
 from nuchi.cycles import (
+    _eliminant,
     CoordinateSubspaceCycle,
     CurveCycle,
     Cycle,
@@ -304,3 +314,95 @@ def test_rational_points_with_fractions():
 def test_rational_points_irrational_refused():
     with pytest.raises(IrrationalPoint):
         rational_points_of_zero_dim(ideal("x^2 - 2", "y"))
+
+
+def test_rational_points_with_multiplicities():
+    I = ideal("x^3*(x - 1)^2", "y^2*(2*y + 3)")
+    points = [(Fraction(a), Fraction(b)) for a in (0, 1) for b in (Fraction(-3, 2), 0)]
+    assert rational_points_of_zero_dim(I) == tuple(points)
+    c = distinguished_cycle(regular_sequence_presentation(I))
+    assert [(coeff, d.coordinates) for coeff, d in c.terms] == list(zip([3, 6, 2, 4], points))
+
+
+def test_rational_points_refuses_positive_dimension():
+    with pytest.raises(InputError, match="zero-dimensional"):
+        rational_points_of_zero_dim(ideal("x", "x*y"))
+
+
+def test_point_splitting_needs_characteristic_zero():
+    F5 = Ring(("x", "y"), GF(5))
+    I = Ideal.from_strings(F5, ["x^2 - 1", "y"])
+    with pytest.raises(InputError, match="characteristic 0"):
+        rational_points_of_zero_dim(I)
+    with pytest.raises(InputError, match="characteristic 0"):
+        distinguished_cycle(regular_sequence_presentation(I))
+    # the unit ideal has no points to split, so F_p still gets its answer
+    unit = Ideal.from_strings(F5, ["x + 1", "x"])
+    assert rational_points_of_zero_dim(unit) == ()
+    assert distinguished_cycle(regular_sequence_presentation(unit)).is_zero()
+    assert nu_from_cycle(presentation_from_critical_locus(F5.parse("x + y^2")), (0, 0)) == 0
+
+
+def test_high_multiplicity_root_splits_quickly():
+    # the eliminant (x - 1000)^6 has constant term 10^18; its candidates come
+    # from the squarefree part x - 1000, so listing them takes about 30 steps
+    # rather than the 10^9 of trial division up to sqrt(10^18)
+    f = R2.parse("(x - 1000)^7 + y^2")
+    start = time.perf_counter()
+    c = distinguished_cycle(presentation_from_critical_locus(f))
+    assert time.perf_counter() - start < 10.0
+    assert [(coeff, d.coordinates) for coeff, d in c.terms] == [(6, (1000, 0))]
+    I = ideal("(x - 1000)^6*(2*x + 3)^2", "(y + 999)^7")
+    assert rational_points_of_zero_dim(I) == ((Fraction(-3, 2), -999), (1000, -999))
+
+
+@pytest.mark.parametrize("ring", [R2, R3], ids=["arity-many", "too-few"])
+def test_non_finite_critical_locus_refused(ring):
+    # the partials of (x-y)^3 cut out a fat line: arity-many of them are
+    # refused by the colength check, fewer by the presentation choice
+    with pytest.raises(UnsupportedPresentation):
+        nu_from_cycle(presentation_from_critical_locus(ring.parse("(x - y)^3")), (0,) * ring.arity)
+
+
+# The reference block-elimination basis ran for over 20 s on a sheared
+# ideal of colength 30 (the cost FGLM avoids), so each generator has
+# degree at most 4.
+roots_with_multiplicity = st.lists(
+    st.tuples(
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)), st.integers(1, 3)
+    ),
+    min_size=1,
+    max_size=2,
+    unique_by=lambda re: re[0],
+).filter(lambda rs: sum(e for _, e in rs) <= 4)
+
+
+@settings(max_examples=40)
+@given(
+    st.tuples(roots_with_multiplicity, roots_with_multiplicity),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2)]),
+)
+def test_fglm_eliminant_matches_elimination(roots, shear):
+    # Z(I) is the grid of roots in the coordinates u = x, v = y + shear*x
+    # (unit lower-triangular; shear 0 is the identity)
+    x, y = R2.variable(0), R2.variable(1)
+    gens = []
+    for coordinate, rs in zip((x, y + shear * x), roots):
+        g = R2.one()
+        for r, e in rs:
+            g = g * (coordinate - r) ** e
+        gens.append(g)
+    I = Ideal(R2, gens)
+    basis = groebner_basis(I)
+    for var in (0, 1):
+        (reference,) = eliminate(I, {1 - var}).generators
+        unit = [0, 0]
+        expected = []
+        for k in range(reference.degree_in(var) + 1):
+            unit[var] = k
+            expected.append(reference.coefficient(tuple(unit)))
+        assert _eliminant(basis, var) == expected
+    grid = {(r, s - shear * r): e * f for r, e in roots[0] for s, f in roots[1]}
+    assert rational_points_of_zero_dim(I) == tuple(sorted(grid))
+    c = distinguished_cycle(regular_sequence_presentation(I))
+    assert {d.coordinates: coeff for coeff, d in c.terms} == grid

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from nuchi.errors import (
     ArityMismatch,
     ExponentOverflow,
+    InputError,
     NegativeExponent,
     PolynomialSyntaxError,
     RingMismatch,
@@ -283,5 +284,10 @@ def test_pow_of_a_single_term():
 
 def test_parse_point():
     assert parse_point("0,1/2,-3", 3) == (0, Fraction(1, 2), -3)
+    assert parse_point(" 0.5 ,-1.25", 2) == (Fraction(1, 2), Fraction(-5, 4))
     with pytest.raises(ArityMismatch):
         parse_point("1,2", 3)
+    # exponent notation would let 1e1000000 build a million-digit integer
+    for text in ("1e1000000", "0,2E3", "1.5e-2,0"):
+        with pytest.raises(InputError, match="exponent"):
+            parse_point(text, len(text.split(",")))
