@@ -54,6 +54,7 @@ from .errors import InputError, NonIsolatedCriticalPoint, NotCriticalPoint, Refu
 from .euler import (
     ConstructibleFunction,
     Stratification,
+    as_integer,
     has_heuristic_inputs,
     hilbert_demo,
     point_count_chi,
@@ -134,7 +135,7 @@ def normalize_spec(raw: dict) -> dict:
             raise InputError("'arc' must be arc text")
         spec["arc"] = parse_arc(arc, ring)
         if raw.get("m") is not None:
-            spec["m"] = _integer(raw["m"], "m")
+            spec["m"] = as_integer(raw["m"], "m")
     elif command == "normal-cone":
         spec["ideal"] = polys("ideal")
     elif command == "cycle":
@@ -150,18 +151,13 @@ def normalize_spec(raw: dict) -> dict:
         else:
             raise InputError("nu needs critical_locus, or class plus ideal")
     elif command == "weighted-euler":
-        strata = _stratification(_require(raw, "strata"))
+        strata = Stratification.from_json(_require(raw, "strata"))
         spec["strata"] = [
             {"label": s.label, "chi": s.chi, "dim": s.dim, "how": s.how,
              "heuristic": s.heuristic}
             for s in strata.strata
         ]
-        values = _require(raw, "function")
-        if not isinstance(values, dict):
-            raise InputError("'function' must be an object from stratum labels to integers")
-        spec["function"] = ConstructibleFunction(
-            {k: _integer(v, "function value") for k, v in values.items()}
-        ).as_dict()
+        spec["function"] = ConstructibleFunction(_require(raw, "function")).as_dict()
     elif command == "chi-oracle":
         spec["ideal"] = polys("ideal")
         primes = _require(raw, "primes")
@@ -169,9 +165,9 @@ def normalize_spec(raw: dict) -> dict:
             primes = [p for p in primes.split(",") if p.strip()]
         elif not isinstance(primes, (list, tuple)):
             raise InputError("'primes' must be an array or comma-separated text")
-        spec["primes"] = [_integer(p, "primes") for p in primes]
+        spec["primes"] = [as_integer(p, "primes") for p in primes]
     elif command == "hilb-demo":
-        spec["n_max"] = _integer(_require(raw, "n_max"), "n_max")
+        spec["n_max"] = as_integer(_require(raw, "n_max"), "n_max")
     return spec
 
 
@@ -181,26 +177,24 @@ def _require(raw: dict, field: str):
     return raw[field]
 
 
-def _integer(value, field: str) -> int:
-    # int() alone would truncate 2.5, read true as 1 and raise OverflowError on inf
-    if isinstance(value, str) or type(value) is int or isinstance(value, float) and value.is_integer():
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise InputError(f"{field!r} must be an integer, got {value!r}")
-
-
 def _ring(raw: dict) -> Ring:
     ring = raw.get("ring")
     if not isinstance(ring, dict) or not isinstance(ring.get("vars"), (list, tuple)):
         raise InputError("job needs a ring declaration before any polynomial input")
-    domain = GF(_integer(ring["char"], "char")) if ring.get("char") else QQ
+    domain = GF(as_integer(ring["char"], "char")) if ring.get("char") else QQ
     return Ring(tuple(ring["vars"]), domain)
 
 
 def _point(value, ring: Ring) -> tuple:
     if isinstance(value, (list, tuple)):
+        # one entry per variable, so a text entry cannot hide a comma
+        if len(value) != ring.arity:
+            raise InputError(f"expected {ring.arity} coordinates, got {len(value)}")
+        for v in value:
+            if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+                raise InputError(
+                    f"a point coordinate must be a number or text, got {type(v).__name__} {v!r}"
+                )
         # floats are written out in full: the text form refuses exponents
         value = ",".join(
             format(Decimal(repr(v)), "f") if isinstance(v, float) else str(v) for v in value
@@ -215,17 +209,6 @@ def _presentation_class(name: str) -> str:
     if name not in (SMOOTH, REGULAR_SEQUENCE, MONOMIAL):
         raise InputError(f"unknown presentation class {name!r}")
     return name
-
-
-def _stratification(entries) -> Stratification:
-    if not isinstance(entries, list) or not all(
-        isinstance(e, dict) and "label" in e and "chi" in e for e in entries
-    ):
-        raise InputError("'strata' must be an array of objects with a label and a chi")
-    return Stratification.from_json([
-        dict(e, chi=_integer(e["chi"], "chi"), dim=_integer(e.get("dim", 0), "dim"))
-        for e in entries
-    ])
 
 
 # --------------------------------------------------------------- execution

@@ -12,7 +12,8 @@ Supported presentation classes for the distinguished cycle:
 * smooth (declared): the cycle is (-1)^dim [X];
 * zero-dimensional with regular-sequence generators (declared, verified by
   generator-count and finite-colength checks): the cone is X x A^n, so the
-  cycle is the sum of local colengths at the rational support points;
+  cycle is the sum of the local lengths mu_P [P] over the rational support
+  points;
 * monomial ideals: components of the cone and their generic lengths are
   combinatorial whenever the reduced cone basis is monomial (minimal
   coordinate covers; lengths count staircase cells after setting off-prime
@@ -23,10 +24,16 @@ point equals its Hilbert-Samuel multiplicity there.  It is used only for
 curve-kind cycle descriptors and is flagged in CLI provenance.
 
 Splitting a zero-dimensional ideal into points needs one degrevlex basis:
-each variable's eliminant is read off it as a minimal polynomial (FGLM), and
-the rational root theorem on its squarefree part finds its rational roots
-exactly.  Non-rational support raises IrrationalPoint rather than
-approximating; splitting is over Q only.
+each variable's eliminant e_i is read off it (a univariate basis element, or
+else a minimal polynomial by FGLM), and the rational root theorem on its
+squarefree part finds its rational roots exactly, each with its multiplicity
+k_i in e_i.  The same data give mu_P without a local (Mora) basis: it is 1
+when every k_i is 1, and otherwise the global colength of I plus the pins
+(x_i - P_i)^k_i, an ideal supported at P alone.  So the cycle route shares
+no local computation with the Milnor route of :mod:`nuchi.singular`, and
+:func:`local_colength_at` (Mora) stays only as a library call and an oracle.
+Non-rational support raises IrrationalPoint rather than approximating;
+splitting is over Q only.
 """
 
 from __future__ import annotations
@@ -209,16 +216,30 @@ class Cycle:
 
 # ------------------------------------------------------------ point splitting
 
+def _support(g: Polynomial) -> set:
+    """The indices of the variables that occur in g."""
+    return {i for m, _ in g.terms() for i, e in enumerate(m) if e}
+
+
 def _eliminant(basis: StandardBasis, var: int) -> list:
     """Coefficients, lowest first, of the monic generator of I meet Q[x_var].
 
-    FGLM (Faugere-Gianni-Lazard-Mora, JSC 16, 1993): the generator is the
-    first linear dependency among the normal forms of 1, x, x^2, ... modulo
-    the basis, so the loop ends within colength + 1 steps when the colength
-    is finite.  Each row is a normal form (monomial keys) together with the
-    combination of powers it stands for (integer keys), reduced against the
-    earlier rows in order.
+    A reduced degrevlex basis holds at most one element whose leading
+    monomial is a power of x_var; when that element is univariate it lies in
+    I meet Q[x_var] and has the least degree there, so it is the generator.
+    Otherwise FGLM (Faugere-Gianni-Lazard-Mora, JSC 16, 1993): the generator
+    is the first linear dependency among the normal forms of 1, x, x^2, ...
+    modulo the basis, so the loop ends within colength + 1 steps when the
+    colength is finite.  Each row is a normal form (monomial keys) together
+    with the combination of powers it stands for (integer keys), reduced
+    against the earlier rows in order.
     """
+    for g in basis.elements:
+        if _support(g) <= {var}:
+            coeffs = [0] * (g.total_degree() + 1)
+            for m, c in g.terms():
+                coeffs[m[var]] = c
+            return coeffs
     step = tuple(int(i == var) for i in range(basis.ring.arity))
     rows = []
     nf = normal_form(basis.ring.one(), basis)
@@ -257,35 +278,55 @@ def _pseudo_remainder(f: list, g: list) -> list:
     return _primitive(f)
 
 
+def _multiplicity(p: list, a: int, b: int) -> int:
+    """How many times b*x - a divides the integer polynomial p (coefficients
+    lowest first), for coprime a and b > 0: the multiplicity of a/b as a
+    root of p.
+
+    Each division is exact in integers (Gauss), so it is carried out by
+    synthetic division from the top, stopping at the first inexact step.
+    """
+    k = 0
+    while True:
+        q = [0] * (len(p) - 1)
+        carry = 0  # q_j, with p_j = b*q_(j-1) - a*q_j
+        for j in reversed(range(1, len(p))):
+            carry, rest = divmod(p[j] + a * carry, b)
+            if rest:
+                return k
+            q[j - 1] = carry
+        if p[0] + a * carry:
+            return k
+        p, k = q, k + 1
+
+
 def _rational_roots(coeffs: list):
     """The distinct rational roots of a nonzero polynomial (coefficients
-    lowest first) and whether they split it over Q.
+    lowest first) with their multiplicities, as sorted (root, multiplicity)
+    pairs, and whether they split it over Q.
 
-    The rational root theorem lists the candidates r/s from the squarefree
+    The rational root theorem lists the candidates a/b from the squarefree
     part p / gcd(p, p'), so that their number does not grow with the
     multiplicities; p splits when that part has as many roots as its degree.
     """
     zeros = next(k for k, c in enumerate(coeffs) if c)
-    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    p = _primitive([int(c * den) for c in coeffs[zeros:]])
+    den = math.lcm(*(c.denominator for c in coeffs))
+    p = _primitive([c.numerator * (den // c.denominator) for c in coeffs[zeros:]])
     g, h = list(p), _primitive([k * c for k, c in enumerate(p)][1:])
     while h:
         g, h = h, _pseudo_remainder(g, h)
     # g is primitive, so the quotient is integral (Gauss) and its end
     # coefficients divide those of p
     n = len(p) - len(g)
-    squarefree = [0] * (n + 1)
+    rest, squarefree = list(p), [0] * (n + 1)
     for k in reversed(range(n + 1)):
-        squarefree[k] = p[k + len(g) - 1] // g[-1]
+        squarefree[k] = rest[k + len(g) - 1] // g[-1]
         for j, c in enumerate(g):
-            p[k + j] -= squarefree[k] * c
+            rest[k + j] -= squarefree[k] * c
     low, high = (_divisors(abs(c)) for c in (squarefree[0], squarefree[-1]))
-    candidates = {Fraction(r, s) for r in low for s in high}
-    roots = [
-        r for r in candidates | {-r for r in candidates}
-        if sum(c * r.numerator**k * r.denominator ** (n - k) for k, c in enumerate(squarefree)) == 0
-    ]
-    return sorted(roots + [Fraction(0)] * bool(zeros)), len(roots) == n
+    candidates = [(a, b) for b in high for r in low if math.gcd(r, b) == 1 for a in (r, -r)]
+    roots = [(Fraction(a, b), k) for a, b in candidates if (k := _multiplicity(p, a, b))]
+    return sorted(roots + [(Fraction(0), zeros)] * bool(zeros)), len(roots) == n
 
 
 def _divisors(n: int):
@@ -294,10 +335,14 @@ def _divisors(n: int):
 
 
 def _points_from_basis(I: Ideal, basis: StandardBasis):
-    """Rational points of Z(I) from its degrevlex basis (finite colength).
+    """Rational points P of Z(I) from its degrevlex basis (finite colength),
+    each with the multiplicities k_i of P_i in the eliminants, as sorted
+    (P, k) pairs.
 
     Each coordinate ranges over the rational roots of its eliminant, and the
-    candidate grid is filtered by exact evaluation.
+    candidate grid is filtered by exact evaluation of the generators in more
+    than one variable: one in x_i alone lies in I meet Q[x_i], so it is a
+    multiple of the eliminant and vanishes on the whole grid.
     """
     ring = I.ring
     # the unit ideal, whose basis is (1), has no points in any characteristic
@@ -311,8 +356,9 @@ def _points_from_basis(I: Ideal, basis: StandardBasis):
                 f"support of the ideal has irrational {ring.variables[i]}-coordinates"
             )
         roots_per_var.append(roots)
-    grid = itertools.product(*roots_per_var)
-    return tuple(sorted(P for P in grid if all(g.evaluate(P) == 0 for g in I.generators)))
+    mixed = [g for g in I.generators if len(_support(g)) > 1]
+    grid = (tuple(zip(*combo)) for combo in itertools.product(*roots_per_var))
+    return sorted((P, k) for P, k in grid if all(g.evaluate(P) == 0 for g in mixed))
 
 
 def rational_points_of_zero_dim(I: Ideal):
@@ -324,10 +370,39 @@ def rational_points_of_zero_dim(I: Ideal):
     basis = groebner_basis(I)
     if isinstance(staircase_count(basis.leading_monomials(), I.ring.arity), Infinite):
         raise InputError("ideal is not zero-dimensional")
-    return _points_from_basis(I, basis)
+    return tuple(P for P, _ in _points_from_basis(I, basis))
+
+
+def _length_at(I: Ideal, P: tuple, k: tuple) -> int:
+    """mu_P, the length of Q[x]/I at a point P of a zero-dimensional Z(I),
+    from the multiplicities k_i of P_i in the eliminants e_i.
+
+    Near P, (x_i - P_i)^k_i is e_i times a unit, so J = I + ((x_i - P_i)^k_i)_i
+    agrees with I there and is supported at P alone: mu_P = dim Q[x]/J.  In
+    the coordinates t = x - P, J is the generators expanded at P and cut to
+    the box t^m with every m_i < k_i, plus the pins t_i^k_i.  A generator in
+    x_i alone is a multiple of e_i, so its cut vanishes and it is skipped.
+    J is the point itself when every k_i is 1, the whole box when the cut
+    generators vanish, and otherwise its global degrevlex colength counts it.
+    """
+    if all(e == 1 for e in k):
+        return 1
+    cut = [g.shift(P, k) for g in I.generators if len(_support(g)) > 1]
+    if not any(cut):
+        return math.prod(k)
+    n = I.ring.arity
+    pins = [Polynomial(I.ring, {tuple(e * (i == j) for j in range(n)): 1}) for i, e in enumerate(k)]
+    return colength(Ideal(I.ring, cut + pins))
 
 
 def local_colength_at(I: Ideal, point) -> int:
+    """The length of the localization of Q[x]/I at a rational point, from a
+    Mora standard basis of I shifted to the origin.
+
+    The cycle route reads the same number off its eliminants
+    (:func:`distinguished_cycle`); this is kept as a library call and as
+    an independent oracle for it.
+    """
     value = colength(shift_ideal(I, as_point(point, I.ring)), LOCAL_DEGREVLEX)
     if isinstance(value, Infinite):
         raise UnsupportedPresentation("ideal is not finite at the point")
@@ -535,9 +610,9 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
     """The signed cycle of the normal cone of X in its ambient space.
 
     Smooth class: (-1)^dim [X].  Zero-dimensional regular sequences (over
-    Q): the cone is X x A^n, so the cycle is sum of local colengths over the
-    rational support points (IrrationalPoint if the support is not
-    rational).  Monomial class: combinatorial components of the cone ideal,
+    Q): the cone is X x A^n, so the cycle is the sum of mu_P [P] over the
+    rational support points, each mu_P read off the eliminants
+    (IrrationalPoint if the support is not rational).  Monomial class: combinatorial components of the cone ideal,
     each contributing (-1)^(dim of projection) * multiplicity times its
     projection.
     """
@@ -558,11 +633,10 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
         total = staircase_count(basis.leading_monomials(), ring.arity)
         if isinstance(total, Infinite):
             raise UnsupportedPresentation("regular-sequence class requires finite colength")
-        points = _points_from_basis(I, basis)
         terms = []
         accounted = 0
-        for P in points:
-            mu = local_colength_at(I, P)
+        for P, k in _points_from_basis(I, basis):
+            mu = _length_at(I, P, k)
             accounted += mu
             terms.append((mu, PointCycle(ring, tuple(Fraction(c) for c in P))))
         if accounted != total:

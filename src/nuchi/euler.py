@@ -27,6 +27,20 @@ from .poly import GF, Ring
 
 # ------------------------------------------------------------ stratifications
 
+def as_integer(value, field: str) -> int:
+    """An integer given in JSON: an int, an integral float or integer text.
+
+    int() alone would truncate 2.5, read true as 1 and raise OverflowError
+    on inf, so anything else raises InputError naming the field.
+    """
+    if isinstance(value, str) or type(value) is int or isinstance(value, float) and value.is_integer():
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{field!r} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Stratum:
     """A declared locally closed piece with its compactly supported chi."""
@@ -54,20 +68,26 @@ class Stratification:
 
     @staticmethod
     def from_json(data) -> "Stratification":
-        strata = []
-        for entry in data:
-            strata.append(
-                Stratum(
-                    label=str(entry["label"]),
-                    chi=int(entry["chi"]),
-                    dim=int(entry.get("dim", 0)),
-                    how=str(entry.get("how", "declared")),
-                    heuristic=bool(
-                        entry.get("heuristic", "heuristic" in str(entry.get("how", "")).lower())
-                    ),
-                )
-            )
-        return Stratification(strata)
+        """Strata from a JSON array of objects, each with a label and a chi
+        and optionally a dim, a how and a heuristic flag.
+
+        Any other shape, a chi or dim that is not an integer, or a heuristic
+        flag that is not a boolean raises InputError.
+        """
+        if not isinstance(data, (list, tuple)) or not all(
+            isinstance(e, Mapping) and "label" in e and "chi" in e for e in data
+        ):
+            raise InputError("'strata' must be an array of objects with a label and a chi")
+
+        def stratum(e) -> Stratum:
+            how = str(e.get("how", "declared"))
+            heuristic = e.get("heuristic", "heuristic" in how.lower())
+            if not isinstance(heuristic, bool):
+                raise InputError(f"'heuristic' must be true or false, got {heuristic!r}")
+            chi, dim = as_integer(e["chi"], "chi"), as_integer(e.get("dim", 0), "dim")
+            return Stratum(str(e["label"]), chi, dim, how, heuristic)
+
+        return Stratification(stratum(e) for e in data)
 
 
 @dataclass(frozen=True)
@@ -76,9 +96,13 @@ class ConstructibleFunction:
 
     values: tuple
 
-    def __init__(self, values):
-        items = values.items() if isinstance(values, Mapping) else values
-        object.__setattr__(self, "values", tuple(sorted((str(k), int(v)) for k, v in items)))
+    def __init__(self, values: Mapping):
+        if not isinstance(values, Mapping):
+            raise InputError(
+                f"a constructible function must map stratum labels to integers, got {values!r}"
+            )
+        pairs = ((str(k), as_integer(v, "function value")) for k, v in values.items())
+        object.__setattr__(self, "values", tuple(sorted(pairs)))
 
     def value(self, label: str) -> int:
         for k, v in self.values:

@@ -241,14 +241,13 @@ class Ring:
         return self.constant(1)
 
     def constant(self, value) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.arity: value})
+        return Polynomial(self, {(0,) * self.arity: self.domain.coerce(value)}, _merged=True)
 
     def variable(self, i: int) -> "Polynomial":
         if not 0 <= i < self.arity:
             raise IndexError(f"variable index {i} out of range")
-        exps = [0] * self.arity
-        exps[i] = 1
-        return Polynomial(self, {tuple(exps): 1})
+        exps = tuple(int(j == i) for j in range(self.arity))
+        return Polynomial(self, {exps: self.domain.coerce(1)}, _merged=True)
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
@@ -310,11 +309,12 @@ class Polynomial:
     descending degrevlex order, which makes printing canonical.
 
     ``Polynomial(ring, terms)`` validates its input: exponents are checked
-    and coefficients coerced into the domain.  Arithmetic builds its results
-    with ``_merged=True`` from a dict it has merged itself, which skips that
-    validation; operations that can raise exponents check for overflow
-    themselves.  ``_hash`` and ``_lead`` (the leading term for the last order
-    asked) are lazy caches of values that depend only on the terms.
+    and coefficients coerced into the domain.  Arithmetic, and the ring's
+    constants and variables, build their results with ``_merged=True`` from
+    a dict they have merged themselves, which skips that validation;
+    operations that can raise exponents check for overflow themselves.
+    ``_hash`` and ``_lead`` (the leading term for the last order asked) are
+    lazy caches of values that depend only on the terms.
     """
 
     __slots__ = ("ring", "_terms", "_hash", "_lead")
@@ -511,21 +511,47 @@ class Polynomial:
     # ----------------------------------------------------------- evaluation
 
     def evaluate(self, point: Sequence) -> Scalar:
-        """Exact value at a point with scalar coordinates."""
+        """Exact value at a point with scalar coordinates.
+
+        Over Q the sum runs in integers, as in :meth:`shift`: with
+        x_i = a_i/d_i and D_i the largest exponent of x_i, a term c*x^m adds
+        c * prod_i a_i^m_i d_i^(D_i - m_i) over the common denominator
+        lcm(den c) * prod_i d_i^D_i, so the only Fraction built is the value.
+        """
         if len(point) != self.ring.arity:
             raise ArityMismatch(
                 f"point has {len(point)} coordinates, ring arity is {self.ring.arity}"
             )
         dom = self.ring.domain
         coords = [dom.coerce(x) for x in point]
-        total = dom.coerce(0)
-        for m, c in self._terms:
-            v = c
-            for x, e in zip(coords, m):
+        terms = self._terms
+        if dom.char:
+            total = 0
+            for m, c in terms:
+                v = c
+                for x, e in zip(coords, m):
+                    if e:
+                        v = dom.mul(v, dom.pow(x, e))
+                total = dom.add(total, v)
+            return total
+        if not terms:
+            return Fraction(0)
+        nums = [x.numerator for x in coords]
+        dens = [x.denominator for x in coords]
+        tops = [max(col) for col in zip(*(m for m, _ in terms))]
+        common = lcm(*(c.denominator for _, c in terms))
+        total = 0
+        for m, c in terms:
+            v = c.numerator * (common // c.denominator)
+            for a, d, top, e in zip(nums, dens, tops, m):
                 if e:
-                    v = dom.mul(v, dom.pow(x, e))
-            total = dom.add(total, v)
-        return total
+                    v *= a**e
+                if d != 1 and e != top:
+                    v *= d ** (top - e)
+            total += v
+        for d, top in zip(dens, tops):
+            common *= d**top
+        return Fraction(total, common)
 
     def substitute(self, values: Sequence["Polynomial"]) -> "Polynomial":
         """Compose: substitute values[i] for variable i.
@@ -554,7 +580,7 @@ class Polynomial:
             acc = acc + part
         return acc
 
-    def shift(self, point: Sequence) -> "Polynomial":
+    def shift(self, point: Sequence, box: Sequence[int] | None = None) -> "Polynomial":
         """Translate the point to the origin: substitute x_i -> x_i + P_i.
 
         One pass over the terms: each expands by the binomial theorem,
@@ -563,23 +589,28 @@ class Polynomial:
         the expansion runs in integers: with P_i = a_i/d_i, a term c*x^e is
         c / prod_i d_i^e_i times sum_k prod_i C(e_i, k_i) a_i^(e_i-k_i) d_i^k_i,
         and every term is brought to one common denominator.
+
+        With a ``box`` only the terms x^k with every k_i < box[i] are kept,
+        which is the shifted polynomial modulo (x_i^box[i])_i; the expansion
+        stops at those powers, so the truncation costs no second pass.
         """
         ring = self.ring
-        if len(point) != ring.arity:
+        if len(point) != ring.arity or box is not None and len(box) != ring.arity:
             raise ArityMismatch("shift point has wrong arity")
         dom = ring.domain
         coords = [dom.coerce(p) for p in point]
-        if not any(coords):
+        if not any(coords) and box is None:
             return self
         char = dom.char
         nums = [p if char else p.numerator for p in coords]
         dens = [1 if char else p.denominator for p in coords]
+        bound = box if box is not None else [MAX_EXPONENT + 1] * ring.arity  # k_i < bound[i]
         rows: dict = {}  # (i, e) -> nonzero (k, C(e, k) a_i^(e-k) d_i^k), k <= e
 
         def row(i: int, e: int) -> list:
             if (i, e) not in rows:
                 a, d = nums[i], dens[i]
-                r = [(k, comb(e, k) * a ** (e - k) * d**k) for k in range(e + 1)]
+                r = [(k, comb(e, k) * a ** (e - k) * d**k) for k in range(min(e + 1, bound[i]))]
                 rows[(i, e)] = [(k, b % char) for k, b in r if b % char] if char else r
             return rows[(i, e)]
 
@@ -595,7 +626,7 @@ class Polynomial:
             partial = [((), top * (common // den))]  # expansions of leading variables
             for i, e in enumerate(m):
                 if e == 0 or nums[i] == 0:
-                    partial = [(mono + (e,), v) for mono, v in partial]
+                    partial = [(mono + (e,), v) for mono, v in partial] if e < bound[i] else []
                 else:
                     r = row(i, e)
                     partial = [(mono + (k,), v * b) for mono, v in partial for k, b in r]

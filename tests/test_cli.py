@@ -362,6 +362,9 @@ def test_batch_mode_malformed_fields_get_error_envelopes(tmp_path, capsys):
         {"command": "chi-oracle", "ring": RING, "ideal": ["x*y - 1"], "primes": 5},
         {"command": "almost-closed", "ring": RING, "form": 5},
         dict(ok, point=5),
+        dict(ok, point=[True, 0]),
+        dict(ok, point=[None, 0]),
+        dict(ok, point=["0,0"]),
         {"command": "hilb-demo", "n_max": [1]},
         {"command": "hilb-demo", "n_max": 2.5},
         {"command": "hilb-demo", "n_max": float("inf")},
@@ -370,6 +373,8 @@ def test_batch_mode_malformed_fields_get_error_envelopes(tmp_path, capsys):
         {"command": "arc-check", "ring": RING, "form": form, "arc": 5},
         {"command": "weighted-euler", "strata": [{"label": "a", "chi": 1}], "function": 5},
         {"command": "weighted-euler", "strata": [{"label": "a"}], "function": {"a": 1}},
+        {"command": "weighted-euler", "strata": {"a": 1}, "function": {"a": 1}},
+        {"command": "weighted-euler", "strata": [{"label": "a", "chi": 1}], "function": {"a": "b"}},
         dict(ok, ring={"vars": [5]}),
     ]
     jobs_file = tmp_path / "jobs.json"
@@ -380,6 +385,8 @@ def test_batch_mode_malformed_fields_get_error_envelopes(tmp_path, capsys):
     assert [e["command"] for e in envelopes] == [j["command"] for j in [ok] + malformed]
     assert envelopes[0]["payload"] == {"mu": 1}
     assert all(sorted(e) == ["command", "engine_version", "error"] for e in envelopes[1:])
+    messages = [e["error"]["message"] for e in envelopes[1:]]
+    assert "got bool True" in messages[4] and "got NoneType None" in messages[5]
 
 
 def test_exponent_notation_point_does_not_stall_a_batch(tmp_path, capsys):

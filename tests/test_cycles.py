@@ -1,5 +1,9 @@
+import itertools
+import math
 import random
+import signal
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -13,11 +17,14 @@ from nuchi.errors import (
     UnitIdeal,
     UnsupportedPresentation,
 )
-from nuchi.groebner import Ideal, eliminate, groebner_basis
-from nuchi.poly import GF, Ring
-from nuchi.singular import behrend_at, jacobian_ideal
+import nuchi.groebner as groebner
+from nuchi.cli import run_job
+from nuchi.groebner import Ideal, StandardBasis, colength, eliminate, groebner_basis
+from nuchi.poly import GF, Polynomial, Ring
+from nuchi.singular import behrend_at, jacobian_ideal, milnor_number
 from nuchi.cycles import (
     _eliminant,
+    _rational_roots,
     CoordinateSubspaceCycle,
     CurveCycle,
     Cycle,
@@ -28,6 +35,7 @@ from nuchi.cycles import (
     distinguished_cycle,
     euler_obstruction,
     is_conic,
+    local_colength_at,
     monomial_presentation,
     normal_cone_ideal,
     nu_from_cycle,
@@ -406,3 +414,176 @@ def test_fglm_eliminant_matches_elimination(roots, shear):
     assert rational_points_of_zero_dim(I) == tuple(sorted(grid))
     c = distinguished_cycle(regular_sequence_presentation(I))
     assert {d.coordinates: coeff for coeff, d in c.terms} == grid
+
+
+def test_rational_roots_report_multiplicities():
+    # x^3 (x - 1000)^6 (2x + 3)^2: the root 0 comes from the factored-out
+    # power of x, the others from exact division by b*x - a
+    f = R1.parse("x^3*(x - 1000)^6*(2*x + 3)^2")
+    coeffs = [f.coefficient((k,)) for k in range(f.total_degree() + 1)]
+    assert _rational_roots(coeffs) == (
+        [(Fraction(-3, 2), 2), (Fraction(0), 3), (Fraction(1000), 6)], True
+    )
+    assert _rational_roots([Fraction(-2), 0, 1]) == ([], False)  # x^2 - 2
+
+
+NAMES = ("x", "y", "z")
+shears = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2)])
+
+
+def unit_lower_triangular(n, entries):
+    """The coordinates u = T x, with T unit lower-triangular and its entries
+    below the diagonal taken in row order."""
+    ring = Ring(NAMES[:n])
+    below = iter(entries)
+    return [
+        ring.variable(i) + sum((next(below) * ring.variable(j) for j in range(i)), ring.zero())
+        for i in range(n)
+    ]
+
+
+def solve_unit_lower_triangular(n, entries, u):
+    below = iter(entries)
+    x = []
+    for i in range(n):
+        x.append(u[i] - sum(next(below) * x[j] for j in range(i)))
+    return tuple(x)
+
+
+@st.composite
+def grids(draw):
+    """(n, roots per coordinate, entries of T) for a grid of roots in the
+    coordinates u = T x.
+
+    Mora bases, the oracle here, run past seconds in three variables once
+    multiple roots meet mixed coordinates, so there each coordinate has one
+    root, and T is the identity unless every root is simple.
+    """
+    n = draw(st.integers(1, 3))
+    roots = [draw(roots_with_multiplicity) for _ in range(n)]
+    entries = [draw(shears) for _ in range(n * (n - 1) // 2)]
+    if n == 3:
+        roots = [rs[:1] for rs in roots]
+        if any(e > 1 for rs in roots for _, e in rs):
+            entries = [Fraction(0)] * len(entries)
+    return n, roots, entries
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_eliminant_lengths_match_mora(data):
+    # Z(I) is the grid of roots in the coordinates u = T x; the second
+    # generator may also carry a multiple of the first, which changes the
+    # generators but not the ideal
+    n, roots, entries = data.draw(grids())
+    u = unit_lower_triangular(n, entries)
+    gens = []
+    for coordinate, rs in zip(u, roots):
+        g = coordinate.ring.one()
+        for r, e in rs:
+            g = g * (coordinate - r) ** e
+        gens.append(g)
+    if n > 1 and data.draw(st.booleans()):
+        gens[1] = gens[1] + u[0] * gens[0]
+    I = Ideal(u[0].ring, gens)
+    c = distinguished_cycle(regular_sequence_presentation(I))
+    expected = {}
+    for combo in itertools.product(*roots):
+        P = solve_unit_lower_triangular(n, entries, [r for r, _ in combo])
+        expected[P] = math.prod(e for _, e in combo)
+    assert {d.coordinates: coeff for coeff, d in c.terms} == expected
+    for coeff, d in c.terms:
+        assert coeff == local_colength_at(I, d.coordinates)
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_multiple_roots_in_mixed_coordinates_answer_quickly():
+    # a sheared critical locus of length 40 with multiple roots; its local
+    # Mora bases ran past 30 s, the eliminant multiplicities need none
+    spec = {
+        "command": "nu",
+        "ring": {"vars": ["x", "y", "z"], "char": 0},
+        "critical_locus": (
+            "1/3*x^6 + 2*x^5*z + 5*x^4*z^2 + 20/3*x^3*z^3 + 5*x^2*z^4 + 2*x*z^5 + 1/3*z^6"
+            " - 16/5*x^5 - 17*x^4*z - 34*x^3*z^2 - 34*x^2*z^3 - 17*x*z^4 - 17/5*z^5"
+            " + 55/4*x^4 + 115/2*x^3*z + 345/4*x^2*z^2 + 115/2*x*z^3 + 115/8*z^4"
+            " - 127/4*x^3 + 2/3*y^3 - 387/4*x^2*z - 387/4*x*z^2 - 129/4*z^3"
+            " + 163/4*x^2 - 3/2*y^2 + 81*x*z + 81/2*z^2 - 55/2*x - 9*y - 27*z"
+        ),
+        "point": "1,3,1",
+    }
+    expected = {
+        ("1", "-3/2", "1"): 6, ("1", "-3/2", "1/2"): 9, ("1", "3", "1"): 6,
+        ("1", "3", "1/2"): 9, ("-1/2", "-3/2", "5/2"): 2, ("-1/2", "-3/2", "2"): 3,
+        ("-1/2", "3", "5/2"): 2, ("-1/2", "3", "2"): 3,
+    }
+    with time_limit(10):
+        payload = run_job(spec, use_cache=False)["payload"]
+    assert payload["nu"] == 6 and payload["route"] == "cycle"
+    cycle = {tuple(t["data"]["coordinates"]): t["coefficient"] for t in payload["cycle"]}
+    assert cycle == expected
+
+
+def test_broken_mora_moves_the_milnor_route_only(monkeypatch):
+    # (x^2 - 1)^3 + y^3 in the coordinates (x, y + x): critical points
+    # (0, 0) of mu 2 and (1, -1), (-1, 1) of mu 4
+    f = R2.parse("(x^2 - 1)^3 + (y + x)^3")
+    points = [(0, 0), (1, -1), (-1, 1)]
+    presentation = presentation_from_critical_locus(f)
+    cycle = distinguished_cycle(presentation)
+    milnor = [milnor_number(f, P) for P in points]
+    assert milnor == [2, 4, 4]
+    assert [euler_obstruction(cycle, P) for P in points] == milnor
+    real = groebner.standard_basis
+
+    def drop_last_element(I, *args, **kwargs):
+        basis = real(I, *args, **kwargs)
+        return StandardBasis(basis.order, basis.elements[:-1], basis.source)
+
+    monkeypatch.setattr(groebner, "standard_basis", drop_last_element)
+    assert [milnor_number(f, P) for P in points] != milnor
+    assert distinguished_cycle(presentation) == cycle
+
+
+def separable_critical_locus(n, roots, entries):
+    """f = sum_i g_i(u_i) with g_i' = prod (u_i - r)^e over the roots of
+    coordinate i, in the coordinates u = T x."""
+    ring = Ring(NAMES[:n])
+    t = ring.variable(0)
+    f = ring.zero()
+    for u, rs in zip(unit_lower_triangular(n, entries), roots):
+        derivative = ring.one()
+        for r, e in rs:
+            derivative = derivative * (t - r) ** e
+        antiderivative = Polynomial(
+            ring, {(m[0] + 1,) + m[1:]: c / (m[0] + 1) for m, c in derivative.terms()}
+        )
+        f = f + antiderivative.substitute([u] + [ring.zero()] * (n - 1))
+    return f
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_weighted_euler_characteristic_is_the_length(data):
+    # for X = Crit(f) zero-dimensional with rational support, nu_X(P) = mu_P,
+    # so chi(X, nu_X) = sum_P mu_P, which must be the length of X: the global
+    # degrevlex colength of the Jacobian ideal
+    n, roots, entries = data.draw(grids())
+    f = separable_critical_locus(n, roots, entries)
+    c = distinguished_cycle(presentation_from_critical_locus(f))
+    milnor = sum(milnor_number(f, d.coordinates) for _, d in c.terms)
+    assert milnor == sum(coeff for coeff, _ in c.terms) == colength(jacobian_ideal(f))
+    assert milnor == math.prod(sum(e for _, e in rs) for rs in roots)

@@ -55,6 +55,29 @@ def test_duplicate_labels_rejected():
         Stratification([Stratum("a", chi=1), Stratum("a", chi=2)])
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        [{"label": "a"}],  # no chi
+        {"a": 1},  # not an array
+        [("a", 1)],  # not an object
+        [{"label": "a", "chi": "one"}],
+        [{"label": "a", "chi": 2.5}],
+        [{"label": "a", "chi": 1, "dim": True}],
+        [{"label": "a", "chi": 1, "heuristic": "false"}],
+    ],
+)
+def test_malformed_strata_are_input_errors(data):
+    with pytest.raises(InputError):
+        Stratification.from_json(data)
+
+
+@pytest.mark.parametrize("values", [5, [("a", 1)], {"a": "one"}, {"a": None}])
+def test_malformed_function_values_are_input_errors(values):
+    with pytest.raises(InputError):
+        ConstructibleFunction(values)
+
+
 def test_heuristic_flag_parsing():
     strat = Stratification.from_json(
         [

@@ -24,7 +24,7 @@ def test_two_route_gallery_agrees():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     rows = lines[1 : lines.index("")]
-    assert len(rows) == 11
+    assert len(rows) == 15  # 11 at the origin, 4 sheared rows away from it
     assert all(row.split()[-1] == "yes" for row in rows)
 
 
