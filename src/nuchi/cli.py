@@ -438,10 +438,8 @@ def _cache_store(path: Path, envelope: dict) -> None:
 def run_job(raw: dict, use_cache: bool = True, cache_dir: Path | None = None) -> dict:
     """Normalize, maybe serve from cache, execute, and wrap in an envelope."""
     spec = normalize_spec(raw)
-    key = cache_key(spec)
-    directory = cache_dir or default_cache_dir()
-    entry = directory / f"{key}.json"
     if use_cache:
+        entry = (cache_dir or default_cache_dir()) / f"{cache_key(spec)}.json"
         start = time.monotonic()
         if entry.exists():
             stored = _cache_load(entry)

@@ -19,14 +19,21 @@ The expression grammar accepted by :func:`parse_polynomial`::
     base     := ident | rational | '(' expr ')'
     ident    := [A-Za-z_][A-Za-z0-9_]*
     rational := int ('/' uint)?
+    int      := [0-9]+                  (uint likewise)
 
-Whitespace is insignificant and multiplication is always explicit (``2*x``,
-never ``2x``).
+Names and digits are ASCII, whitespace is insignificant and multiplication
+is always explicit (``2*x``, never ``2x``).  The parser reads the tokens
+once, keeping open parentheses on an explicit stack, so nesting depth is not
+bounded by recursion.  A term of numbers and powers of variables is one
+exponent list and one coefficient, updated in place and merged into one
+{monomial: coefficient} dict; only parenthesized groups go through
+:class:`Polynomial` arithmetic, and the result is built once at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -89,6 +96,8 @@ class MonomialOrder:
 
     kind: str
     block: frozenset = frozenset()
+    # elim: arity -> (block indices, other indices), each in descending order
+    _split: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lex", "degrevlex", "local_degrevlex", "elim"):
@@ -111,14 +120,16 @@ class MonomialOrder:
         if self.kind == "local_degrevlex":
             return (-sum(m), tuple(-e for e in reversed(m)))
         # elim: compare the dropped block by degrevlex first, then the rest
-        inb = [e for i, e in enumerate(m) if i in self.block]
-        out = [e for i, e in enumerate(m) if i not in self.block]
-        return (
-            sum(inb),
-            tuple(-e for e in reversed(inb)),
-            sum(out),
-            tuple(-e for e in reversed(out)),
-        )
+        split = self._split.get(len(m))
+        if split is None:
+            down = range(len(m) - 1, -1, -1)
+            split = self._split[len(m)] = (
+                tuple(i for i in down if i in self.block),
+                tuple(i for i in down if i not in self.block),
+            )
+        inb = tuple(-m[i] for i in split[0])
+        out = tuple(-m[i] for i in split[1])
+        return (-sum(inb), inb, -sum(out), out)
 
 
 LEX = MonomialOrder("lex")
@@ -202,11 +213,11 @@ def GF(p: int) -> Domain:
 
 # -------------------------------------------------------------------- rings
 
-_IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+_IDENT = "[A-Za-z_][A-Za-z0-9_]*"
 
 
 def _valid_ident(name: str) -> bool:
-    return isinstance(name, str) and bool(name) and not name[0].isdigit() and set(name) <= _IDENT_OK
+    return isinstance(name, str) and re.fullmatch(_IDENT, name) is not None
 
 
 @dataclass(frozen=True)
@@ -705,140 +716,143 @@ class Polynomial:
 
 # -------------------------------------------------------------------- parser
 
+_TOKEN = re.compile(rf"[0-9]+|{_IDENT}|[-+*/^()]")
+_BAD_CHAR = re.compile(r"[^\s0-9A-Za-z_+\-*/^()]")  # neither whitespace nor in a token
+
+
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", _byte_offset(text, i))
-    tokens.append(("end", "", n))
+def _tokenize(text: str) -> list:
+    """The token strings of ``text``, then "" for the end of input."""
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise PolynomialSyntaxError(
+            f"unexpected character {bad.group()!r}", _byte_offset(text, bad.start())
+        )
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, ring: Ring):
-        self.text = text
-        self.ring = ring
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok) -> None:
-        raise PolynomialSyntaxError(message, _byte_offset(self.text, tok[2]))
-
-    def parse(self) -> Polynomial:
-        poly = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            self.fail(f"unexpected {tok[1]!r}", tok)
-        return poly
-
-    def expr(self) -> Polynomial:
-        acc = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
-
-    def term(self) -> Polynomial:
-        acc = self.factor()
-        while self.peek()[0] == "*":
-            self.take()
-            acc = acc * self.factor()
-        return acc
-
-    def factor(self) -> Polynomial:
-        if self.peek()[0] == "-":
-            self.take()
-            return -self.factor()
-        base = self.base()
-        if self.peek()[0] == "^":
-            self.take()
-            tok = self.peek()
-            if tok[0] == "-":
-                raise NegativeExponent(_byte_offset(self.text, tok[2]))
-            if tok[0] != "int":
-                self.fail("expected integer exponent", tok)
-            self.take()
-            e = int(tok[1])
-            if e > MAX_EXPONENT:
-                raise ExponentOverflow(f"exponent {e} exceeds 32-bit range")
-            return base**e
-        return base
-
-    def base(self) -> Polynomial:
-        tok = self.peek()
-        if tok[0] == "(":
-            self.take()
-            inner = self.expr()
-            closing = self.peek()
-            if closing[0] != ")":
-                self.fail("expected ')'", closing)
-            self.take()
-            return inner
-        if tok[0] == "int":
-            self.take()
-            num = int(tok[1])
-            if self.peek()[0] == "/":
-                self.take()
-                den_tok = self.peek()
-                if den_tok[0] != "int":
-                    self.fail("expected integer denominator", den_tok)
-                self.take()
-                den = int(den_tok[1])
-                if den == 0:
-                    self.fail("zero denominator", den_tok)
-                return self.ring.constant(Fraction(num, den))
-            return self.ring.constant(num)
-        if tok[0] == "ident":
-            self.take()
-            name = tok[1]
-            try:
-                idx = self.ring.index(name)
-            except UnknownVariable:
-                raise UnknownVariable(name, _byte_offset(self.text, tok[2])) from None
-            return self.ring.variable(idx)
-        self.fail(f"unexpected {tok[1]!r}" if tok[1] else "unexpected end of input", tok)
+def _token_offset(text: str, k: int) -> int:
+    """Byte offset of token k; only errors need it, so it is found again here."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return _byte_offset(text, starts[k] if k < len(starts) else len(text))
 
 
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     """Parse an expression into canonical form; printing round-trips."""
     if not isinstance(text, str):
         raise InputError(f"a polynomial must be given as text, got {text!r}")
-    return _Parser(text, ring).parse()
+    tokens = _tokenize(text)
+    arity, dom = ring.arity, ring.domain
+    p, add = dom.char, dom.add
+
+    def fail(message: str, k: int):
+        raise PolynomialSyntaxError(message, _token_offset(text, k))
+
+    def integer(k: int) -> int:
+        try:
+            return int(tokens[k])
+        except ValueError:  # more digits than int() converts
+            fail("integer literal too long", k)
+
+    # The open term is (-1)^neg * num/den * x^exps * group, where group is the
+    # product of its parenthesized factors (None when it has none); over F_p,
+    # num is a residue and den is 1.  Finished terms are merged into ``terms``.
+    # Each open parenthesis pushes the enclosing expression's state.
+    stack = []
+    terms: dict = {}
+    num, den, exps, group, neg = 1, 1, [0] * arity, None, False
+    k = 0
+    while True:
+        tok = tokens[k]
+        while tok == "-":
+            neg = not neg
+            k += 1
+            tok = tokens[k]
+        if tok == "(":
+            stack.append((terms, num, den, exps, group, neg))
+            terms, num, den, exps, group, neg = {}, 1, 1, [0] * arity, None, False
+            k += 1
+            continue
+        if tok.isdigit():
+            kind, value, d = "n", integer(k), 1
+            k += 1
+            if tokens[k] == "/":
+                if not tokens[k + 1].isdigit():
+                    fail("expected integer denominator", k + 1)
+                d = integer(k + 1)
+                if d == 0:
+                    fail("zero denominator", k + 1)
+                k += 2
+            if p:
+                value, d = dom.coerce(Fraction(value, d) if d != 1 else value), 1
+        elif tok.isidentifier():
+            try:
+                kind, value = "v", ring.index(tok)
+            except UnknownVariable:
+                raise UnknownVariable(tok, _token_offset(text, k)) from None
+            k += 1
+        else:
+            fail(f"unexpected {tok!r}" if tok else "unexpected end of input", k)
+        while True:  # the base is read: its power, then what follows the factor
+            e = 1
+            if tokens[k] == "^":
+                tok = tokens[k + 1]
+                if tok == "-":
+                    raise NegativeExponent(_token_offset(text, k + 1))
+                if not tok.isdigit():
+                    fail("expected integer exponent", k + 1)
+                e = integer(k + 1)
+                if e > MAX_EXPONENT:
+                    raise ExponentOverflow(f"exponent {e} exceeds 32-bit range")
+                k += 2
+            if kind == "v":
+                e += exps[value]
+                if e > MAX_EXPONENT:
+                    raise ExponentOverflow(f"exponent {e} exceeds 32-bit range")
+                exps[value] = e
+            elif kind == "n":
+                if p:
+                    num = num * pow(value, e, p) % p
+                else:
+                    num, den = num * value**e, den * d**e
+            else:
+                if e != 1:
+                    value = value**e
+                group = value if group is None else group * value
+            tok = tokens[k]
+            if tok == "*":
+                k += 1
+                break
+            # the term ends
+            if neg:
+                num = -num % p if p else -num
+            c = num if p else Fraction(num, den) if den != 1 else Fraction(num)
+            m = tuple(exps)
+            if group is None:
+                terms[m] = add(terms[m], c) if m in terms else c
+            else:
+                for m, c in group.mul_term(m, c).terms():
+                    terms[m] = add(terms[m], c) if m in terms else c
+            if tok == "+" or tok == "-":
+                num, den, exps, group, neg = 1, 1, [0] * arity, None, tok == "-"
+                k += 1
+                break
+            # the expression ends
+            value = Polynomial(ring, terms, _merged=True)
+            if not stack:
+                if tok:
+                    fail(f"unexpected {tok!r}", k)
+                return value
+            if tok != ")":
+                fail("expected ')'", k)
+            k += 1
+            kind = "g"
+            terms, num, den, exps, group, neg = stack.pop()
 
 
 def parse_point(text: str, arity: int):

@@ -146,6 +146,21 @@ def test_cache_hit_is_byte_identical(tmp_path):
     assert payload_bytes(off) == payload_bytes(first)
 
 
+def test_cache_off_builds_no_key(tmp_path, monkeypatch):
+    def untouchable(*args):
+        raise AssertionError("the cache is off")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cache_key", untouchable)
+        patch.setattr(cli, "default_cache_dir", untouchable)
+        off = run_job(job_behrend(), use_cache=False)
+    assert off["cache"] == "off"
+    first = run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
+    second = run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
+    assert first["cache"] == "miss" and second["cache"] == "hit"
+    assert payload_bytes(first) == payload_bytes(second) == payload_bytes(off)
+
+
 def test_cache_hit_reports_its_lookup_time(tmp_path, monkeypatch):
     run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
     clock = iter([100.0, 100.0025])
@@ -352,6 +367,26 @@ def test_batch_mode_continues_after_failed_jobs(tmp_path, capsys):
     assert [sorted(e) for e in json.loads(out)][1] == [
         "cache", "command", "engine_version", "payload", "provenance", "timing_ms"
     ]
+
+
+def test_batch_mode_survives_deep_nesting(tmp_path, capsys):
+    ok = {"command": "milnor", "ring": RING, "f": "x^2 + y^3", "point": "0,0"}
+    depth = 2000
+    jobs = [
+        dict(ok, f="(" * depth + "x^2 + y^2" + ")" * depth),
+        dict(ok, f="(" * depth + "x^2 + y^2"),
+        dict(ok, f="x^\u00b2 + y^2"),
+        ok,
+    ]
+    jobs_file = tmp_path / "jobs.json"
+    jobs_file.write_text(json.dumps(jobs))
+    code, out, _ = run_cli(["--jobs", str(jobs_file), "--no-cache"], capsys)
+    envelopes = json.loads(out)
+    assert code == 1
+    assert envelopes[0]["payload"] == {"mu": 1}
+    assert "expected ')'" in envelopes[1]["error"]["message"]
+    assert "unexpected character" in envelopes[2]["error"]["message"]
+    assert envelopes[3]["payload"] == {"mu": 2}
 
 
 def test_batch_mode_malformed_fields_get_error_envelopes(tmp_path, capsys):

@@ -97,6 +97,137 @@ def test_prime_field_roundtrip_and_reduction():
     assert parse_polynomial(str(f), ring) == f
 
 
+# The answers of the earlier recursive-descent parser to malformed input:
+# the exception's exact type and its byte offset (None where it has none).
+MALFORMED = [
+    ("x + + y", PolynomialSyntaxError, 4),
+    ("x^-1", NegativeExponent, 2),
+    ("2x", PolynomialSyntaxError, 1),
+    ("((x + y) * (x - 1", PolynomialSyntaxError, 17),
+    ("x + 2*(y - )", PolynomialSyntaxError, 11),
+    ("1/0*x", PolynomialSyntaxError, 2),
+    ("x^ 2 + 3/", PolynomialSyntaxError, 9),
+    ("x^y", PolynomialSyntaxError, 2),
+    ("x^2^3", PolynomialSyntaxError, 3),
+    ("-", PolynomialSyntaxError, 1),
+    ("", PolynomialSyntaxError, 0),
+    ("x + z", UnknownVariable, 4),
+    ("x2*y", UnknownVariable, 0),
+    ("\u00a0x + + y", PolynomialSyntaxError, 6),
+    ("x*y \u2014 1", PolynomialSyntaxError, 4),
+    ("x^2147483648", ExponentOverflow, None),
+]
+
+
+@pytest.mark.parametrize("text, error, offset", MALFORMED)
+def test_malformed_input_errors_are_pinned(text, error, offset):
+    with pytest.raises(InputError) as err:
+        RING_XY.parse(text)
+    assert type(err.value) is error
+    assert getattr(err.value, "offset", None) == offset
+
+
+def test_parse_accepts_ascii_digits_only():
+    # str.isdigit accepts a superscript two, which int() refuses
+    with pytest.raises(PolynomialSyntaxError) as err:
+        RING_XY.parse("x^\u00b2")
+    assert err.value.offset == 2
+    with pytest.raises(PolynomialSyntaxError) as err:
+        RING_XY.parse("y + \u0663*x")  # ARABIC-INDIC DIGIT THREE
+    assert err.value.offset == 4
+
+
+def test_parse_overlong_integer_is_a_syntax_error():
+    # int() converts at most 4300 digits
+    with pytest.raises(PolynomialSyntaxError) as err:
+        RING_XY.parse("x + " + "1" * 5000)
+    assert err.value.offset == 4
+    with pytest.raises(PolynomialSyntaxError) as err:
+        RING_XY.parse("x^" + "0" * 5000 + "1")
+    assert err.value.offset == 2
+
+
+def test_parse_deep_nesting():
+    depth = 5000
+    assert RING_XY.parse("(" * depth + "x + y" + ")" * depth) == RING_XY.parse("x + y")
+    assert RING_XY.parse("2*(" * depth + "x" + ")" * depth) == 2**depth * RING_XY.parse("x")
+    assert RING_XY.parse("-" * (depth + 1) + "x") == RING_XY.parse("-x")
+    text = "(" * depth + "x"
+    with pytest.raises(PolynomialSyntaxError) as err:
+        RING_XY.parse(text)
+    assert err.value.offset == depth + 1
+
+
+RING_XYZ_7 = Ring(("x", "y", "z"), GF(7))
+
+# Expression trees: ("num", p, q) is p/q, ("var", i), ("neg", a),
+# ("add" | "sub" | "mul", a, b) and ("pow", a, k).
+expression_trees = st.recursive(
+    st.one_of(
+        st.tuples(st.just("num"), st.integers(0, 12), st.integers(1, 6)),
+        st.tuples(st.just("var"), st.integers(0, 2)),
+    ),
+    lambda children: st.one_of(
+        st.tuples(st.just("neg"), children),
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), children, children),
+        st.tuples(st.just("pow"), children, st.integers(0, 3)),
+    ),
+    max_leaves=8,
+)
+
+
+def render(tree, sp: str) -> str:
+    """The tree as an ``expr`` of the grammar, parenthesized only where needed."""
+    kind = tree[0]
+    if kind in ("add", "sub"):
+        op = "+" if kind == "add" else "-"
+        return f"{render(tree[1], sp)}{sp}{op}{sp}{render_term(tree[2], sp)}"
+    return render_term(tree, sp)
+
+
+def render_term(tree, sp: str) -> str:
+    if tree[0] == "mul":
+        return f"{render_term(tree[1], sp)}{sp}*{sp}{render_factor(tree[2], sp)}"
+    return render_factor(tree, sp)
+
+
+def render_factor(tree, sp: str) -> str:
+    if tree[0] == "neg":
+        return "-" + render_factor(tree[1], sp)
+    if tree[0] == "pow":
+        return f"{render_base(tree[1], sp)}{sp}^{sp}{tree[2]}"
+    return render_base(tree, sp)
+
+
+def render_base(tree, sp: str) -> str:
+    if tree[0] == "num":
+        return f"{tree[1]}/{tree[2]}" if tree[2] != 1 else str(tree[1])
+    if tree[0] == "var":
+        return "xyz"[tree[1]]
+    return f"({sp}{render(tree, sp)}{sp})"
+
+
+def evaluate(tree, ring):
+    kind = tree[0]
+    if kind == "num":
+        return ring.constant(Fraction(tree[1], tree[2]))
+    if kind == "var":
+        return ring.variable(tree[1])
+    if kind == "neg":
+        return -evaluate(tree[1], ring)
+    if kind == "pow":
+        return evaluate(tree[1], ring) ** tree[2]
+    a, b = evaluate(tree[1], ring), evaluate(tree[2], ring)
+    return a + b if kind == "add" else a - b if kind == "sub" else a * b
+
+
+@settings(max_examples=200)
+@given(tree=expression_trees, sp=st.sampled_from(["", " "]), ring=st.sampled_from([RING_XYZ, RING_XYZ_7]))
+def test_parse_matches_operator_evaluation(tree, sp, ring):
+    text = render(tree, sp)
+    assert parse_polynomial(text, ring) == evaluate(tree, ring), text
+
+
 # --------------------------------------------------------------- arithmetic
 
 def test_ring_mismatch():
@@ -258,6 +389,24 @@ def test_leading_term_cache_follows_the_order(f, g, h):
             for order in ORDERS:
                 expected = max(p.terms(), key=lambda mc: order.key(mc[0]))
                 assert p.leading_term(order) == expected
+
+
+def elim_key_formula(block, m):
+    inb = [e for i, e in enumerate(m) if i in block]
+    out = [e for i, e in enumerate(m) if i not in block]
+    return (sum(inb), tuple(-e for e in reversed(inb)), sum(out), tuple(-e for e in reversed(out)))
+
+
+@given(
+    block=st.frozensets(st.integers(0, 5)),
+    monos=st.lists(st.lists(st.integers(0, 9), max_size=5).map(tuple), min_size=1, max_size=8),
+)
+def test_elim_key_matches_the_block_formula(block, monos):
+    order = elimination_order(block)
+    for m in monos:  # monomials of several lengths through one order
+        assert order.key(m) == elim_key_formula(block, m)
+    assert order == elimination_order(sorted(block))
+    assert hash(order) == hash(elimination_order(block))
 
 
 def test_exponent_overflow_in_arithmetic():
