@@ -11,20 +11,40 @@ localization at the origin, and full tail reduction is not attempted (it does
 not terminate in polynomial arithmetic when a reducer has a unit cofactor).
 Basis elements that are a monomial times a local unit are normalized to the
 bare monomial, which is an equality of localized ideals.
+
+Coefficients.  The one Buchberger driver and both normal forms (``_division``
+for global orders, ``_mora_nf`` for local ones) work on plain
+{monomial: coefficient} dicts, never on :class:`Polynomial`.  Over Q the
+coefficients are integers: each basis element is kept primitive (content 1,
+positive leading coefficient), an S-polynomial is
+(gc/d)*x^(l-fm)*f - (fc/d)*x^(l-gm)*g with d = gcd(fc, gc), and a reduction
+step is a*h - b*x^q*g with a, b the same cofactors of the two leading
+coefficients, so no Fraction is built.  Over F_p the coefficients are
+residues and basis elements are kept monic.  Every step only multiplies the
+field computation by a nonzero scalar, so leading monomials, zero tests and
+reducer choices are those of the monic algorithm.  Fractions appear at
+output only: one monic Polynomial per basis element, and :func:`normal_form`
+divides out the scalar its remainder was multiplied by, which gives exactly
+the monic algorithm's remainder.  The membership certificates
+(``_tracked_buchberger``) stay on Polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InputError, OriginNotOnVariety, RingMismatch
 from .poly import (
     DEGREVLEX,
     LOCAL_DEGREVLEX,
+    MAX_EXPONENT,
     MonomialOrder,
     Polynomial,
     Ring,
@@ -91,16 +111,114 @@ class StandardBasis:
     order: MonomialOrder
     elements: tuple
     source: Ideal
+    # the driver's integer entries of the elements, filled when first needed
+    _entries: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def ring(self) -> Ring:
         return self.source.ring
+
+    @property
+    def entries(self) -> tuple:
+        """The elements as integer term entries (see ``_entry``), in order."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(_to_entries(self.elements, self.order)))
+        return self._entries
 
     def leading_monomials(self) -> tuple:
         return tuple(g.leading_term(self.order)[0] for g in self.elements)
 
     def __iter__(self):
         return iter(self.elements)
+
+
+# ------------------------------------------------------------ term entries
+#
+# An entry is (terms, lm, lc, deg): a {monomial: coefficient} dict with its
+# leading monomial, leading coefficient and total degree.  Over Q the
+# coefficients are integers of content 1 with lc > 0, over F_p residues
+# with lc = 1.
+
+def _lead(terms: dict, order: MonomialOrder) -> tuple:
+    """Leading monomial of a nonzero term dict."""
+    if order.kind == "degrevlex":
+        return min(terms, key=lambda m: (-sum(m), m[::-1]))
+    if order.kind == "local_degrevlex":
+        return min(terms, key=lambda m: (sum(m), m[::-1]))
+    return max(terms, key=order.key)
+
+
+def _integer_terms(f: Polynomial):
+    """(terms, L): L*f as a dict of integer coefficients, L = 1 over F_p."""
+    if f.ring.domain.char:
+        return dict(f.terms()), 1
+    den = math.lcm(*(c.denominator for _, c in f.terms()))
+    return {m: c.numerator * (den // c.denominator) for m, c in f.terms()}, den
+
+
+def _entry(terms: dict, order: MonomialOrder, p: int, lm=None) -> tuple:
+    """The entry of a nonzero term dict, which is scaled in place."""
+    if lm is None:
+        lm = _lead(terms, order)
+    lc = terms[lm]
+    if p:
+        if lc != 1:
+            inv = pow(lc, -1, p)
+            for m in terms:
+                terms[m] = terms[m] * inv % p
+            lc = 1
+    else:
+        content = gcd(*terms.values())
+        if lc < 0:
+            content = -content
+        if content != 1:
+            for m in terms:
+                terms[m] //= content
+            lc //= content
+    return terms, lm, lc, max(map(sum, terms))
+
+
+def _to_entries(gens: Iterable[Polynomial], order: MonomialOrder) -> list:
+    return [
+        _entry(_integer_terms(g)[0], order, g.ring.domain.char)
+        for g in gens
+        if not g.is_zero()
+    ]
+
+
+def _output(ring: Ring, entry) -> Polynomial:
+    """The monic polynomial of an entry."""
+    terms, _, lc, _ = entry
+    if lc != 1:
+        terms = {m: Fraction(c, lc) for m, c in terms.items()}
+    elif not ring.domain.char:
+        terms = {m: Fraction(c) for m, c in terms.items()}
+    return Polynomial(ring, terms, _merged=True)
+
+
+def _cofactors(hc: int, gc: int, p: int):
+    """(a, b) with a*hc = b*gc: a*h - b*x^q*g cancels the leading term of h.
+
+    Over Q a = gc/d and b = hc/d with d = gcd(hc, gc) signed so that a > 0;
+    over F_p a = 1.
+    """
+    if p:
+        return 1, hc * pow(gc, -1, p) % p
+    d = gcd(hc, gc)
+    if gc < 0:
+        d = -d
+    return gc // d, hc // d
+
+
+def _sub_multiple(h: dict, b: int, q: tuple, g: dict, p: int) -> None:
+    """h -= b * x^q * g, in place."""
+    for m, c in g.items():
+        mm = mono_mul(q, m)
+        v = h.pop(mm, 0) - b * c
+        if p:
+            v %= p
+        if v:
+            h[mm] = v
 
 
 # ------------------------------------------------------------------ division
@@ -120,99 +238,108 @@ class _RevKey:
         return self.key == other.key
 
 
-def _division(f: Polynomial, reducers: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Remainder of full multivariate division for a global order.
+def _division(h: dict, reducers: Sequence[tuple], order: MonomialOrder, p: int):
+    """Full multivariate division of the term dict h (consumed) for a global
+    order: returns (remainder, s) with s*h - remainder in the ideal.
 
-    Deterministic: reducers are tried in list order.  The working support is
-    kept in a lazy max-heap so each step costs log of the support size.
+    Deterministic: reducers are tried in list order.  A step is
+    h := a*h - b*x^q*g, which also multiplies the remainder so far and s by
+    a.  The working support is kept in a lazy max-heap, so the remainder
+    receives its terms in descending order and its first key is its leading
+    monomial.
     """
-    ring = f.ring
-    dom = ring.domain
     key = order.key
-    leads = [g.leading_term(order) for g in reducers]
-    h = dict(f.terms())
     heap = [(_RevKey(key(m)), m) for m in h]
     heapq.heapify(heap)
     rem: dict = {}
+    scale = 1
     while heap:
         _, m = heapq.heappop(heap)
         if m not in h:
             continue  # stale entry
         c = h.pop(m)
-        for g, (gm, gc) in zip(reducers, leads):
+        for g, gm, gc, _ in reducers:
             if mono_divides(gm, m):
+                a, b = _cofactors(c, gc, p)
+                if a != 1:
+                    scale *= a
+                    for t in h:
+                        h[t] *= a
+                    for t in rem:
+                        rem[t] *= a
                 qm = mono_div(m, gm)
-                qc = dom.div(c, gc)
-                for m2, c2 in g.terms():
+                for m2, c2 in g.items():
                     if m2 == gm:
                         continue
                     mm = mono_mul(qm, m2)
-                    v = dom.mul(qc, c2)
                     if mm in h:
-                        s = dom.sub(h[mm], v)
-                        if s == 0:
-                            del h[mm]
+                        v = h[mm] - b * c2
+                        if p:
+                            v %= p
+                        if v:
+                            h[mm] = v
                         else:
-                            h[mm] = s
+                            del h[mm]
                     else:
-                        h[mm] = dom.neg(v)
+                        h[mm] = -b * c2 % p if p else -b * c2
                         heapq.heappush(heap, (_RevKey(key(mm)), mm))
                 break
         else:
             rem[m] = c
     _check_exponents(rem)  # lex reduction can raise exponents past any input's
-    return Polynomial(ring, rem, _merged=True)
+    return rem, scale
 
 
-def _ecart(f: Polynomial, order: MonomialOrder) -> int:
-    return f.total_degree() - mono_degree(f.leading_term(order)[0])
-
-
-def _mora_nf(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Mora's weak normal form for a local order.
+def _mora_nf(h: dict, basis: Sequence[tuple], order: MonomialOrder, p: int):
+    """Mora's weak normal form of the term dict h for a local order: returns
+    (h', s) with s*h - h' in the ideal up to a local unit.
 
     Reduces the leading term only, selecting a reducer of minimal ecart and
     allowing previously produced partial remainders as reducers; this is the
-    standard termination device for local orders.  The result h satisfies
-    u*f = sum q_i*g_i + h for some local unit u, and its leading term is not
-    divisible by any basis leading term.
+    standard termination device for local orders.  The leading monomial of
+    h' is not divisible by any basis leading monomial.  A step is
+    h := a*h - b*x^q*g and multiplies s by a.
     """
-    ring = f.ring
-    dom = ring.domain
-    pool = [(g, g.leading_term(order), _ecart(g, order)) for g in basis]
-    h = f
-    while not h.is_zero():
-        hm, hc = h.leading_term(order)
-        candidates = [entry for entry in pool if mono_divides(entry[1][0], hm)]
+    key = order.key
+    pool = [(g, gm, gc, deg - sum(gm)) for g, gm, gc, deg in basis]
+    scale = 1
+    while h:
+        hm = _lead(h, order)
+        candidates = [entry for entry in pool if mono_divides(entry[1], hm)]
         if not candidates:
             break
-        g, (gm, gc), eg = min(
-            candidates, key=lambda entry: (entry[2], order.key(entry[1][0]))
-        )
-        if eg > _ecart(h, order):
-            pool.append((h, (hm, hc), _ecart(h, order)))
-        h = h - g.mul_term(mono_div(hm, gm), dom.div(hc, gc))
-    return h
+        g, gm, gc, eg = min(candidates, key=lambda entry: (entry[3], key(entry[1])))
+        hc = h[hm]
+        eh = max(map(sum, h)) - sum(hm)
+        if eg > eh:
+            pool.append((h, hm, hc, eh))
+            h = dict(h)  # the pool keeps this partial remainder
+        a, b = _cofactors(hc, gc, p)
+        if a != 1:
+            scale *= a
+            for t in h:
+                h[t] *= a
+        _sub_multiple(h, b, mono_div(hm, gm), g, p)
+        if eg + sum(hm) > MAX_EXPONENT:  # the degree bound of x^q * g
+            _check_exponents(h)
+    return h, scale
 
 
-def _tail_clean_local(h: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
+def _tail_clean_local(h: dict, basis: Sequence[tuple], order: MonomialOrder) -> dict:
     """Remove tail terms divisible by a *monomial* basis element.
 
     Sound (subtracts ideal members) and terminating (monomial reducers add no
     new terms); non-monomial reducers are left alone.
     """
-    mono_leads = [
-        g.leading_term(order)[0] for g in basis if len(g.terms()) == 1
-    ]
-    if not mono_leads or h.is_zero():
+    mono_leads = [gm for g, gm, _, _ in basis if len(g) == 1]
+    if not mono_leads or not h:
         return h
-    lead = h.leading_term(order)[0]
-    kept = [
-        (m, c)
-        for m, c in h.terms()
+    lead = _lead(h, order)
+    return {
+        m: c
+        for m, c in h.items()
         if m == lead or not any(mono_divides(g, m) for g in mono_leads)
-    ]
-    return Polynomial(h.ring, kept)
+    }
 
 
 def normal_form(f: Polynomial, basis: StandardBasis) -> Polynomial:
@@ -222,29 +349,45 @@ def normal_form(f: Polynomial, basis: StandardBasis) -> Polynomial:
     a basis leading term).  Local order: Mora weak normal form, followed by
     removal of tail terms under monomial basis elements.  Both are idempotent
     and satisfy f - normal_form(f) in the (localized) ideal, up to a local
-    unit in the local case.
+    unit in the local case.  The reduction runs on integer terms; the scalar
+    it multiplied f by is divided out once at the end.
     """
     if f.ring != basis.ring:
         raise RingMismatch("polynomial and basis rings differ")
     if not basis.elements:
         return f
-    if basis.order.is_global:
-        return _division(f, basis.elements, basis.order)
-    h = _mora_nf(f, basis.elements, basis.order)
-    return _tail_clean_local(h, basis.elements, basis.order)
+    order, p = basis.order, f.ring.domain.char
+    h, den = _integer_terms(f)
+    if order.is_global:
+        h, scale = _division(h, basis.entries, order, p)
+    else:
+        h, scale = _mora_nf(h, basis.entries, order, p)
+        h = _tail_clean_local(h, basis.entries, order)
+    if not p:
+        scale *= den
+        h = {m: Fraction(c, scale) for m, c in h.items()}
+    return Polynomial(f.ring, h, _merged=True)
 
 
 # ---------------------------------------------------------------- buchberger
 
-def _s_poly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    dom = f.ring.domain
-    fm, fc = f.leading_term(order)
-    gm, gc = g.leading_term(order)
+def _s_poly(f: tuple, g: tuple, p: int) -> dict:
+    """a*x^(l-fm)*f - b*x^(l-gm)*g with l = lcm(fm, gm) and a*fc = b*gc,
+    made primitive over Q."""
+    fterms, fm, fc, fdeg = f
+    gterms, gm, gc, gdeg = g
     lcm = mono_lcm(fm, gm)
-    one = dom.coerce(1)
-    return f.mul_term(mono_div(lcm, fm), dom.div(one, fc)) - g.mul_term(
-        mono_div(lcm, gm), dom.div(one, gc)
-    )
+    qf, qg = mono_div(lcm, fm), mono_div(lcm, gm)
+    a, b = _cofactors(fc, gc, p)
+    s = {mono_mul(m, qf): a * c for m, c in fterms.items()}
+    _sub_multiple(s, b, qg, gterms, p)
+    if max(fdeg + sum(qf), gdeg + sum(qg)) > MAX_EXPONENT:
+        _check_exponents(s)
+    if s and not p:
+        content = gcd(*s.values())
+        if content != 1:
+            s = {m: c // content for m, c in s.items()}
+    return s
 
 
 def _pair_key(i: int, j: int, leads, order: MonomialOrder):
@@ -252,25 +395,21 @@ def _pair_key(i: int, j: int, leads, order: MonomialOrder):
     return (mono_degree(lcm), order.key(lcm), i, j)
 
 
-def _buchberger_loop(gens: Sequence[Polynomial], order: MonomialOrder):
-    """Shared Buchberger driver; the normal form is Mora for local orders.
+def _buchberger_loop(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
+    """Shared Buchberger driver on entries; the normal form is Mora for local
+    orders.
 
     Pair selection follows the normal strategy (minimal lcm degree first)
     with the product and chain criteria for pair elimination.
     """
-    ring = gens[0].ring
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
-    leads = [g.leading_term(order)[0] for g in basis]
+    p = gens[0].ring.domain.char
+    basis = _to_entries(gens, order)
+    leads = [g[1] for g in basis]
     queue = [
         _pair_key(i, j, leads, order) for j in range(len(basis)) for i in range(j)
     ]
     heapq.heapify(queue)
     done: set = set()
-
-    def reduce_spoly(s: Polynomial) -> Polynomial:
-        if order.is_global:
-            return _division(s, basis, order)
-        return _mora_nf(s, basis, order)
 
     while queue:
         _, _, i, j = heapq.heappop(queue)
@@ -291,24 +430,28 @@ def _buchberger_loop(gens: Sequence[Polynomial], order: MonomialOrder):
                 break
         if chain:
             continue
-        r = reduce_spoly(_s_poly(basis[i], basis[j], order))
-        if not r.is_zero():
-            r = r.monic(order)
-            basis.append(r)
-            leads.append(r.leading_term(order)[0])
+        s = _s_poly(basis[i], basis[j], p)
+        if order.is_global:
+            r, _ = _division(s, basis, order, p)
+            lm = next(iter(r), None)
+        else:
+            r, _ = _mora_nf(s, basis, order, p)
+            lm = None
+        if r:
+            basis.append(_entry(r, order, p, lm))
+            leads.append(basis[-1][1])
             new = len(basis) - 1
             for k in range(new):
                 heapq.heappush(queue, _pair_key(k, new, leads, order))
     return basis
 
 
-def _minimalize(basis: Sequence[Polynomial], order: MonomialOrder):
-    """Drop elements whose leading monomial is divisible by another's."""
-    entries = sorted(basis, key=lambda g: order.key(g.leading_term(order)[0]))
+def _minimalize(basis: Sequence[tuple], order: MonomialOrder) -> list:
+    """Drop entries whose leading monomial is divisible by another's."""
+    entries = sorted(basis, key=lambda g: order.key(g[1]))
     kept: list = []
     for g in entries:
-        gm = g.leading_term(order)[0]
-        if not any(mono_divides(h.leading_term(order)[0], gm) for h in kept):
+        if not any(mono_divides(h[1], g[1]) for h in kept):
             kept.append(g)
     return kept
 
@@ -324,15 +467,17 @@ def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX, verify: bool = Fa
         raise InputError("groebner_basis requires a global order")
     if not I.generators:
         return StandardBasis(order, (), I)
-    basis = _buchberger_loop(I.generators, order)
-    basis = _minimalize(basis, order)
+    p = I.ring.domain.char
+    basis = _minimalize(_buchberger_loop(I.generators, order), order)
     reduced = []
     for idx, g in enumerate(basis):
         others = basis[:idx] + basis[idx + 1 :]
-        rem = _division(g, others, order) if others else g
-        reduced.append(rem.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    result = StandardBasis(order, tuple(reduced), I)
+        if others:
+            rem, _ = _division(dict(g[0]), others, order, p)
+            g = _entry(rem, order, p, g[1])
+        reduced.append(g)
+    reduced.sort(key=lambda g: order.key(g[1]))
+    result = _result(I, order, reduced)
     if verify:
         _assert_spolys_vanish(result)
     return result
@@ -348,32 +493,37 @@ def standard_basis(I: Ideal, order: MonomialOrder = LOCAL_DEGREVLEX, verify: boo
         raise InputError("standard_basis requires a local order")
     if not I.generators:
         return StandardBasis(order, (), I)
-    basis = _buchberger_loop(I.generators, order)
-    basis = _minimalize(basis, order)
     normalized = []
-    for g in basis:
-        gm = g.leading_term(order)[0]
-        if all(mono_divides(gm, m) for m, _ in g.terms()):
+    for g in _minimalize(_buchberger_loop(I.generators, order), order):
+        gm = g[1]
+        if all(mono_divides(gm, m) for m in g[0]):
             # g = x^gm * (local unit): the localized ideal member is x^gm
-            g = Polynomial(g.ring, [(gm, 1)])
-        normalized.append(g.monic(order))
-    normalized.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    result = StandardBasis(order, tuple(normalized), I)
+            g = ({gm: 1}, gm, 1, sum(gm))
+        normalized.append(g)
+    normalized.sort(key=lambda g: order.key(g[1]))
+    result = _result(I, order, normalized)
     if verify:
         _assert_spolys_vanish(result)
     return result
 
 
+def _result(I: Ideal, order: MonomialOrder, entries: list) -> StandardBasis:
+    elements = tuple(_output(I.ring, g) for g in entries)
+    return StandardBasis(order, elements, I, tuple(entries))
+
+
 def _assert_spolys_vanish(basis: StandardBasis) -> None:
-    elems = basis.elements
+    """Check the output polynomials themselves, not the driver's entries."""
+    order, p = basis.order, basis.ring.domain.char
+    elems = _to_entries(basis.elements, order)
     for i in range(len(elems)):
         for j in range(i):
-            s = _s_poly(elems[i], elems[j], basis.order)
-            if basis.order.is_global:
-                rem = _division(s, list(elems), basis.order)
+            s = _s_poly(elems[i], elems[j], p)
+            if order.is_global:
+                rem, _ = _division(s, elems, order, p)
             else:
-                rem = _mora_nf(s, list(elems), basis.order)
-            if not rem.is_zero():
+                rem, _ = _mora_nf(s, elems, order, p)
+            if rem:
                 raise AssertionError(
                     f"S-polynomial of elements {j},{i} does not reduce to zero"
                 )

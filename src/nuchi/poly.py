@@ -28,10 +28,14 @@ bounded by recursion.  A term of numbers and powers of variables is one
 exponent list and one coefficient, updated in place and merged into one
 {monomial: coefficient} dict; only parenthesized groups go through
 :class:`Polynomial` arithmetic, and the result is built once at the end.
+Over Q no numerator or denominator may pass MAX_DIGITS digits: a power of a
+number or of a one-term group is checked from bit lengths before it is
+taken, and the parsed coefficients are checked once at the end.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,21 +66,21 @@ def mono_degree(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(b: Monomial, a: Monomial) -> Monomial:
     """Quotient exponent vector b - a; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(b, a))
+    return tuple(map(operator.sub, b, a))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 # ----------------------------------------------------------- monomial orders
@@ -174,7 +178,7 @@ class Domain:
 
     def coerce(self, value) -> Scalar:
         if self.char == 0:
-            return Fraction(value)
+            return value if isinstance(value, Fraction) else Fraction(value)
         p = self.char
         if isinstance(value, Fraction):
             den = value.denominator % p
@@ -736,6 +740,12 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+# int() reads and str() prints at most this many digits by default; the parser
+# refuses any rational coefficient with a longer numerator or denominator
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+
+
 def _token_offset(text: str, k: int) -> int:
     """Byte offset of token k; only errors need it, so it is found again here."""
     starts = [m.start() for m in _TOKEN.finditer(text)]
@@ -758,6 +768,14 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
             return int(tokens[k])
         except ValueError:  # more digits than int() converts
             fail("integer literal too long", k)
+
+    def power(base: int, e: int, k: int) -> int:
+        # the bit lengths are compared first, so a huge power is never taken
+        if (abs(base).bit_length() - 1) * e < _TOO_LONG.bit_length():
+            value = base**e
+            if abs(value) < _TOO_LONG:
+                return value
+        fail(f"power has more than {MAX_DIGITS} digits", k)
 
     # The open term is (-1)^neg * num/den * x^exps * group, where group is the
     # product of its parenthesized factors (None when it has none); over F_p,
@@ -818,10 +836,16 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
             elif kind == "n":
                 if p:
                     num = num * pow(value, e, p) % p
+                elif e == 1:
+                    num, den = num * value, den * d
                 else:
-                    num, den = num * value**e, den * d**e
+                    num, den = num * power(value, e, k - 1), den * power(d, e, k - 1)
             else:
                 if e != 1:
+                    if not p and len(value.terms()) == 1:  # the power of its coefficient
+                        c = value.terms()[0][1]
+                        power(c.numerator, e, k - 1)
+                        power(c.denominator, e, k - 1)
                     value = value**e
                 group = value if group is None else group * value
             tok = tokens[k]
@@ -847,6 +871,10 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
             if not stack:
                 if tok:
                     fail(f"unexpected {tok!r}", k)
+                if not p:
+                    for _, c in value.terms():
+                        if abs(c.numerator) >= _TOO_LONG or c.denominator >= _TOO_LONG:
+                            fail(f"a coefficient has more than {MAX_DIGITS} digits", 0)
                 return value
             if tok != ")":
                 fail("expected ')'", k)

@@ -185,10 +185,11 @@ def milnor_number(f: Polynomial, point: Sequence):
     Jacobian ideal (all cases signalled in the return value, no exceptions).
     """
     point = as_point(point, f.ring)
-    jac = jacobian_ideal(f)  # drops the zero partials, which vanish everywhere
-    if any(g.evaluate(point) != 0 for g in jac.generators):
+    # zero partials, which vanish everywhere, are dropped; the constant term
+    # of g(x + P) is g(P), so df(P) = 0 is read off the shifted partials
+    jac = shift_ideal(jacobian_ideal(f), point)
+    if any(g.constant_term() != 0 for g in jac.generators):
         return NOT_CRITICAL
-    jac = shift_ideal(jac, point)
     if not jac.generators:
         return INFINITE  # constant f: every point critical, never isolated
     return colength(jac, LOCAL_DEGREVLEX)

@@ -58,6 +58,13 @@ def test_milnor_refusal_exit_code(tmp_path, capsys):
     assert code == 2
     envelope = json.loads(out)
     assert envelope["refusal"]["code"] == "NOT_CRITICAL"
+    code, out, _ = run_cli(
+        ["milnor", "--ring", "x,y", "--f", "x^2 - x + y^3", "--point", "1/2,-2/3",
+         "--cache-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert json.loads(out)["refusal"]["code"] == "NOT_CRITICAL"
 
 
 def test_input_error_exit_code(tmp_path, capsys):
@@ -387,6 +394,31 @@ def test_batch_mode_survives_deep_nesting(tmp_path, capsys):
     assert "expected ')'" in envelopes[1]["error"]["message"]
     assert "unexpected character" in envelopes[2]["error"]["message"]
     assert envelopes[3]["payload"] == {"mu": 2}
+
+
+def test_numeric_power_bound_is_the_same_with_cache_on_and_off(tmp_path, capsys):
+    # the parser refuses 2^20000; it used to be answered with the cache off
+    # and to fail printing the cache key with the cache on
+    args = ["milnor", "--ring", "x,y", "--f", "2^20000*x^2 + y^2", "--point", "0,0"]
+    off = run_cli(args + ["--no-cache"], capsys)
+    on = run_cli(args + ["--cache-dir", str(tmp_path)], capsys)
+    assert off == on
+    assert off[0] == 1
+    assert "power has more than 4300 digits at byte 2" in off[2]
+
+
+def test_batch_mode_survives_numeric_power_bound(tmp_path, capsys):
+    ok = {"command": "milnor", "ring": RING, "f": "x^2 + y^3", "point": "0,0"}
+    jobs = [dict(ok, f="2^2147483647*x^2 + y^2"), dict(ok, f="2^20000*x^2 + y^2"), ok]
+    jobs_file = tmp_path / "jobs.json"
+    jobs_file.write_text(json.dumps(jobs))
+    for cache in (["--no-cache"], ["--cache-dir", str(tmp_path / "cache")]):
+        code, out, _ = run_cli(["--jobs", str(jobs_file)] + cache, capsys)
+        envelopes = json.loads(out)
+        assert code == 1
+        for envelope in envelopes[:2]:
+            assert "power has more than 4300 digits" in envelope["error"]["message"]
+        assert envelopes[2]["payload"] == {"mu": 2}
 
 
 def test_batch_mode_malformed_fields_get_error_envelopes(tmp_path, capsys):

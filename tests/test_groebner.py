@@ -1,8 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from nuchi.cycles import _eliminant
 
 from nuchi.errors import OriginNotOnVariety, RingMismatch
 from nuchi.groebner import (
@@ -20,7 +22,7 @@ from nuchi.groebner import (
     normal_form,
     standard_basis,
 )
-from nuchi.poly import GF, LEX, Ring
+from nuchi.poly import GF, LEX, QQ, Ring, elimination_order
 
 from .oracles import (
     macaulay_colength_global,
@@ -28,7 +30,7 @@ from .oracles import (
     monomial_lattice_colength,
     monomial_subset_dimension,
 )
-from .strategies import RING_XY, polynomials
+from .strategies import RING_XY, RING_XYZ, polynomials
 
 R2 = Ring(("x", "y"))
 R1 = Ring(("x",))
@@ -237,16 +239,27 @@ def test_colength_matches_macaulay_oracle(gens, arity):
     assert colength(I, DEGREVLEX) == macaulay_colength_global(I)
 
 
-def test_local_colength_matches_macaulay_oracle():
-    for gens in [
-        ("x^2", "y^2"),
-        ("x^2 - x^3", "y"),
-        ("y^2 - x^3", "x^2*y"),
-        ("x^2 + y^3", "x*y"),
-        ("3*x^2 - y^2", "-2*x*y"),  # Jacobian of the D4 singularity
-    ]:
-        I = ideal(*gens)
-        assert colength(I, LOCAL_DEGREVLEX) == macaulay_colength_local(I)
+@st.composite
+def local_ideals(draw):
+    """Pure powers x_i^a_i (a_i <= 4), which keep the local colength finite,
+    plus one or two random generators vanishing at the origin."""
+    ring = draw(st.sampled_from([RING_XY, RING_XYZ]))
+    gens = [ring.variable(i) ** draw(st.integers(1, 4)) for i in range(ring.arity)]
+    for _ in range(draw(st.integers(1, 2))):
+        g = draw(polynomials(ring, max_terms=3))
+        gens.append(g - g.constant_term())
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_ideals())
+@example(ideal("x^2", "y^2"))
+@example(ideal("x^2 - x^3", "y"))
+@example(ideal("y^2 - x^3", "x^2*y"))
+@example(ideal("x^2 + y^3", "x*y"))
+@example(ideal("3*x^2 - y^2", "-2*x*y"))  # Jacobian of the D4 singularity
+def test_local_colength_matches_macaulay_oracle(I):
+    assert colength(I, LOCAL_DEGREVLEX) == macaulay_colength_local(I)
 
 
 # ----------------------------------------------------------------- dimension
@@ -315,3 +328,164 @@ def test_groebner_over_prime_field_advisory_mode():
 
 def test_colength_unit_ideal_is_zero():
     assert colength(ideal("x", "x - 1")) == 0
+
+
+# ------------------------------------------------- outputs pinned to strings
+#
+# Recorded from the Fraction-based engine that preceded the integer one; the
+# bases, normal forms and the FGLM eliminant must not change by a character.
+
+PINNED_ORDERS = {
+    "lex": LEX,
+    "degrevlex": DEGREVLEX,
+    "elim": elimination_order({0}),
+    "local": LOCAL_DEGREVLEX,
+}
+
+# (variables, characteristic, generators, order, str of each basis element)
+PINNED_BASES = [
+    (
+        "x,y", 0, "lex",
+        ["x^2 + y", "x*y - 1"],
+        ["y^3 + 1", "y^2 + x"],
+    ),
+    (
+        "x,y", 0, "degrevlex",
+        ["x^2 + y", "x*y - 1"],
+        ["y^2 + x", "x*y - 1", "x^2 + y"],
+    ),
+    (
+        "x,y,z", 0, "lex",
+        ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"],  # cyclic-3
+        ["z^3 - 1", "y^2 + y*z + z^2", "x + y + z"],
+    ),
+    (
+        "x,y,z", 0, "degrevlex",
+        ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"],  # cyclic-3
+        ["x + y + z", "y^2 + y*z + z^2", "z^3 - 1"],
+    ),
+    (
+        "a,b,c,d", 0, "degrevlex",
+        [  # katsura-3
+            "a + 2*b + 2*c + 2*d - 1",
+            "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
+            "2*a*b + 2*b*c + 2*c*d - b",
+            "b^2 + 2*a*c + 2*b*d - c",
+        ],
+        [
+            "a + 2*b + 2*c + 2*d - 1",
+            "c^2 + 2*b*d + 32/7*c*d + 27/7*d^2 - 1/7*b - 4/7*c - 9/7*d",
+            "b*c - 2*b*d - 23/7*c*d - 24/7*d^2 + 1/14*b + 2/7*c + 8/7*d",
+            "b^2 + 2*b*d + 8/7*c*d + 12/7*d^2 - 2/7*b - 1/7*c - 4/7*d",
+            "c*d^2 + 10/9*d^3 - 1/18*b*d - 17/81*c*d - 13/27*d^2 + 1/54*b + 5/162*c + 1/27*d",
+            "b*d^2 - 1/3*d^3 - 1/9*b*d + 1/54*c*d + 1/9*d^2 - 1/36*b - 1/27*c",
+            "d^4 - 362/891*d^3 + 37/891*b*d + 1841/16038*c*d + 206/2673*d^2 - 13/10692*b - 389/32076*c - 47/2673*d",
+        ],
+    ),
+    (
+        "x,y", 0, "lex",
+        ["1/2*x^2 - 3/4*y^2 + x", "2/3*x*y + 5/2*y^2 - x"],
+        ["y^4 - 16/67*y^3 + 42/67*y^2", "-67/45*y^3 - 169/90*y^2 + x"],
+    ),
+    (
+        "x,y", 0, "degrevlex",
+        ["1/2*x^2 - 3/4*y^2 + x", "2/3*x*y + 5/2*y^2 - x"],
+        [
+            "x*y + 15/4*y^2 - 3/2*x",
+            "x^2 - 3/2*y^2 + 2*x",
+            "y^3 + 169/134*y^2 - 45/67*x",
+        ],
+    ),
+    (
+        "t,x,y", 0, "elim",
+        ["t^2 - x", "t^3 - y"],
+        ["x^3 - y^2", "-x^2 + t*y", "t*x - y", "t^2 - x"],
+    ),
+    (
+        "t,x,y", 0, "elim",
+        ["t*x - 1/3", "y - 2*t + x^2"],
+        ["x^3 + x*y - 2/3", "-1/2*x^2 + t - 1/2*y"],
+    ),
+    (
+        "x,y", 7, "degrevlex",
+        ["x^2 - y", "y^2 - 1"],
+        ["y^2 + 6", "x^2 + 6*y"],
+    ),
+    (
+        "x,y", 7, "lex",
+        ["3*x^2*y + 2*x", "5*y^2 - x"],
+        ["y^5 + 2*y^2", "2*y^2 + x"],
+    ),
+    (
+        "x,y,z", 7, "degrevlex",
+        ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"],  # cyclic-3
+        ["x + y + z", "y^2 + y*z + z^2", "z^3 + 6"],
+    ),
+    (
+        "x,y", 0, "local",
+        ["3*x^2 - y^2", "-2*x*y"],
+        ["y^3", "x*y", "x^2 - 1/3*y^2"],
+    ),
+    (
+        "x,y", 0, "local",
+        ["x^2 - x^3", "y"],
+        ["x^2", "y"],
+    ),
+    (
+        "x,y", 0, "local",
+        ["5*x^4 + 1/2*y^3", "6*y^5 + 3/2*x*y^2"],
+        ["-2/5*y^6 + x^5", "10*x^4 + y^3", "4*y^5 + x*y^2"],
+    ),
+    (
+        "x,y,z", 0, "local",
+        ["3*x^2 + y*z", "4*y^3 + x*z", "2*z + x*y"],
+        ["y^3 + 1/24*y^2*z", "4*y^3 + x*z", "x^2 + 1/3*y*z", "1/2*x*y + z"],
+    ),
+    (
+        "x,y", 0, "local",
+        ["y^2 - x^3 + 1/3*x^4", "x^2*y"],
+        ["x^5", "x^2*y", "1/3*x^4 - x^3 + y^2"],
+    ),
+    (
+        "x,y", 7, "local",
+        ["x^2 + 3*y^3", "x*y + 2*x^3"],
+        ["2*x^2*y^3 + y^4", "2*x^3 + x*y", "3*y^3 + x^2"],
+    ),
+]
+
+# (index into PINNED_BASES, f, str of normal_form(f, basis))
+PINNED_NORMAL_FORMS = [
+    (6, "x^3*y - 1/2*x*y^2 + 7*y^3 + 2/3*x", "-294329/17956*y^2 + 214957/26934*x"),
+    (9, "x^3*y + 4*x*y^2 + 5", "5*x + 5"),
+    (12, "x^3 + 1/2*x*y + y^3 - 2/5*y", "x^3 - 2/5*y"),
+    (14, "x^2*y + 3/7*y^4 + x^3 - x*y", "3/7*y^4 + x^3 + x^2*y - x*y"),
+    (17, "x^2 + 4*x*y + y^3 + 1", "y^3 + x^2 + 4*x*y + 1"),
+    (15, "x*y*z + 2*z - x^3 + 1/2*y^4", "1/2*y^4 - x^3 + x*y*z - x*y"),
+    (16, "y^2 - 2/3*x^3 + x^2*y + 1/5*x^6", "-1/3*x^4 + 1/3*x^3"),
+    (13, "y^2 + 5*x^2 - x^3 + 3/2*x*y", "0"),
+]
+
+
+def pinned_basis(case):
+    names, char, order, gens, _ = case
+    ring = Ring(tuple(names.split(",")), GF(char) if char else QQ)
+    compute = standard_basis if order == "local" else groebner_basis
+    return compute(Ideal.from_strings(ring, gens), PINNED_ORDERS[order], verify=True)
+
+
+@pytest.mark.parametrize("case", PINNED_BASES)
+def test_bases_are_pinned(case):
+    assert basis_strings(pinned_basis(case)) == case[4]
+
+
+@pytest.mark.parametrize("index,f,expected", PINNED_NORMAL_FORMS)
+def test_normal_forms_are_pinned(index, f, expected):
+    basis = pinned_basis(PINNED_BASES[index])
+    assert str(normal_form(basis.ring.parse(f), basis)) == expected
+
+
+def test_fglm_eliminant_is_pinned():
+    # no element of this basis is univariate in x, so the eliminant is FGLM's
+    basis = groebner_basis(ideal("x^2 + 1/2*y - 1", "y^2 - 3*x*y + 2/3"))
+    assert not any(all(m[1] == 0 for m, _ in g.terms()) for g in basis.elements)
+    assert [str(c) for c in _eliminant(basis, 0)] == ["7/6", "-3/2", "-2", "3/2", "1"]

@@ -147,6 +147,29 @@ def test_parse_overlong_integer_is_a_syntax_error():
     assert err.value.offset == 2
 
 
+def test_parse_bounds_numeric_powers():
+    # 10^4299 has 4300 digits, the most that int() reads and str() prints
+    assert RING_XY.parse("10^4299*x").terms() == (((1, 0), 10**4299),)
+    assert RING_XY.parse("(1/10)^4299").terms() == (((0, 0), Fraction(1, 10**4299)),)
+    assert RING_XY.parse("(-3*x)^9000").terms() == (((9000, 0), 3**9000),)
+    for text, offset in [
+        ("10^4300*x", 3),
+        ("(1/10)^4300", 7),
+        ("(-3*x)^9100", 7),
+        ("y + 2^2147483647", 6),
+        ("(2)^2147483647*x", 4),
+    ]:
+        with pytest.raises(PolynomialSyntaxError, match="power has more than 4300 digits") as err:
+            RING_XY.parse(text)
+        assert err.value.offset == offset
+    # each power is short enough, their product is not
+    with pytest.raises(PolynomialSyntaxError, match="coefficient has more than 4300 digits"):
+        RING_XY.parse("x + 10^3000*10^3000*y")
+    # over F_p the power is taken mod p
+    ring = Ring(("x",), GF(7))
+    assert ring.parse("2^2147483647*x") == ring.parse("2*x")
+
+
 def test_parse_deep_nesting():
     depth = 5000
     assert RING_XY.parse("(" * depth + "x + y" + ")" * depth) == RING_XY.parse("x + y")

@@ -70,6 +70,11 @@ def test_milnor_examples():
 
 def test_milnor_not_critical():
     assert milnor_number(R1.parse("x^3"), (5,)) is NOT_CRITICAL
+    assert milnor_number(R1.parse("x^3"), (Fraction(-3, 7),)) is NOT_CRITICAL
+    # f_x vanishes at x = 1/2 but f_y = 3*y^2 does not at y = -2/3
+    f = R2.parse("x^2 - x + y^3")
+    assert milnor_number(f, (Fraction(1, 2), Fraction(-2, 3))) is NOT_CRITICAL
+    assert milnor_number(f, (Fraction(1, 2), 0)) == 2
 
 
 def test_milnor_differentiates_once(monkeypatch):
@@ -83,9 +88,10 @@ def test_milnor_differentiates_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "derivative", counting_derivative)
     assert milnor_number(R2.parse("x^3 + y^2"), ORIGIN2) == 2
     assert milnor_number(R2.parse("x^3 + y"), ORIGIN2) is NOT_CRITICAL
+    assert milnor_number(R2.parse("x^3 + y"), (Fraction(1, 2), Fraction(-2, 3))) is NOT_CRITICAL
     # the zero partial in x is dropped, and y^2 is critical along y = 0
     assert isinstance(milnor_number(R2.parse("y^2"), (5, 0)), Infinite)
-    assert calls == [0, 1] * 3
+    assert calls == [0, 1] * 4
 
 
 def test_milnor_non_isolated():
@@ -135,6 +141,8 @@ def test_milnor_fibre_euler_examples():
 def test_milnor_fibre_errors():
     with pytest.raises(NotCriticalPoint):
         milnor_fibre_euler(R1.parse("x^3"), (5,))
+    with pytest.raises(NotCriticalPoint):
+        milnor_fibre_euler(R2.parse("x^2 + y^2"), (0, Fraction(5, 3)))
     with pytest.raises(NonIsolatedCriticalPoint):
         milnor_fibre_euler(R2.parse("x^2") * R2.parse("x"), ORIGIN2)
 
