@@ -5,6 +5,8 @@ polynomials in formal parameters s_1..s_k; identities are verified at the
 polynomial level, which suffices for the corresponding statements over the
 fraction field.  Vanishing orders are certified only up to the truncation
 order N (default 8), so callers wanting order m must use N >= m.
+Composition truncates at t^N inside every product, so no power of t above N
+is ever formed.
 
 The text format for arcs is one assignment per ambient coordinate plus an
 optional header line::
@@ -36,7 +38,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .errors import ArityMismatch, InputError, OrderTooLow, RingMismatch
-from .poly import Polynomial, Ring, parse_polynomial
+from .poly import Polynomial, Ring, _check_exponents, mono_mul, parse_polynomial
 from .singular import OneForm
 
 DEFAULT_TRUNCATION = 8
@@ -85,39 +87,9 @@ class TruncatedSeries:
                 return p
         return None
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.param_ring != other.param_ring or self.order != other.order:
-            raise RingMismatch("series mismatch")
-        return TruncatedSeries(
-            self.param_ring, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.param_ring != other.param_ring or self.order != other.order:
-            raise RingMismatch("series mismatch")
-        zero = self.param_ring.zero()
-        out = [zero] * (self.order + 1)
-        for a, ca in enumerate(self.coeffs):
-            if ca.is_zero():
-                continue
-            for b in range(self.order + 1 - a):
-                cb = other.coeffs[b]
-                if not cb.is_zero():
-                    out[a + b] = out[a + b] + ca * cb
-        return TruncatedSeries(self.param_ring, out)
-
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(self.param_ring, [coeff * c for coeff in self.coeffs])
-
     def __str__(self):
         parts = [f"({c})*t^{p}" for p, c in enumerate(self.coeffs) if not c.is_zero()]
         return " + ".join(parts) if parts else "0"
-
-
-def series_constant(param_ring: Ring, order: int, value) -> TruncatedSeries:
-    coeffs = [param_ring.zero()] * (order + 1)
-    coeffs[0] = param_ring.constant(value) if not isinstance(value, Polynomial) else value
-    return TruncatedSeries(param_ring, coeffs)
 
 
 # ------------------------------------------------------------------- arcs
@@ -177,20 +149,14 @@ def arc_from_strings(
         raise InputError("'t' is the arc variable, not a parameter")
     param_ring = Ring(tuple(params))
     work = Ring(tuple(params) + ("t",))
-    t_index = work.arity - 1
     series = []
     for expr in components:
         poly = parse_polynomial(expr, work)
-        if poly.degree_in(t_index) > order:
+        if poly.degree_in(work.arity - 1) > order:
             raise InputError(
                 f"component {expr!r} has t-degree beyond the truncation order {order}"
             )
-        coeffs = [param_ring.zero() for _ in range(order + 1)]
-        for mono, coeff in poly.terms():
-            p = mono[t_index]
-            pmono = mono[:t_index]
-            coeffs[p] = coeffs[p] + Polynomial(param_ring, [(pmono, coeff)])
-        series.append(TruncatedSeries(param_ring, coeffs))
+        series.append(_series_from_terms(param_ring, order, poly.terms()))
     return ArcSeries(ambient_ring, param_ring, series, order)
 
 
@@ -225,31 +191,61 @@ def parse_arc(text: str, ambient_ring: Ring) -> ArcSeries:
     )
 
 
+def _series_from_terms(param_ring: Ring, order: int, terms) -> TruncatedSeries:
+    """Split distinct (parameter exponents + (power of t,), coeff) terms by t."""
+    parts: list = [{} for _ in range(order + 1)]
+    for mono, coeff in terms:
+        parts[mono[-1]][mono[:-1]] = coeff
+    return TruncatedSeries(param_ring, [Polynomial(param_ring, d, _merged=True) for d in parts])
+
+
+def _truncated_product(a: dict, b: dict, order: int, char: int) -> dict:
+    """a * b with every power of t above the order dropped; t is last."""
+    out: dict = {}
+    for ma, ca in a.items():
+        room = order - ma[-1]
+        for mb, cb in b.items():
+            if mb[-1] <= room:
+                m = mono_mul(ma, mb)
+                out[m] = out.get(m, 0) + ca * cb
+    if char:
+        return {m: c % char for m, c in out.items() if c % char}
+    return {m: c for m, c in out.items() if c}
+
+
 def compose_along_arc(f: Polynomial, arc: ArcSeries) -> TruncatedSeries:
-    """Substitute the arc into f; exact in every retained t-coefficient."""
+    """Substitute the arc into f; exact in every retained t-coefficient.
+
+    Every series is one {(parameter exponents..., power of t): coefficient}
+    dict and every product drops the powers of t above the truncation order,
+    so the only polynomials built are the coefficients of the result.
+    """
     if f.ring.arity != arc.ambient_ring.arity:
         raise ArityMismatch("polynomial arity does not match the arc")
-    zero = arc.param_ring.zero()
-    n1 = arc.order + 1
-    acc = [zero] * n1
-    pow_cache: dict = {}
+    order, dom, char = arc.order, arc.param_ring.domain, arc.param_ring.domain.char
+    powers = {  # (i, e) -> gamma_i^e
+        (i, 1): {m + (p,): c for p, coeff in enumerate(gamma.coeffs) for m, c in coeff.terms()}
+        for i, gamma in enumerate(arc.components)
+    }
 
-    def power(i: int, e: int) -> TruncatedSeries:
-        if (i, e) not in pow_cache:
-            if e == 0:
-                pow_cache[(i, e)] = series_constant(arc.param_ring, arc.order, 1)
-            else:
-                pow_cache[(i, e)] = power(i, e - 1) * arc.components[i]
-        return pow_cache[(i, e)]
+    def power(i: int, e: int) -> dict:
+        if (i, e) not in powers:
+            half = power(i, e // 2)
+            sq = _truncated_product(half, half, order, char)
+            powers[(i, e)] = _truncated_product(sq, powers[(i, 1)], order, char) if e % 2 else sq
+        return powers[(i, e)]
 
-    result = TruncatedSeries(arc.param_ring, acc)
+    one = (0,) * (arc.param_ring.arity + 1)
+    acc: dict = {}
     for mono, coeff in f.terms():
-        term = series_constant(arc.param_ring, arc.order, coeff)
+        term = {one: dom.coerce(coeff)}
         for i, e in enumerate(mono):
             if e:
-                term = term * power(i, e)
-        result = result + term
-    return result
+                term = _truncated_product(term, power(i, e), order, char)
+        for m, c in term.items():
+            acc[m] = dom.add(acc.get(m, 0), c)
+    _check_exponents(acc)
+    return _series_from_terms(arc.param_ring, order, acc.items())
 
 
 def arc_vanishing_order(omega: OneForm, arc: ArcSeries):
@@ -259,14 +255,12 @@ def arc_vanishing_order(omega: OneForm, arc: ArcSeries):
     vanishes through the truncation the result is
     INFINITE_WITHIN_TRUNCATION.
     """
-    vals = []
-    for f in omega.components:
-        v = compose_along_arc(f, arc).valuation()
-        if v is not None:
-            vals.append(v)
-    if not vals:
-        return INFINITE_WITHIN_TRUNCATION
-    return min(vals)
+    return _vanishing_order([compose_along_arc(f, arc) for f in omega.components])
+
+
+def _vanishing_order(composed: Sequence[TruncatedSeries]):
+    vals = [v for v in (s.valuation() for s in composed) if v is not None]
+    return min(vals) if vals else INFINITE_WITHIN_TRUNCATION
 
 
 # ----------------------------------------------------------- parameter forms
@@ -385,14 +379,15 @@ def exterior_derivative(a: ParameterForm) -> ParameterForm:
 
 # ------------------------------------------------------- the obstruction form
 
-def _certify_order(omega: OneForm, arc: ArcSeries, m: int) -> None:
+def _certify_order(composed: Sequence[TruncatedSeries], arc: ArcSeries, m: int) -> None:
+    """Check that the compositions of omega's components vanish to order m."""
     if m < 1:
         raise InputError("the order m must be a positive integer")
     if arc.order < m:
         raise OrderTooLow(
             f"truncation order {arc.order} cannot certify vanishing order {m}"
         )
-    v = arc_vanishing_order(omega, arc)
+    v = _vanishing_order(composed)
     if v is not INFINITE_WITHIN_TRUNCATION and v < m:
         raise OrderTooLow(f"verified vanishing order is {v}, below the requested {m}")
 
@@ -403,12 +398,11 @@ def lagrangian_obstruction(omega: OneForm, arc: ArcSeries, m: int) -> ParameterF
     sum_i d(constant coefficient of gamma_i) ^ d(t^m coefficient of
     f_i(gamma)).  Requires the certified vanishing order to be at least m.
     """
-    _certify_order(omega, arc, m)
+    composed = [compose_along_arc(f, arc) for f in omega.components]
+    _certify_order(composed, arc, m)
     acc = zero_form(2, arc.param_ring)
-    for i, f in enumerate(omega.components):
-        base = arc.components[i].coeffs[0]
-        target = compose_along_arc(f, arc).coeffs[m]
-        acc = acc + wedge(param_differential(base), param_differential(target))
+    for gamma, series in zip(arc.components, composed):
+        acc = acc + wedge(param_differential(gamma.coeffs[0]), param_differential(series.coeffs[m]))
     return acc
 
 
@@ -421,13 +415,13 @@ def obstruction_via_exterior_derivative(
     gamma_i and f_i(gamma); agreement with
     :func:`lagrangian_obstruction` is asserted by the test suite.
     """
-    _certify_order(omega, arc, m)
+    composed = [compose_along_arc(f, arc) for f in omega.components]
+    _certify_order(composed, arc, m)
     one_form = zero_form(1, arc.param_ring)
     fact_m = factorial(m)
-    for i, f in enumerate(omega.components):
-        F_m = compose_along_arc(f, arc).coeffs[m] * fact_m
-        dc0 = param_differential(arc.components[i].coeffs[0])
-        one_form = one_form + dc0.scale(F_m)
+    for gamma, series in zip(arc.components, composed):
+        dc0 = param_differential(gamma.coeffs[0])
+        one_form = one_form + dc0.scale(series.coeffs[m] * fact_m)
     return exterior_derivative(one_form).scale(Fraction(-1, fact_m))
 
 

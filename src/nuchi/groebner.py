@@ -446,9 +446,10 @@ def _buchberger_loop(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
     return basis
 
 
-def _minimalize(basis: Sequence[tuple], order: MonomialOrder) -> list:
-    """Drop entries whose leading monomial is divisible by another's."""
-    entries = sorted(basis, key=lambda g: order.key(g[1]))
+def _minimalize(basis: Sequence[tuple]) -> list:
+    """Drop entries whose leading monomial is divisible by another's; a
+    divisor has the lower total degree, so it comes first under every order."""
+    entries = sorted(basis, key=lambda g: sum(g[1]))
     kept: list = []
     for g in entries:
         if not any(mono_divides(h[1], g[1]) for h in kept):
@@ -468,7 +469,7 @@ def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX, verify: bool = Fa
     if not I.generators:
         return StandardBasis(order, (), I)
     p = I.ring.domain.char
-    basis = _minimalize(_buchberger_loop(I.generators, order), order)
+    basis = _minimalize(_buchberger_loop(I.generators, order))
     reduced = []
     for idx, g in enumerate(basis):
         others = basis[:idx] + basis[idx + 1 :]
@@ -494,7 +495,7 @@ def standard_basis(I: Ideal, order: MonomialOrder = LOCAL_DEGREVLEX, verify: boo
     if not I.generators:
         return StandardBasis(order, (), I)
     normalized = []
-    for g in _minimalize(_buchberger_loop(I.generators, order), order):
+    for g in _minimalize(_buchberger_loop(I.generators, order)):
         gm = g[1]
         if all(mono_divides(gm, m) for m in g[0]):
             # g = x^gm * (local unit): the localized ideal member is x^gm
@@ -760,18 +761,13 @@ def colength(I: Ideal, order: MonomialOrder = DEGREVLEX):
     measures the localization at the origin, a global one the full quotient
     ring.
     """
-    basis = basis_for(I, order)
-    if not basis.elements:
-        return INFINITE if I.ring.arity > 0 else 1
-    return staircase_count(basis.leading_monomials(), I.ring.arity)
+    return staircase_count(basis_for(I, order).leading_monomials(), I.ring.arity)
 
 
 def krull_dimension(I: Ideal) -> int:
     """Krull dimension of ring/I from the leading-term ideal; -1 if I = (1)."""
-    basis = groebner_basis(I, DEGREVLEX)
-    if not basis.elements:
-        return I.ring.arity
-    return monomial_ideal_dimension(basis.leading_monomials(), I.ring.arity)
+    leads = groebner_basis(I, DEGREVLEX).leading_monomials()
+    return monomial_ideal_dimension(leads, I.ring.arity)
 
 
 def hs_multiplicity(I: Ideal) -> int:

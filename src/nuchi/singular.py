@@ -32,10 +32,11 @@ from .groebner import (
     Ideal,
     Infinite,
     LOCAL_DEGREVLEX,
-    colength,
+    basis_for,
     groebner_basis,
     monomial_ideal_dimension,
     normal_form,
+    staircase_count,
     standard_basis,
 )
 from .poly import Polynomial, Ring
@@ -143,10 +144,7 @@ def local_dimension(I: Ideal, point: Point) -> int:
     Read combinatorially off the local leading-term ideal of a standard
     basis after shifting the point to the origin.
     """
-    shifted = shift_ideal(I, point)
-    basis = standard_basis(shifted, LOCAL_DEGREVLEX)
-    if not basis.elements:
-        return I.ring.arity
+    basis = standard_basis(shift_ideal(I, point), LOCAL_DEGREVLEX)
     return monomial_ideal_dimension(basis.leading_monomials(), I.ring.arity)
 
 
@@ -170,9 +168,13 @@ def is_smooth_at(I: Ideal, point: Sequence) -> Smoothness:
     dim = local_dimension(I, point)
     if dim == -1:
         raise PointNotOnVariety("ideal is the unit ideal near the point")
-    rows = [gradient_at(g, point) for g in I.generators]
-    rank = _rational_matrix_rank(rows) if rows else 0
-    return Smoothness(rank == I.ring.arity - dim, dim if rank == I.ring.arity - dim else None)
+    return _jacobian_criterion(I, point, dim)
+
+
+def _jacobian_criterion(I: Ideal, point: Point, dim: int) -> Smoothness:
+    rank = _rational_matrix_rank([gradient_at(g, point) for g in I.generators])
+    smooth = rank == I.ring.arity - dim
+    return Smoothness(smooth, dim if smooth else None)
 
 
 # ------------------------------------------------------------ Milnor theory
@@ -184,15 +186,21 @@ def milnor_number(f: Polynomial, point: Sequence):
     critical point is not isolated, and otherwise the local colength of the
     Jacobian ideal (all cases signalled in the return value, no exceptions).
     """
-    point = as_point(point, f.ring)
+    return _milnor(f, as_point(point, f.ring))[0]
+
+
+def _milnor(f: Polynomial, point: Point):
+    """(mu, leads): milnor_number and the leading monomials of the local
+    standard basis of the shifted Jacobian ideal it is read from."""
     # zero partials, which vanish everywhere, are dropped; the constant term
     # of g(x + P) is g(P), so df(P) = 0 is read off the shifted partials
     jac = shift_ideal(jacobian_ideal(f), point)
     if any(g.constant_term() != 0 for g in jac.generators):
-        return NOT_CRITICAL
+        return NOT_CRITICAL, ()
     if not jac.generators:
-        return INFINITE  # constant f: every point critical, never isolated
-    return colength(jac, LOCAL_DEGREVLEX)
+        return INFINITE, ()  # constant f: every point critical, never isolated
+    leads = basis_for(jac, LOCAL_DEGREVLEX).leading_monomials()
+    return staircase_count(leads, f.ring.arity), leads
 
 
 def _fibre_euler(mu: int, n: int) -> int:
@@ -237,14 +245,15 @@ def behrend_report(presentation: Union[Polynomial, Ideal], point: Sequence) -> N
     if isinstance(presentation, Polynomial):
         f = presentation
         point = as_point(point, f.ring)
-        mu = milnor_number(f, point)
+        mu, leads = _milnor(f, point)  # one basis gives mu and the local dimension
         if mu is NOT_CRITICAL:
             raise PointNotOnVariety(f"{tuple(point)} is not on the critical locus of {f}")
         n = f.ring.arity
         if not isinstance(mu, Infinite):
             nu = (-1) ** n * (1 - _fibre_euler(mu, n))
             return NuReport(nu=nu, route="milnor", mu=mu)
-        check = is_smooth_at(jacobian_ideal(f), point)
+        dim = monomial_ideal_dimension(leads, n)
+        check = _jacobian_criterion(jacobian_ideal(f), point, dim)
         if check.smooth:
             return NuReport(nu=(-1) ** check.local_dim, route="smooth", local_dim=check.local_dim)
         raise Unsupported(

@@ -1,16 +1,17 @@
 """Independent brute-force oracles used to cross-check the engine.
 
-Nothing here touches Groebner machinery: colengths come from exact linear
-algebra on Macaulay-style multiplication matrices, and monomial-ideal counts
-from direct lattice enumeration.  The oracles are intentionally slow and
-simple.
+Colengths come from exact linear algebra on Macaulay-style multiplication
+matrices, and monomial-ideal counts from direct lattice enumeration.  The one
+exception is :func:`lazard_colength_local`, which reaches the local colength
+through the global Buchberger driver, so it shares no code with Mora's
+normal form.  The oracles are intentionally slow and simple.
 """
 
 import itertools
 from fractions import Fraction
 
-from nuchi.groebner import Ideal
-from nuchi.poly import mono_divides
+from nuchi.groebner import Ideal, groebner_basis, staircase_count
+from nuchi.poly import Polynomial, Ring, elimination_order, mono_divides
 
 
 def sparse_pivots(rows):
@@ -130,6 +131,27 @@ def macaulay_colength_local(I: Ideal, max_degree=24):
             return dim
         previous = dim
     return None
+
+
+def lazard_colength_local(I: Ideal):
+    """Length of the localization at the origin by Lazard's homogenization
+    (Lazard, EUROCAL 1983; Greuel-Pfister, Singular Introduction, 1.7).
+
+    Homogenize with a new last variable t and take a global Groebner basis
+    under the block order that compares the t power first: on forms of one
+    degree it ranks the higher t power, that is the lower degree in x, first,
+    which is the local degrevlex order.  Setting t = 1 in the leads gives the
+    local leading-term ideal, so no bound on the degree is needed.
+    """
+    ring = I.ring
+    t = "t" + "_" * max((len(v) for v in ring.variables), default=0)  # a fresh name
+    homogeneous = Ring(ring.variables + (t,), ring.domain)
+    gens = []
+    for g in I.generators:
+        d = g.total_degree()
+        gens.append(Polynomial(homogeneous, [(m + (d - sum(m),), c) for m, c in g.terms()]))
+    basis = groebner_basis(Ideal(homogeneous, gens), elimination_order({ring.arity}))
+    return staircase_count([m[:-1] for m in basis.leading_monomials()], ring.arity)
 
 
 def monomial_lattice_colength(gens, arity):

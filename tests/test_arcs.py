@@ -4,6 +4,7 @@ import pytest
 
 from nuchi.arcs import (
     INFINITE_WITHIN_TRUNCATION,
+    ArcSeries,
     ParameterForm,
     arc_from_strings,
     arc_vanishing_order,
@@ -14,11 +15,12 @@ from nuchi.arcs import (
     param_differential,
     pullback_dt_coefficient_direct,
     pullback_dt_coefficient_taylor,
+    TruncatedSeries,
     wedge,
     zero_form,
 )
 from nuchi.errors import InputError, OrderTooLow
-from nuchi.poly import Polynomial, Ring
+from nuchi.poly import GF, Polynomial, Ring
 from nuchi.singular import OneForm, differential
 
 R2 = Ring(("x", "y"))
@@ -71,6 +73,54 @@ def test_compose_constant_arc():
     s = compose_along_arc(R2.parse("x^2 + y"), arc)
     assert s.valuation() == 0 and s.coeffs[0] == arc.param_ring.constant(7)
     assert all(c.is_zero() for c in s.coeffs[1:])
+
+
+def test_compose_high_power():
+    # powers are taken by squaring, so a large exponent is a few products
+    arc = arc_from_strings(R2, ["1 + u*t", "v*t"], order=3)
+    s = compose_along_arc(R2.parse("x^5000*y"), arc)
+    assert str(s) == "(v)*t^1 + (5000*u*v)*t^2 + (12497500*u^2*v)*t^3"
+
+
+def _substituted(f, arc):
+    """f(gamma) by Polynomial.substitute in the ring (parameters, t), with
+    the powers of t above the truncation order dropped afterwards."""
+    pr = arc.param_ring
+    work = Ring(pr.variables + ("t",), pr.domain)
+    t = work.variable(pr.arity)
+    lift = list(range(pr.arity))
+    values = [
+        sum((c.transport(work, lift) * t**p for p, c in enumerate(s.coeffs)), work.zero())
+        for s in arc.components
+    ]
+    terms = f.substitute(values).terms()
+    return tuple(
+        Polynomial(pr, [(m[:-1], c) for m, c in terms if m[-1] == p])
+        for p in range(arc.order + 1)
+    )
+
+
+def _reduced_mod(arc, p):
+    """The same arc with its coefficients in F_p."""
+    pr = Ring(arc.param_ring.variables, GF(p))
+    series = [TruncatedSeries(pr, [c.change_domain(pr) for c in s.coeffs]) for s in arc.components]
+    return ArcSeries(arc.ambient_ring, pr, series, arc.order)
+
+
+def test_compose_matches_substitution_randomized():
+    rng = random.Random(7)
+    nonzero = 0
+    for k in range(150):
+        ring = rng.choice([R2, R3, Ring(("x", "y"), GF(7))])
+        omega = _random_one_form(rng, ring)
+        arc = _random_arc(rng, ring, order=rng.choice([3, 4, 6]))
+        if k % 3 == 0:
+            arc = _reduced_mod(arc, 5)
+        for f in omega.components:
+            composed = compose_along_arc(f, arc)
+            assert composed.coeffs == _substituted(f, arc)
+            nonzero += not composed.is_zero()
+    assert nonzero > 100  # the agreement is not vacuous
 
 
 # ----------------------------------------------------------- vanishing order

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nuchi import groebner, singular
 from nuchi.errors import NonIsolatedCriticalPoint, NotCriticalPoint, PointNotOnVariety, Unsupported
 from nuchi.groebner import Ideal, Infinite
 from nuchi.poly import Polynomial, Ring
 from nuchi.singular import (
     NOT_CRITICAL,
+    NuReport,
     OneForm,
     behrend_at,
     behrend_report,
@@ -176,6 +178,28 @@ def test_nu_refuses_non_isolated_non_smooth():
     # f = x^2*y^2: critical locus is the two axes, singular at the origin
     with pytest.raises(Unsupported):
         behrend_at(R2.parse("x^2*y^2"), ORIGIN2)
+
+
+def test_nu_builds_one_local_basis_on_the_non_isolated_path(monkeypatch):
+    # f = x^2*y^2 + z^2 is critical along the x- and y-axes: mu is INFINITE
+    # at both points and the local dimension 1 comes from the same basis
+    calls = []
+    real = groebner.standard_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "standard_basis", counted)
+    monkeypatch.setattr(singular, "standard_basis", counted)
+    f = R3.parse("x^2*y^2 + z^2")
+    report = behrend_report(f, (0, 1, 0))
+    assert report == NuReport(nu=-1, route="smooth", mu=None, local_dim=1)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(Unsupported, match="no smooth chart"):
+        behrend_report(f, (0, 0, 0))
+    assert len(calls) == 1
 
 
 def test_nu_ideal_presentation_refuses_singular_points():
