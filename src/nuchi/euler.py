@@ -277,6 +277,8 @@ class HilbertDemo:
 def hilbert_demo(n_max: int) -> HilbertDemo:
     """Torus-fixed-point counts for the Hilbert scheme of points of affine
     3-space, with the MacMahon generating function as an independent oracle."""
+    if n_max < 0:
+        raise InputError(f"n_max must be at least 0, got {n_max}")
     counts = plane_partition_counts(n_max)
     mac = macmahon_coefficients(n_max)
     rows = tuple((n, counts[n], (-1) ** n * counts[n]) for n in range(n_max + 1))

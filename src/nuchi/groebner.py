@@ -27,20 +27,41 @@ output only: one monic Polynomial per basis element, and :func:`normal_form`
 divides out the scalar its remainder was multiplied by, which gives exactly
 the monic algorithm's remainder.  The membership certificates
 (``_tracked_buchberger``) stay on Polynomial arithmetic.
+
+Monomials.  In ``_buchberger_loop``, the normal forms and the Hilbert
+counter a monomial x^e in n variables is one int (``_Packing``; Monagan and
+Pearce, "Sparse polynomial division using a heap", JSC 2011): e_i sits in a
+64-bit field at bit 64*(i-1), so e_n is the most significant field, and the
+total degree D sits above the fields at bit 64*n.  A monomial is packed once
+per term on the way in and unpacked once per term on the way out; public
+functions take and return exponent tuples.  Multiplying monomials is +, the
+quotient is -, and with G the mask of bit 63 of every field, x^a divides x^b
+iff ((b | G) - a) & G == G.  The local degrevlex lead is the least int; the
+degrevlex key is (D << 64n) - R for R the fields, and lex and ``elim`` get a
+key function per (arity, order).
+
+Overflow.  ExponentOverflow is raised on a division remainder, and on an
+S-polynomial or Mora step whose degree bound passes MAX_EXPONENT, when one
+of bits 31..63 of a field is set.  Basis entries are in range, so a product
+of two in-range monomials cannot carry into the next field; only a
+division's working terms grow past the range, by less than 2^31 a step, and
+``_division`` tests bit 63 of each term it adds, which would take about 2^32
+steps to reach.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+import operator
+import struct
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import InputError, OriginNotOnVariety, RingMismatch
+from .errors import ExponentOverflow, InputError, OriginNotOnVariety, RingMismatch
 from .poly import (
     DEGREVLEX,
     LOCAL_DEGREVLEX,
@@ -48,13 +69,10 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     Ring,
-    _check_exponents,
     elimination_order,
-    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -104,62 +122,194 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
 
 
-@dataclass(frozen=True)
 class StandardBasis:
-    """A Groebner basis (global order) or Mora standard basis (local order)."""
+    """A Groebner basis (global order) or Mora standard basis (local order).
 
-    order: MonomialOrder
-    elements: tuple
-    source: Ideal
-    # the driver's integer entries of the elements, filled when first needed
-    _entries: tuple = field(default=None, repr=False, compare=False)
+    ``StandardBasis(order, elements, source)``.  A computed basis
+    keeps its integer entries (see ``_entry``) and builds the monic
+    ``elements`` from them on first access; a basis built by hand from its
+    elements gets its entries on first use.  Equality, hashing and repr read
+    (order, elements, source), and a basis is immutable.
+    """
+
+    def __init__(self, order: MonomialOrder, elements, source: Ideal, _entries=None):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_entries", _entries)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
     def ring(self) -> Ring:
         return self.source.ring
 
     @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            ring = self.ring
+            unpack = _packing(ring.arity).unpack
+            elements = tuple(_output(ring, unpack, g) for g in self._entries)
+            object.__setattr__(self, "_elements", elements)
+        return self._elements
+
+    @property
     def entries(self) -> tuple:
         """The elements as integer term entries (see ``_entry``), in order."""
         if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(_to_entries(self.elements, self.order)))
+            entries = tuple(_to_entries(self.elements, _packing(self.ring.arity), self.order))
+            object.__setattr__(self, "_entries", entries)
         return self._entries
 
     def leading_monomials(self) -> tuple:
-        return tuple(g.leading_term(self.order)[0] for g in self.elements)
+        unpack = _packing(self.ring.arity).unpack
+        return tuple(unpack(g[1]) for g in self.entries)
 
     def __iter__(self):
         return iter(self.elements)
 
+    def _fields(self) -> tuple:
+        return (self.order, self.elements, self.source)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"StandardBasis(order={self.order!r}, elements={self.elements!r}, "
+            f"source={self.source!r})"
+        )
+
+
+# -------------------------------------------------------- packed monomials
+
+_W = 64  # bits per exponent field
+_FIELD = (1 << _W) - 1
+
+
+class _Packing:
+    """Packed monomials of one arity n (the layout is in the module docstring).
+
+    Exponent e_i sits in the field at bit 64*(i-1), so e_n is the most
+    significant field, and the total degree sits above them at bit 64*n.
+    """
+
+    def __init__(self, n: int):
+        ones = sum(1 << (_W * i) for i in range(n))
+        self.n = n
+        self.shift = _W * n  # the degree field
+        self.fields = (1 << self.shift) - 1  # every exponent field
+        self.ones = ones
+        self.guard = ones << (_W - 1)  # bit 63 of every field
+        self.over = ones * (_FIELD ^ MAX_EXPONENT)  # bits 31..63 of every field
+        self.top = _W * max(n - 1, 0)  # the last field
+        self._struct = struct.Struct(f"<{n}Q")
+        self._keys: dict = {}
+
+    def pack(self, m: tuple) -> int:
+        r = 0
+        for e in reversed(m):
+            r = (r << _W) | e
+        return r | (sum(m) << self.shift)
+
+    def unpack(self, t: int) -> tuple:
+        return self._struct.unpack((t & self.fields).to_bytes(8 * self.n, "little"))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum of two in-range monomials."""
+        guard = self.guard
+        ge = (((a | guard) - b) & guard) >> (_W - 1)  # 1 where a_i >= b_i
+        take_a = (ge << (_W - 1)) - ge  # bits 0..62 of those fields
+        r = (a & take_a) | (b & (self.fields ^ take_a))
+        # fields below 2^31 sum without carries: field n-1 of r*ones is the degree
+        deg = (r * self.ones >> self.top) & _FIELD
+        return r | (deg << self.shift)
+
+    def check(self, terms) -> None:
+        """ExponentOverflow when a monomial has an exponent past MAX_EXPONENT."""
+        over = self.over
+        for t in terms:
+            if t & over:
+                top = max((t >> s) & _FIELD for s in range(0, self.shift, _W))
+                raise ExponentOverflow(f"exponent {top} exceeds 32-bit range")
+
+    def key(self, order: MonomialOrder):
+        """Order key on packed monomials, an int: a larger key is a larger
+        monomial."""
+        key = self._keys.get(order)
+        if key is None:
+            key = self._keys[order] = self._make_key(order)
+        return key
+
+    def _make_key(self, order: MonomialOrder):
+        if order.kind == "local_degrevlex":
+            return operator.neg
+        if order.kind == "degrevlex":
+            rest = self.fields
+            return lambda t: t - ((t & rest) << 1)  # (degree << 64n) - fields
+        if order.kind == "lex":
+            offsets = range(0, self.shift, _W)
+
+            def lex(t):
+                k = 0
+                for s in offsets:  # e_1 ends most significant
+                    k = (k << _W) | ((t >> s) & _FIELD)
+                return k
+
+            return lex
+        # elim: degrevlex on the block, then degrevlex on the rest
+        block = [_W * i for i in range(self.n) if i in order.block]
+        rest = [_W * i for i in range(self.n) if i not in order.block]
+        width = _W * (len(rest) + 2)  # above the rest's key, whose degree is below 2^128
+
+        def degrevlex(t, offsets):
+            r = d = 0
+            for s in reversed(offsets):  # the highest index ends most significant
+                e = (t >> s) & _FIELD
+                r = (r << _W) | e
+                d += e
+            return (d << (_W * len(offsets))) - r
+
+        return lambda t: (degrevlex(t, block) << width) + degrevlex(t, rest)
+
+
+@functools.cache
+def _packing(n: int) -> _Packing:
+    return _Packing(n)
+
 
 # ------------------------------------------------------------ term entries
 #
-# An entry is (terms, lm, lc, deg): a {monomial: coefficient} dict with its
-# leading monomial, leading coefficient and total degree.  Over Q the
-# coefficients are integers of content 1 with lc > 0, over F_p residues
+# An entry is (terms, lm, lc, deg): a {packed monomial: coefficient} dict
+# with its leading monomial, leading coefficient and total degree.  Over Q
+# the coefficients are integers of content 1 with lc > 0, over F_p residues
 # with lc = 1.
 
-def _lead(terms: dict, order: MonomialOrder) -> tuple:
+def _lead(terms: dict, pk: _Packing, order: MonomialOrder) -> int:
     """Leading monomial of a nonzero term dict."""
-    if order.kind == "degrevlex":
-        return min(terms, key=lambda m: (-sum(m), m[::-1]))
-    if order.kind == "local_degrevlex":
-        return min(terms, key=lambda m: (sum(m), m[::-1]))
-    return max(terms, key=order.key)
+    if order.is_local:
+        return min(terms)
+    return max(terms, key=pk.key(order))
 
 
-def _integer_terms(f: Polynomial):
-    """(terms, L): L*f as a dict of integer coefficients, L = 1 over F_p."""
+def _integer_terms(f: Polynomial, pack):
+    """(terms, L): L*f as a packed dict of integer coefficients, L = 1 over F_p."""
     if f.ring.domain.char:
-        return dict(f.terms()), 1
+        return {pack(m): c for m, c in f.terms()}, 1
     den = math.lcm(*(c.denominator for _, c in f.terms()))
-    return {m: c.numerator * (den // c.denominator) for m, c in f.terms()}, den
+    return {pack(m): c.numerator * (den // c.denominator) for m, c in f.terms()}, den
 
 
-def _entry(terms: dict, order: MonomialOrder, p: int, lm=None) -> tuple:
+def _entry(terms: dict, pk: _Packing, order: MonomialOrder, p: int, lm=None) -> tuple:
     """The entry of a nonzero term dict, which is scaled in place."""
     if lm is None:
-        lm = _lead(terms, order)
+        lm = _lead(terms, pk, order)
     lc = terms[lm]
     if p:
         if lc != 1:
@@ -175,24 +325,26 @@ def _entry(terms: dict, order: MonomialOrder, p: int, lm=None) -> tuple:
             for m in terms:
                 terms[m] //= content
             lc //= content
-    return terms, lm, lc, max(map(sum, terms))
+    return terms, lm, lc, max(terms) >> pk.shift
 
 
-def _to_entries(gens: Iterable[Polynomial], order: MonomialOrder) -> list:
+def _to_entries(gens: Iterable[Polynomial], pk: _Packing, order: MonomialOrder) -> list:
     return [
-        _entry(_integer_terms(g)[0], order, g.ring.domain.char)
+        _entry(_integer_terms(g, pk.pack)[0], pk, order, g.ring.domain.char)
         for g in gens
         if not g.is_zero()
     ]
 
 
-def _output(ring: Ring, entry) -> Polynomial:
+def _output(ring: Ring, unpack, entry) -> Polynomial:
     """The monic polynomial of an entry."""
     terms, _, lc, _ = entry
     if lc != 1:
-        terms = {m: Fraction(c, lc) for m, c in terms.items()}
+        terms = {unpack(m): Fraction(c, lc) for m, c in terms.items()}
     elif not ring.domain.char:
-        terms = {m: Fraction(c) for m, c in terms.items()}
+        terms = {unpack(m): Fraction(c) for m, c in terms.items()}
+    else:
+        terms = {unpack(m): c for m, c in terms.items()}
     return Polynomial(ring, terms, _merged=True)
 
 
@@ -210,10 +362,10 @@ def _cofactors(hc: int, gc: int, p: int):
     return gc // d, hc // d
 
 
-def _sub_multiple(h: dict, b: int, q: tuple, g: dict, p: int) -> None:
+def _sub_multiple(h: dict, b: int, q: int, g: dict, p: int) -> None:
     """h -= b * x^q * g, in place."""
     for m, c in g.items():
-        mm = mono_mul(q, m)
+        mm = q + m
         v = h.pop(mm, 0) - b * c
         if p:
             v %= p
@@ -223,33 +375,19 @@ def _sub_multiple(h: dict, b: int, q: tuple, g: dict, p: int) -> None:
 
 # ------------------------------------------------------------------ division
 
-class _RevKey:
-    """Comparison-inverting wrapper so heapq acts as a max-heap."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
-def _division(h: dict, reducers: Sequence[tuple], order: MonomialOrder, p: int):
+def _division(h: dict, reducers: Sequence[tuple], pk: _Packing, order: MonomialOrder, p: int):
     """Full multivariate division of the term dict h (consumed) for a global
     order: returns (remainder, s) with s*h - remainder in the ideal.
 
     Deterministic: reducers are tried in list order.  A step is
     h := a*h - b*x^q*g, which also multiplies the remainder so far and s by
-    a.  The working support is kept in a lazy max-heap, so the remainder
-    receives its terms in descending order and its first key is its leading
-    monomial.
+    a.  The working support is kept in a lazy heap of negated order keys, so
+    the remainder receives its terms in descending order and its first key
+    is its leading monomial.
     """
-    key = order.key
-    heap = [(_RevKey(key(m)), m) for m in h]
+    key = pk.key(order)
+    guard = pk.guard
+    heap = [(-key(m), m) for m in h]
     heapq.heapify(heap)
     rem: dict = {}
     scale = 1
@@ -258,8 +396,9 @@ def _division(h: dict, reducers: Sequence[tuple], order: MonomialOrder, p: int):
         if m not in h:
             continue  # stale entry
         c = h.pop(m)
+        mg = m | guard
         for g, gm, gc, _ in reducers:
-            if mono_divides(gm, m):
+            if (mg - gm) & guard == guard:  # x^gm divides x^m
                 a, b = _cofactors(c, gc, p)
                 if a != 1:
                     scale *= a
@@ -267,11 +406,11 @@ def _division(h: dict, reducers: Sequence[tuple], order: MonomialOrder, p: int):
                         h[t] *= a
                     for t in rem:
                         rem[t] *= a
-                qm = mono_div(m, gm)
+                qm = m - gm
                 for m2, c2 in g.items():
                     if m2 == gm:
                         continue
-                    mm = mono_mul(qm, m2)
+                    mm = qm + m2
                     if mm in h:
                         v = h[mm] - b * c2
                         if p:
@@ -281,18 +420,20 @@ def _division(h: dict, reducers: Sequence[tuple], order: MonomialOrder, p: int):
                         else:
                             del h[mm]
                     else:
+                        if mm & guard:  # a field reached 2^63; see the module docstring
+                            pk.check((mm,))
                         h[mm] = -b * c2 % p if p else -b * c2
-                        heapq.heappush(heap, (_RevKey(key(mm)), mm))
+                        heapq.heappush(heap, (-key(mm), mm))
                 break
         else:
             rem[m] = c
-    _check_exponents(rem)  # lex reduction can raise exponents past any input's
+    pk.check(rem)  # lex reduction can raise exponents past any input's
     return rem, scale
 
 
-def _mora_nf(h: dict, basis: Sequence[tuple], order: MonomialOrder, p: int):
-    """Mora's weak normal form of the term dict h for a local order: returns
-    (h', s) with s*h - h' in the ideal up to a local unit.
+def _mora_nf(h: dict, basis: Sequence[tuple], pk: _Packing, p: int):
+    """Mora's weak normal form of the term dict h for the local order:
+    returns (h', s) with s*h - h' in the ideal up to a local unit.
 
     Reduces the leading term only, selecting a reducer of minimal ecart and
     allowing previously produced partial remainders as reducers; this is the
@@ -300,17 +441,20 @@ def _mora_nf(h: dict, basis: Sequence[tuple], order: MonomialOrder, p: int):
     h' is not divisible by any basis leading monomial.  A step is
     h := a*h - b*x^q*g and multiplies s by a.
     """
-    key = order.key
-    pool = [(g, gm, gc, deg - sum(gm)) for g, gm, gc, deg in basis]
+    shift, guard = pk.shift, pk.guard
+    pool = [(g, gm, gc, deg - (gm >> shift)) for g, gm, gc, deg in basis]
     scale = 1
     while h:
-        hm = _lead(h, order)
-        candidates = [entry for entry in pool if mono_divides(entry[1], hm)]
+        hm = min(h)  # the local leading monomial
+        hg = hm | guard
+        candidates = [entry for entry in pool if (hg - entry[1]) & guard == guard]
         if not candidates:
             break
-        g, gm, gc, eg = min(candidates, key=lambda entry: (entry[3], key(entry[1])))
+        # least ecart, then the least order key, which is the largest packed lead
+        g, gm, gc, eg = min(candidates, key=lambda entry: (entry[3], -entry[1]))
         hc = h[hm]
-        eh = max(map(sum, h)) - sum(hm)
+        hdeg = hm >> shift
+        eh = (max(h) >> shift) - hdeg
         if eg > eh:
             pool.append((h, hm, hc, eh))
             h = dict(h)  # the pool keeps this partial remainder
@@ -319,13 +463,13 @@ def _mora_nf(h: dict, basis: Sequence[tuple], order: MonomialOrder, p: int):
             scale *= a
             for t in h:
                 h[t] *= a
-        _sub_multiple(h, b, mono_div(hm, gm), g, p)
-        if eg + sum(hm) > MAX_EXPONENT:  # the degree bound of x^q * g
-            _check_exponents(h)
+        _sub_multiple(h, b, hm - gm, g, p)
+        if eg + hdeg > MAX_EXPONENT:  # the degree bound of x^q * g
+            pk.check(h)
     return h, scale
 
 
-def _tail_clean_local(h: dict, basis: Sequence[tuple], order: MonomialOrder) -> dict:
+def _tail_clean_local(h: dict, basis: Sequence[tuple], pk: _Packing) -> dict:
     """Remove tail terms divisible by a *monomial* basis element.
 
     Sound (subtracts ideal members) and terminating (monomial reducers add no
@@ -334,11 +478,12 @@ def _tail_clean_local(h: dict, basis: Sequence[tuple], order: MonomialOrder) -> 
     mono_leads = [gm for g, gm, _, _ in basis if len(g) == 1]
     if not mono_leads or not h:
         return h
-    lead = _lead(h, order)
+    guard = pk.guard
+    lead = min(h)
     return {
         m: c
         for m, c in h.items()
-        if m == lead or not any(mono_divides(g, m) for g in mono_leads)
+        if m == lead or not any(((m | guard) - g) & guard == guard for g in mono_leads)
     }
 
 
@@ -354,35 +499,40 @@ def normal_form(f: Polynomial, basis: StandardBasis) -> Polynomial:
     """
     if f.ring != basis.ring:
         raise RingMismatch("polynomial and basis rings differ")
-    if not basis.elements:
+    if f.is_zero() or not basis.entries:
         return f
     order, p = basis.order, f.ring.domain.char
-    h, den = _integer_terms(f)
+    pk = _packing(f.ring.arity)
+    h, den = _integer_terms(f, pk.pack)
     if order.is_global:
-        h, scale = _division(h, basis.entries, order, p)
+        h, scale = _division(h, basis.entries, pk, order, p)
     else:
-        h, scale = _mora_nf(h, basis.entries, order, p)
-        h = _tail_clean_local(h, basis.entries, order)
-    if not p:
+        h, scale = _mora_nf(h, basis.entries, pk, p)
+        h = _tail_clean_local(h, basis.entries, pk)
+    unpack = pk.unpack
+    if p:
+        h = {unpack(m): c for m, c in h.items()}
+    else:
         scale *= den
-        h = {m: Fraction(c, scale) for m, c in h.items()}
+        h = {unpack(m): Fraction(c, scale) for m, c in h.items()}
     return Polynomial(f.ring, h, _merged=True)
 
 
 # ---------------------------------------------------------------- buchberger
 
-def _s_poly(f: tuple, g: tuple, p: int) -> dict:
+def _s_poly(f: tuple, g: tuple, pk: _Packing, p: int) -> dict:
     """a*x^(l-fm)*f - b*x^(l-gm)*g with l = lcm(fm, gm) and a*fc = b*gc,
     made primitive over Q."""
     fterms, fm, fc, fdeg = f
     gterms, gm, gc, gdeg = g
-    lcm = mono_lcm(fm, gm)
-    qf, qg = mono_div(lcm, fm), mono_div(lcm, gm)
+    lcm = pk.lcm(fm, gm)
+    qf, qg = lcm - fm, lcm - gm
     a, b = _cofactors(fc, gc, p)
-    s = {mono_mul(m, qf): a * c for m, c in fterms.items()}
+    s = {m + qf: a * c for m, c in fterms.items()}
     _sub_multiple(s, b, qg, gterms, p)
-    if max(fdeg + sum(qf), gdeg + sum(qg)) > MAX_EXPONENT:
-        _check_exponents(s)
+    shift = pk.shift
+    if max(fdeg + (qf >> shift), gdeg + (qg >> shift)) > MAX_EXPONENT:
+        pk.check(s)
     if s and not p:
         content = gcd(*s.values())
         if content != 1:
@@ -390,12 +540,13 @@ def _s_poly(f: tuple, g: tuple, p: int) -> dict:
     return s
 
 
-def _pair_key(i: int, j: int, leads, order: MonomialOrder):
-    lcm = mono_lcm(leads[i], leads[j])
-    return (mono_degree(lcm), order.key(lcm), i, j)
+def _pair_key(i: int, j: int, leads, pk: _Packing, key):
+    """(degree, order key, i, j, lcm) of a pair's lcm, for the pair queue."""
+    lcm = pk.lcm(leads[i], leads[j])
+    return (lcm >> pk.shift, key(lcm), i, j, lcm)
 
 
-def _buchberger_loop(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
+def _buchberger_loop(gens: Sequence[Polynomial], pk: _Packing, order: MonomialOrder) -> list:
     """Shared Buchberger driver on entries; the normal form is Mora for local
     orders.
 
@@ -403,26 +554,27 @@ def _buchberger_loop(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
     with the product and chain criteria for pair elimination.
     """
     p = gens[0].ring.domain.char
-    basis = _to_entries(gens, order)
+    key, guard = pk.key(order), pk.guard
+    basis = _to_entries(gens, pk, order)
     leads = [g[1] for g in basis]
     queue = [
-        _pair_key(i, j, leads, order) for j in range(len(basis)) for i in range(j)
+        _pair_key(i, j, leads, pk, key) for j in range(len(basis)) for i in range(j)
     ]
     heapq.heapify(queue)
     done: set = set()
 
     while queue:
-        _, _, i, j = heapq.heappop(queue)
+        _, _, i, j, lcm = heapq.heappop(queue)
         done.add((i, j))
-        lcm = mono_lcm(leads[i], leads[j])
-        if lcm == mono_mul(leads[i], leads[j]):
+        if lcm == leads[i] + leads[j]:
             continue  # product criterion
+        lg = lcm | guard
         chain = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
             if (
-                mono_divides(leads[k], lcm)
+                (lg - leads[k]) & guard == guard
                 and (min(i, k), max(i, k)) in done
                 and (min(j, k), max(j, k)) in done
             ):
@@ -430,29 +582,31 @@ def _buchberger_loop(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
                 break
         if chain:
             continue
-        s = _s_poly(basis[i], basis[j], p)
+        s = _s_poly(basis[i], basis[j], pk, p)
         if order.is_global:
-            r, _ = _division(s, basis, order, p)
+            r, _ = _division(s, basis, pk, order, p)
             lm = next(iter(r), None)
         else:
-            r, _ = _mora_nf(s, basis, order, p)
+            r, _ = _mora_nf(s, basis, pk, p)
             lm = None
         if r:
-            basis.append(_entry(r, order, p, lm))
+            basis.append(_entry(r, pk, order, p, lm))
             leads.append(basis[-1][1])
             new = len(basis) - 1
             for k in range(new):
-                heapq.heappush(queue, _pair_key(k, new, leads, order))
+                heapq.heappush(queue, _pair_key(k, new, leads, pk, key))
     return basis
 
 
-def _minimalize(basis: Sequence[tuple]) -> list:
+def _minimalize(basis: Sequence[tuple], pk: _Packing) -> list:
     """Drop entries whose leading monomial is divisible by another's; a
     divisor has the lower total degree, so it comes first under every order."""
-    entries = sorted(basis, key=lambda g: sum(g[1]))
+    shift, guard = pk.shift, pk.guard
+    entries = sorted(basis, key=lambda g: g[1] >> shift)
     kept: list = []
     for g in entries:
-        if not any(mono_divides(h[1], g[1]) for h in kept):
+        lg = g[1] | guard
+        if not any((lg - h[1]) & guard == guard for h in kept):
             kept.append(g)
     return kept
 
@@ -467,18 +621,20 @@ def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX, verify: bool = Fa
     if not order.is_global:
         raise InputError("groebner_basis requires a global order")
     if not I.generators:
-        return StandardBasis(order, (), I)
+        return StandardBasis(order, (), I, ())
     p = I.ring.domain.char
-    basis = _minimalize(_buchberger_loop(I.generators, order))
+    pk = _packing(I.ring.arity)
+    basis = _minimalize(_buchberger_loop(I.generators, pk, order), pk)
     reduced = []
     for idx, g in enumerate(basis):
         others = basis[:idx] + basis[idx + 1 :]
         if others:
-            rem, _ = _division(dict(g[0]), others, order, p)
-            g = _entry(rem, order, p, g[1])
+            rem, _ = _division(dict(g[0]), others, pk, order, p)
+            g = _entry(rem, pk, order, p, g[1])
         reduced.append(g)
-    reduced.sort(key=lambda g: order.key(g[1]))
-    result = _result(I, order, reduced)
+    key = pk.key(order)
+    reduced.sort(key=lambda g: key(g[1]))
+    result = StandardBasis(order, None, I, tuple(reduced))
     if verify:
         _assert_spolys_vanish(result)
     return result
@@ -493,37 +649,36 @@ def standard_basis(I: Ideal, order: MonomialOrder = LOCAL_DEGREVLEX, verify: boo
     if not order.is_local:
         raise InputError("standard_basis requires a local order")
     if not I.generators:
-        return StandardBasis(order, (), I)
+        return StandardBasis(order, (), I, ())
+    pk = _packing(I.ring.arity)
+    shift, guard = pk.shift, pk.guard
     normalized = []
-    for g in _minimalize(_buchberger_loop(I.generators, order)):
+    for g in _minimalize(_buchberger_loop(I.generators, pk, order), pk):
         gm = g[1]
-        if all(mono_divides(gm, m) for m in g[0]):
+        if all(((m | guard) - gm) & guard == guard for m in g[0]):
             # g = x^gm * (local unit): the localized ideal member is x^gm
-            g = ({gm: 1}, gm, 1, sum(gm))
+            g = ({gm: 1}, gm, 1, gm >> shift)
         normalized.append(g)
-    normalized.sort(key=lambda g: order.key(g[1]))
-    result = _result(I, order, normalized)
+    key = pk.key(order)
+    normalized.sort(key=lambda g: key(g[1]))
+    result = StandardBasis(order, None, I, tuple(normalized))
     if verify:
         _assert_spolys_vanish(result)
     return result
 
 
-def _result(I: Ideal, order: MonomialOrder, entries: list) -> StandardBasis:
-    elements = tuple(_output(I.ring, g) for g in entries)
-    return StandardBasis(order, elements, I, tuple(entries))
-
-
 def _assert_spolys_vanish(basis: StandardBasis) -> None:
     """Check the output polynomials themselves, not the driver's entries."""
     order, p = basis.order, basis.ring.domain.char
-    elems = _to_entries(basis.elements, order)
+    pk = _packing(basis.ring.arity)
+    elems = _to_entries(basis.elements, pk, order)
     for i in range(len(elems)):
         for j in range(i):
-            s = _s_poly(elems[i], elems[j], p)
+            s = _s_poly(elems[i], elems[j], pk, p)
             if order.is_global:
-                rem, _ = _division(s, elems, order, p)
+                rem, _ = _division(s, elems, pk, order, p)
             else:
-                rem, _ = _mora_nf(s, elems, order, p)
+                rem, _ = _mora_nf(s, elems, pk, p)
             if rem:
                 raise AssertionError(
                     f"S-polynomial of elements {j},{i} does not reduce to zero"
@@ -674,68 +829,95 @@ def eliminate(I: Ideal, drop: Iterable[int]) -> Ideal:
 
 # --------------------------------------------------- staircase combinatorics
 
-def monomial_minimal_generators(monos: Iterable[tuple]) -> list:
-    """Inclusion-minimal generators of the monomial ideal they span."""
-    ms = sorted(set(monos), key=mono_degree)
+def _minimal_packed(monos: Iterable[int], guard: int) -> list:
+    """Inclusion-minimal packed generators, by ascending degree."""
     minimal: list = []
-    for m in ms:
-        if not any(mono_divides(g, m) for g in minimal):
+    for m in sorted(set(monos)):  # the degree field is the most significant
+        mg = m | guard
+        for g in minimal:
+            if (mg - g) & guard == guard:
+                break
+        else:
             minimal.append(m)
     return minimal
 
 
-def _k_numerator(gens: Sequence[tuple]) -> list:
-    """Coefficients of the K-polynomial N(t), with HS(R/I) = N(t)/(1-t)^n.
+def monomial_minimal_generators(monos: Iterable[tuple]) -> list:
+    """Inclusion-minimal generators of the monomial ideal they span, by
+    ascending degree."""
+    monos = list(monos)
+    if not monos:
+        return []
+    pk = _packing(len(monos[0]))
+    return [pk.unpack(m) for m in _minimal_packed(map(pk.pack, monos), pk.guard)]
+
+
+def _lowest_term(gens: list, pk: _Packing):
+    """(k, c) with N(t) = c*(1-t)^k + (higher powers of 1-t) for the
+    K-polynomial N of the monomial ideal I of packed generators, where
+    HS(R/I) = N(t)/(1-t)^n; None for the unit ideal, whose N is 0.  R/I has
+    dimension n - k and degree (multiplicity) c > 0.
 
     Bigatti's pivot recursion ("Computation of Hilbert-Poincare series",
-    JPAA 119, 1997): for a monomial p, N(I) = N(I + (p)) + t^deg(p) N(I : p).
-    The pivot is a power of a variable shared by the most generators, at the
-    lower median of its exponents; both branches strictly enlarge I, so the
-    recursion ends, at pairwise-coprime generators with N = prod (1 - t^deg).
+    JPAA 119, 1997): for a monomial p of degree e,
+    N(I) = N(I + (p)) + t^e N(I : p).  The pivot is a power of a variable
+    shared by the most generators, at the lower median of its exponents;
+    both branches strictly enlarge I, so the recursion ends, at m
+    pairwise-coprime generators, a regular sequence with
+    N = prod (1 - t^deg) = prod(deg) * (1-t)^m + ....  Only lowest terms
+    are carried: t^e is 1 plus multiples of 1-t, so it keeps the lowest
+    term of N(I : p), and the two lowest terms cannot cancel, since both c
+    are positive; the sum's lowest term is the one of lower k, or their sum
+    at equal k.  So no step's work grows with the degrees.  ``gens`` are
+    minimal generators, so a unit ideal has only 1.
     """
-    gens = monomial_minimal_generators(gens)
-    if any(mono_degree(g) == 0 for g in gens):
-        return [0]  # unit ideal
-    counts = Counter(i for g in gens for i, e in enumerate(g) if e)
-    shared = [i for i, c in counts.items() if c > 1]
-    if not shared:
-        num = [1]
-        for g in gens:
-            shifted = [0] * mono_degree(g) + num
-            num = [a - b for a, b in itertools.zip_longest(num, shifted, fillvalue=0)]
-        return num
-    x = max(shared, key=lambda i: (counts[i], -i))
-    exps = sorted(g[x] for g in gens if g[x])
+    shift, guard = pk.shift, pk.guard
+    if gens and gens[0] >> shift == 0:
+        return None
+    if len(gens) > 1:
+        # SWAR count: adding 2^63 - 1 to a field sets its bit 63 iff it is nonzero
+        low, fields = guard - pk.ones, pk.fields
+        packed = sum((((g & fields) + low) & guard) >> (_W - 1) for g in gens)
+        counts = [(packed >> s) & _FIELD for s in range(0, shift, _W)]
+        most = max(counts)
+    if len(gens) < 2 or most < 2:  # pairwise coprime
+        return len(gens), math.prod(g >> shift for g in gens)
+    s = _W * counts.index(most)  # the first variable of the most generators
+    exps = sorted(e for e in ((g >> s) & _FIELD for g in gens) if e)
     e = exps[(len(exps) - 1) // 2]
-    pivot = tuple(e if i == x else 0 for i in range(len(gens[0])))
-    plus = _k_numerator(gens + [pivot])
-    colon = [0] * e + _k_numerator(
-        [tuple(max(a - e, 0) if i == x else a for i, a in enumerate(g)) for g in gens]
-    )
-    return [a + b for a, b in itertools.zip_longest(plus, colon, fillvalue=0)]
+    # no generator divides the pivot: only a power x^a could, and a minimal
+    # x^a alone has the largest exponent of x, above the median
+    pivot = (e << s) | (e << shift)
+    plus = [pivot] + [g for g in gens if ((g | guard) - pivot) & guard != guard]
+    colon = []
+    for g in gens:
+        d = min((g >> s) & _FIELD, e)
+        colon.append(g - (d << s) - (d << shift))
+    (k, c), (kc, cc) = _lowest_term(plus, pk), _lowest_term(_minimal_packed(colon, guard), pk)
+    if k != kc:
+        return min((k, c), (kc, cc))
+    return k, c + cc
 
 
-def _strip_one_minus_t(num: list):
-    """(Q, k) with N(t) = (1-t)^k Q(t) and Q(1) != 0, for a nonzero N."""
-    k = 0
-    while sum(num) == 0:
-        num = list(itertools.accumulate(num[:-1]))  # q_j = n_0 + ... + n_j
-        k += 1
-    return num, k
+def _lowest_term_of(lead_monos: Sequence[tuple], arity: int):
+    pk = _packing(arity)
+    return _lowest_term(_minimal_packed(map(pk.pack, lead_monos), pk.guard), pk)
 
 
 def staircase_count(lead_monos: Sequence[tuple], arity: int):
     """Number of monomials outside the monomial ideal, or INFINITE.
 
-    Read off the exact K-polynomial N(t): the count is finite iff (1-t)^arity
-    divides N, and then it is Q(1) for Q = N/(1-t)^arity, the Hilbert series
-    of the quotient as a polynomial.  INFINITE is always a verified infinity.
+    Read off the exact K-polynomial N: the count is finite iff (1-t)^arity
+    divides N, and then it is the value at t = 1 of N/(1-t)^arity, the
+    Hilbert series of the quotient as a polynomial, which is the
+    coefficient c of the lowest term c*(1-t)^arity of N.  INFINITE is
+    always a verified infinity.
     """
-    num = _k_numerator(lead_monos)
-    if not any(num):
+    lowest = _lowest_term_of(lead_monos, arity)
+    if lowest is None:
         return 0  # unit ideal
-    q, k = _strip_one_minus_t(num)
-    return sum(q) if k == arity else INFINITE
+    k, c = lowest
+    return c if k == arity else INFINITE
 
 
 def monomial_ideal_dimension(lead_monos: Sequence[tuple], arity: int) -> int:
@@ -744,10 +926,8 @@ def monomial_ideal_dimension(lead_monos: Sequence[tuple], arity: int) -> int:
     It is the pole order of the Hilbert series at t = 1: arity minus the
     number of (1-t) factors of the K-polynomial.
     """
-    num = _k_numerator(lead_monos)
-    if not any(num):
-        return -1
-    return arity - _strip_one_minus_t(num)[1]
+    lowest = _lowest_term_of(lead_monos, arity)
+    return -1 if lowest is None else arity - lowest[0]
 
 
 # -------------------------------------------------------------- measurements
@@ -777,16 +957,15 @@ def hs_multiplicity(I: Ideal) -> int:
     graded ring is N(t)/(1-t)^n with N the exact K-polynomial of the local
     leading-term ideal, and the multiplicity is Q(1) for Q the quotient of N
     by every (1-t) factor (equivalently the normalized leading Hilbert
-    coefficient).
+    coefficient): the c of N's lowest term c*(1-t)^k.
     """
     if not I.generators:
         raise InputError("multiplicity of the zero ideal is not defined")
     for g in I.generators:
         if g.constant_term() != 0:
             raise OriginNotOnVariety(f"generator {g} does not vanish at the origin")
-    basis = standard_basis(I, LOCAL_DEGREVLEX)
-    q, _ = _strip_one_minus_t(_k_numerator(basis.leading_monomials()))
-    e = sum(q)
+    leads = standard_basis(I, LOCAL_DEGREVLEX).leading_monomials()
+    _, e = _lowest_term_of(leads, I.ring.arity)  # a proper ideal: it lies in (x_1..x_n)
     if e <= 0:
         raise AssertionError("Hilbert-Samuel multiplicity must be positive")
     return e

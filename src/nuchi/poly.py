@@ -61,10 +61,6 @@ Scalar = Union[Fraction, int]
 
 # ----------------------------------------------------------------- monomials
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(operator.add, a, b))
 

@@ -515,6 +515,44 @@ def test_milnor_past_degree_64(tmp_path, capsys):
     assert json.loads(out)["payload"]["mu"] == 69
 
 
+def test_batch_mode_counts_exponents_up_to_the_limit(tmp_path, capsys):
+    # the Hilbert counter keeps no list as long as a degree
+    top = 2**31 - 1
+    jobs = [
+        {"command": "milnor", "ring": RING, "f": f"x^{top}+y^2", "point": "0,0"},
+        {"command": "behrend", "ring": RING, "critical_locus": f"x^{top}+y^2", "point": "0,0"},
+        {"command": "normal-cone", "ring": RING, "ideal": [f"x^{top}", "y^2"]},
+        {"command": "cycle", "ring": RING, "class": "monomial", "ideal": [f"x^{top}", "y^2"]},
+        {"command": "milnor", "ring": RING, "f": "x^10000000+y^2", "point": "0,0"},
+        {"command": "milnor", "ring": RING, "f": "x^2+y^3", "point": "0,0"},
+    ]
+    jobs_file = tmp_path / "jobs.json"
+    jobs_file.write_text(json.dumps(jobs))
+    code, out, _ = run_cli(["--jobs", str(jobs_file), "--no-cache"], capsys)
+    payloads = [envelope["payload"] for envelope in json.loads(out)]
+    assert code == 0
+    assert payloads[0] == {"mu": top - 1}
+    assert payloads[1] == {"mu": top - 1, "nu": top - 1, "route": "milnor"}
+    assert payloads[2]["components"] == [{"multiplicity": 2 * top, "zero_variables": ["x", "y"]}]
+    assert [c["coefficient"] for c in payloads[3]["cycle"]] == [2 * top]
+    assert payloads[4] == {"mu": 9999999}
+    assert payloads[5] == {"mu": 2}
+
+
+def test_hilb_demo_negative_size_is_an_input_error(tmp_path, capsys):
+    code, _, err = run_cli(["hilb-demo", "--n-max", "-1", "--no-cache"], capsys)
+    assert code == 1
+    assert "n_max must be at least 0" in err
+    jobs = [{"command": "hilb-demo", "n_max": -1}, {"command": "hilb-demo", "n_max": 2}]
+    jobs_file = tmp_path / "jobs.json"
+    jobs_file.write_text(json.dumps(jobs))
+    code, out, _ = run_cli(["--jobs", str(jobs_file), "--no-cache"], capsys)
+    envelopes = json.loads(out)
+    assert code == 1
+    assert "n_max must be at least 0" in envelopes[0]["error"]["message"]
+    assert [row["count"] for row in envelopes[1]["payload"]["table"]] == [1, 1, 3]
+
+
 def test_pretty_output_is_valid_json(tmp_path, capsys):
     code, out, err = run_cli(
         ["hilb-demo", "--n-max", "3", "--pretty", "--cache-dir", str(tmp_path)],

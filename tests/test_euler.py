@@ -217,6 +217,11 @@ def test_hilbert_demo_bound():
         hilbert_demo(13)
 
 
+def test_hilbert_demo_negative_size():
+    with pytest.raises(InputError, match="n_max must be at least 0"):
+        hilbert_demo(-1)
+
+
 def test_macmahon_independent_of_enumeration():
     # sanity: the expansion is computed from the product, not the counts
     assert macmahon_coefficients(6) == [1, 1, 3, 6, 13, 24, 48]

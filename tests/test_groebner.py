@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from nuchi.cycles import _eliminant
 
-from nuchi.errors import OriginNotOnVariety, RingMismatch
+from nuchi.errors import ExponentOverflow, OriginNotOnVariety, RingMismatch
 from nuchi.groebner import (
     DEGREVLEX,
     INFINITE,
@@ -20,9 +20,21 @@ from nuchi.groebner import (
     krull_dimension,
     monomial_ideal_dimension,
     normal_form,
+    staircase_count,
     standard_basis,
+    _packing,
 )
-from nuchi.poly import GF, LEX, QQ, Ring, elimination_order
+from nuchi.poly import (
+    GF,
+    LEX,
+    MAX_EXPONENT,
+    QQ,
+    Ring,
+    elimination_order,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
 
 from .oracles import (
     lazard_colength_local,
@@ -57,6 +69,13 @@ def test_groebner_containment():
 
 def test_groebner_zero_ideal():
     assert basis_strings(groebner_basis(Ideal(R2, []))) == []
+
+
+def test_groebner_in_no_variables():
+    ring = Ring(())
+    basis = groebner_basis(Ideal(ring, [ring.constant(2), ring.constant(3)]))
+    assert basis_strings(basis) == ["1"] and basis.leading_monomials() == ((),)
+    assert colength(Ideal(ring, [])) == 1
 
 
 def test_groebner_verify_buchberger_criterion():
@@ -221,6 +240,18 @@ def test_colength_past_degree_64():
     assert colength(ideal("x^70", "y")) == 70
 
 
+def test_counts_at_exponents_up_to_the_limit():
+    top = 2**31 - 1
+    assert colength(ideal(f"x^{top}", "y^2")) == 2 * top
+    assert colength(ideal(f"x^{top}", "x*y", f"y^{top}")) == 2 * top - 1
+    assert staircase_count([(top, 0), (1, 1)], 2) == INFINITE
+    assert staircase_count([(top, 0, 0), (0, top, 0), (0, 0, top)], 3) == top**3
+    assert monomial_ideal_dimension([(top, 0, 0), (1, top, 0)], 3) == 2
+    assert monomial_ideal_dimension([(top, 0, 0), (0, top, 0)], 3) == 1
+    assert hs_multiplicity(ideal(f"x^{top}", f"y^{top}")) == top**2
+    assert hs_multiplicity(ideal(f"x^{top}*y")) == top + 1
+
+
 @pytest.mark.parametrize(
     "gens",
     [("x", "y"), ("x^2", "y^2"), ("x^3", "x*y", "y^2"), ("x^4", "y"), ("x^2", "x*y^3", "y^4")],
@@ -347,6 +378,76 @@ def test_colength_unit_ideal_is_zero():
     assert colength(ideal("x", "x - 1")) == 0
 
 
+# --------------------------------------------------------- exponent overflow
+#
+# Verdicts recorded before monomials were packed into ints: ExponentOverflow
+# is raised exactly where a result would hold an exponent past MAX_EXPONENT,
+# and only there.
+
+M = MAX_EXPONENT
+
+
+def test_lex_basis_past_max_exponent_overflows():
+    with pytest.raises(ExponentOverflow):
+        groebner_basis(ideal(f"x - y^{M}", "x^2"), LEX)
+
+
+def test_local_basis_past_max_exponent_overflows():
+    with pytest.raises(ExponentOverflow):
+        standard_basis(ideal(f"x*y + x^{M}", f"x*y + y^{M}"))
+
+
+def test_normal_form_past_max_exponent_overflows():
+    basis = groebner_basis(ideal(f"x - y^{M}"), LEX)
+    with pytest.raises(ExponentOverflow):
+        normal_form(R2.parse("x^3"), basis)
+
+
+def test_basis_at_max_exponent_is_no_overflow():
+    basis = groebner_basis(ideal(f"x^{M} + y", f"y^{M} + x"))
+    assert basis_strings(basis) == [f"y^{M} + x", f"x^{M} + y"]
+
+
+def test_division_may_pass_max_exponent_on_the_way():
+    # z*x^5*y -> x^(M+5)*y -> x^5: only the remainder is checked
+    ring = Ring(("z", "x", "y"))
+    basis = groebner_basis(ideal(f"z - x^{M}", f"x^{M}*y - 1", ring=ring), LEX)
+    assert str(normal_form(ring.parse("z*x^5*y"), basis)) == "x^5"
+
+
+def test_overflow_mask_covers_every_bit_past_the_limit():
+    pk = _packing(2)
+    for field in (M + 1, 2**32, 2**62, 2**63):
+        for shift in (0, 64):
+            with pytest.raises(ExponentOverflow):
+                pk.check([field << shift])
+    pk.check([pk.pack((M, M))])
+
+
+# ---------------------------------------------------------- packed monomials
+
+exponent = st.one_of(st.integers(0, 5), st.integers(0, M))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.tuples(*[exponent] * n), st.tuples(*[exponent] * n), st.sets(st.integers(0, n - 1)))))
+def test_packed_monomials_match_tuples(case):
+    a, b, block = case
+    pk = _packing(len(a))
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(pa) == a and pa >> pk.shift == sum(a)
+    assert pk.unpack(pa + pb) == mono_mul(a, b)
+    assert pk.unpack(pk.lcm(pa, pb)) == mono_lcm(a, b)
+    assert pk.lcm(pa, pb) == pk.pack(mono_lcm(a, b))
+    guard = pk.guard
+    assert (((pb | guard) - pa) & guard == guard) == mono_divides(a, b)
+    for order in (LEX, DEGREVLEX, LOCAL_DEGREVLEX, elimination_order(block)):
+        key = pk.key(order)
+        assert (key(pa) < key(pb)) == (order.key(a) < order.key(b))
+        assert (key(pa) == key(pb)) == (a == b)
+
+
 # ------------------------------------------------- outputs pinned to strings
 #
 # Recorded from the Fraction-based engine that preceded the integer one; the
@@ -467,6 +568,13 @@ PINNED_BASES = [
         "x,y", 7, "local",
         ["x^2 + 3*y^3", "x*y + 2*x^3"],
         ["2*x^2*y^3 + y^4", "2*x^3 + x*y", "3*y^3 + x^2"],
+    ),
+    (
+        # recorded before monomials were packed: Mora meets reducers of
+        # equal ecart here, and takes the one of least order key
+        "x,y", 0, "local",
+        ["4*x*y^3 + y^3", "x^3 + y^2"],
+        ["x^6 - 16*x^2*y^4", "x^3*y - 4*x*y^3", "x^3 + y^2"],
     ),
 ]
 

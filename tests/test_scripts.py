@@ -1,5 +1,8 @@
-"""Smoke tests: the example scripts run and report success."""
+"""Tests of the scripts: the examples run and report success, and the
+benchmark helpers give repeatable digests and summaries."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -64,3 +67,68 @@ def test_payload_digest_is_pinned(workload, jobs, expected):
     done = run_script("payload_digest.py", "--workload", workload, "--seed", "1", "--jobs", jobs)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == expected
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(solved, p50, correct=True):
+    return json.dumps({"correct": correct, "attempted": 10, "failed": 0, "metrics": {
+        "solved_per_s": {"value": solved, "unit": "1/s"},
+        "latency_p50_s": {"value": p50, "unit": "s"},
+        "trace.overhead": {"value": 1.0, "unit": "ratio"},
+    }})
+
+
+def test_paired_bench_summarizes_canned_results():
+    bench = load_script("paired_bench.py")
+    assert bench.parse_result("workload milnor-normal ...\n" + result_line(5.0, 0.1) + "\n\n")[
+        "metrics"]["solved_per_s"]["value"] == 5.0
+    better = bench.directions({
+        "end_to_end": [{"name": "solved_per_s", "better": "higher"},
+                       {"name": "latency_p50_s", "better": "lower"}],
+    })
+    pairs = [
+        {"parent": json.loads(result_line(p, 0.2)), "change": json.loads(result_line(c, lat))}
+        for p, c, lat in [(100, 150, 0.1), (110, 140, 0.1), (120, 115, 0.3), (90, 160, 0.1)]
+    ]
+    summary = bench.summarize(pairs, better)
+    solved = summary["solved_per_s"]
+    assert solved["wins"] == 3 and solved["pairs"] == 4
+    assert solved["parent"]["median"] == 105 and solved["change"]["median"] == 145
+    assert solved["parent"]["q1"] == 97.5 and solved["parent"]["q3"] == 112.5
+    assert solved["ratio_of_medians"] == 145 / 105
+    assert summary["latency_p50_s"]["wins"] == 3  # lower is better
+    assert summary["trace.overhead"]["wins"] is None  # no declared direction
+
+
+def test_paired_bench_alternates_the_first_run(tmp_path):
+    # each fake checkout's run.py appends its name to a shared log
+    log = tmp_path / "order.log"
+    for name, solved in (("before", 100.0), ("after", 130.0)):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "solved_per_s", "better": "higher"}]}))
+        (tmp_path / name / "perfbench" / "run.py").write_text(
+            "import sys\n"
+            f"open({str(log)!r}, 'a').write({name!r} + ' ' + sys.argv[sys.argv.index('--seed') + 1] + '\\n')\n"
+            f"print({result_line(solved, 0.1)!r})\n"
+        )
+    out = tmp_path / "bench.json"
+    done = run_script(
+        "paired_bench.py", "--parent", str(tmp_path / "before"), "--change", str(tmp_path / "after"),
+        "--workload", "milnor-normal", "--pairs", "3", "--seconds", "1", "--seed", "7",
+        "--out", str(out),
+    )
+    assert done.returncode == 0, done.stderr
+    assert log.read_text().split("\n")[:-1] == [
+        "before 7", "after 7", "after 8", "before 8", "before 9", "after 9"
+    ]
+    report = json.loads(out.read_text())["workloads"]["milnor-normal"]
+    assert report["all_correct"] is True
+    assert report["summary"]["solved_per_s"]["wins"] == 3
+    assert [run["seed"] for run in report["runs"]] == [7, 8, 9]

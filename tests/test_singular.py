@@ -96,6 +96,26 @@ def test_milnor_differentiates_once(monkeypatch):
     assert calls == [0, 1] * 4
 
 
+def test_milnor_builds_no_basis_polynomials(monkeypatch):
+    # mu is read off the leads of the basis's integer entries, so the only
+    # polynomials built are the partials; the basis elements are built on
+    # first access
+    built = []
+    init = Polynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    f = R3.parse("x^3 + y^4 + z^5 + x*y*z")
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    assert milnor_number(f, (0, 0, 0)) == 11  # T_345: p + q + r - 1
+    assert len(built) == 3
+    basis = groebner.standard_basis(jacobian_ideal(f))
+    del built[:]
+    assert len(basis.elements) == len(basis.leading_monomials()) and len(built) == len(basis.elements)
+
+
 def test_milnor_non_isolated():
     assert isinstance(milnor_number(R2.parse("x^2"), ORIGIN2), Infinite)
 
