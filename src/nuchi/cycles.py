@@ -221,8 +221,9 @@ def _support(g: Polynomial) -> set:
     return {i for m, _ in g.terms() for i, e in enumerate(m) if e}
 
 
-def _eliminant(basis: StandardBasis, var: int) -> list:
-    """Coefficients, lowest first, of the monic generator of I meet Q[x_var].
+def _eliminant(basis: StandardBasis, var: int) -> dict:
+    """The monic generator of I meet Q[x_var], as {exponent: coefficient}
+    over its nonzero terms.
 
     A reduced degrevlex basis holds at most one element whose leading
     monomial is a power of x_var; when that element is univariate it lies in
@@ -236,10 +237,7 @@ def _eliminant(basis: StandardBasis, var: int) -> list:
     """
     for g in basis.elements:
         if _support(g) <= {var}:
-            coeffs = [0] * (g.total_degree() + 1)
-            for m, c in g.terms():
-                coeffs[m[var]] = c
-            return coeffs
+            return {m[var]: c for m, c in g.terms()}
     step = tuple(int(i == var) for i in range(basis.ring.arity))
     rows = []
     nf = normal_form(basis.ring.one(), basis)
@@ -255,7 +253,7 @@ def _eliminant(basis: StandardBasis, var: int) -> list:
                         del vec[key]
         pivot = next((key for key in vec if isinstance(key, tuple)), None)
         if pivot is None:
-            return [vec.get(j, 0) for j in range(k + 1)]
+            return {j: vec[j] for j in range(k + 1) if j in vec}
         rows.append((pivot, {key: a / vec[pivot] for key, a in vec.items()}))
         nf = normal_form(nf.mul_term(step, 1), basis)
 
@@ -300,18 +298,23 @@ def _multiplicity(p: list, a: int, b: int) -> int:
         p, k = q, k + 1
 
 
-def _rational_roots(coeffs: list):
-    """The distinct rational roots of a nonzero polynomial (coefficients
-    lowest first) with their multiplicities, as sorted (root, multiplicity)
-    pairs, and whether they split it over Q.
+def _rational_roots(coeffs: dict):
+    """The distinct rational roots of a nonzero polynomial, given as
+    {exponent: nonzero coefficient}, with their multiplicities, as sorted
+    (root, multiplicity) pairs, and whether they split it over Q.
 
-    The rational root theorem lists the candidates a/b from the squarefree
-    part p / gcd(p, p'), so that their number does not grow with the
+    The power x^zeros of least exponent is split off before the rest is
+    listed densely, so x^zeros alone costs nothing whatever its degree.  The
+    rational root theorem lists the candidates a/b from the squarefree part
+    p / gcd(p, p'), so that their number does not grow with the
     multiplicities; p splits when that part has as many roots as its degree.
     """
-    zeros = next(k for k, c in enumerate(coeffs) if c)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    p = _primitive([c.numerator * (den // c.denominator) for c in coeffs[zeros:]])
+    zeros = min(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    p = [0] * (max(coeffs) - zeros + 1)  # coefficients lowest first
+    for k, c in coeffs.items():
+        p[k - zeros] = c.numerator * (den // c.denominator)
+    p = _primitive(p)
     g, h = list(p), _primitive([k * c for k, c in enumerate(p)][1:])
     while h:
         g, h = h, _pseudo_remainder(g, h)

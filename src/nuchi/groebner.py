@@ -28,6 +28,14 @@ divides out the scalar its remainder was multiplied by, which gives exactly
 the monic algorithm's remainder.  The membership certificates
 (``_tracked_buchberger``) stay on Polynomial arithmetic.
 
+Entries.  ``_buchberger_loop`` takes a list of entries (see ``_entry``), not
+polynomials: :func:`groebner_basis` and :func:`standard_basis` convert their
+generators with ``_to_entries``, and ``_local_basis``, the one local-basis
+core behind :func:`standard_basis`, is also entered directly by the Milnor
+route (``singular._milnor``), with partials it built in the packing
+(``_partial``); it reads mu and the local dimension off ``_lowest_term`` of
+the packed leads, so no Polynomial is built on that route.
+
 Monomials.  In ``_buchberger_loop``, the normal forms and the Hilbert
 counter a monomial x^e in n variables is one int (``_Packing``; Monagan and
 Pearce, "Sparse polynomial division using a heap", JSC 2011): e_i sits in a
@@ -306,6 +314,21 @@ def _integer_terms(f: Polynomial, pack):
     return {pack(m): c.numerator * (den // c.denominator) for m, c in f.terms()}, den
 
 
+def _partial(terms: dict, i: int, pk: _Packing, p: int) -> dict:
+    """The partial derivative in variable i of a packed term dict: c*x^m
+    goes to c*m_i * x^(m - unit_i), and terms that vanish are dropped."""
+    s = _W * i
+    unit = (1 << s) | (1 << pk.shift)
+    out = {}
+    for m, c in terms.items():
+        e = (m >> s) & _FIELD
+        if e:
+            c = c * e % p if p else c * e
+            if c:
+                out[m - unit] = c
+    return out
+
+
 def _entry(terms: dict, pk: _Packing, order: MonomialOrder, p: int, lm=None) -> tuple:
     """The entry of a nonzero term dict, which is scaled in place."""
     if lm is None:
@@ -546,16 +569,14 @@ def _pair_key(i: int, j: int, leads, pk: _Packing, key):
     return (lcm >> pk.shift, key(lcm), i, j, lcm)
 
 
-def _buchberger_loop(gens: Sequence[Polynomial], pk: _Packing, order: MonomialOrder) -> list:
-    """Shared Buchberger driver on entries; the normal form is Mora for local
-    orders.
+def _buchberger_loop(basis: list, pk: _Packing, order: MonomialOrder, p: int) -> list:
+    """Shared Buchberger driver on a nonempty list of entries, which it
+    extends and returns; the normal form is Mora for local orders.
 
     Pair selection follows the normal strategy (minimal lcm degree first)
     with the product and chain criteria for pair elimination.
     """
-    p = gens[0].ring.domain.char
     key, guard = pk.key(order), pk.guard
-    basis = _to_entries(gens, pk, order)
     leads = [g[1] for g in basis]
     queue = [
         _pair_key(i, j, leads, pk, key) for j in range(len(basis)) for i in range(j)
@@ -624,7 +645,7 @@ def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX, verify: bool = Fa
         return StandardBasis(order, (), I, ())
     p = I.ring.domain.char
     pk = _packing(I.ring.arity)
-    basis = _minimalize(_buchberger_loop(I.generators, pk, order), pk)
+    basis = _minimalize(_buchberger_loop(_to_entries(I.generators, pk, order), pk, order, p), pk)
     reduced = []
     for idx, g in enumerate(basis):
         others = basis[:idx] + basis[idx + 1 :]
@@ -651,20 +672,32 @@ def standard_basis(I: Ideal, order: MonomialOrder = LOCAL_DEGREVLEX, verify: boo
     if not I.generators:
         return StandardBasis(order, (), I, ())
     pk = _packing(I.ring.arity)
+    entries = _local_basis(_to_entries(I.generators, pk, order), pk, I.ring.domain.char)
+    result = StandardBasis(order, None, I, entries)
+    if verify:
+        _assert_spolys_vanish(result)
+    return result
+
+
+def _local_basis(entries: list, pk: _Packing, p: int) -> tuple:
+    """The entries of the minimal local standard basis of a nonempty list of
+    entries, sorted by ascending local order.
+
+    Its leading monomials are the minimal generators of the local
+    leading-term ideal.  This is the one local-basis core: behind
+    :func:`standard_basis`, and behind the Milnor route, which enters with
+    its packed partials.
+    """
     shift, guard = pk.shift, pk.guard
     normalized = []
-    for g in _minimalize(_buchberger_loop(I.generators, pk, order), pk):
+    for g in _minimalize(_buchberger_loop(entries, pk, LOCAL_DEGREVLEX, p), pk):
         gm = g[1]
         if all(((m | guard) - gm) & guard == guard for m in g[0]):
             # g = x^gm * (local unit): the localized ideal member is x^gm
             g = ({gm: 1}, gm, 1, gm >> shift)
         normalized.append(g)
-    key = pk.key(order)
-    normalized.sort(key=lambda g: key(g[1]))
-    result = StandardBasis(order, None, I, tuple(normalized))
-    if verify:
-        _assert_spolys_vanish(result)
-    return result
+    normalized.sort(key=lambda g: -g[1])  # the local order key is the negated int
+    return tuple(normalized)
 
 
 def _assert_spolys_vanish(basis: StandardBasis) -> None:

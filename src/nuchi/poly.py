@@ -322,22 +322,29 @@ class Polynomial:
     ``Polynomial(ring, terms)`` validates its input: exponents are checked
     and coefficients coerced into the domain.  Arithmetic, and the ring's
     constants and variables, build their results with ``_merged=True`` from
-    a dict they have merged themselves, which skips that validation;
-    operations that can raise exponents check for overflow themselves.
+    a dict they have merged themselves, which skips that validation, and
+    :meth:`derivative` with ``_sorted=True`` from a list already in storage
+    order, which also skips the sort; operations that can raise exponents
+    check for overflow themselves.
     ``_hash`` and ``_lead`` (the leading term for the last order asked) are
     lazy caches of values that depend only on the terms.
     """
 
     __slots__ = ("ring", "_terms", "_hash", "_lead")
 
-    def __init__(self, ring: Ring, terms, *, _merged: bool = False):
-        if _merged:
-            # arithmetic results: a dict of distinct monomials to domain
-            # scalars, already validated; only zeros and order are left
-            cleaned = [(m, c) for m, c in terms.items() if c != 0]
+    def __init__(self, ring: Ring, terms, *, _merged: bool = False, _sorted: bool = False):
+        if _sorted:
+            # a list of nonzero terms with distinct monomials, validated and
+            # already in storage order
+            cleaned = terms
         else:
-            cleaned = _validated_terms(ring, terms)
-        cleaned.sort(key=_degrevlex_descending)
+            if _merged:
+                # arithmetic results: a dict of distinct monomials to domain
+                # scalars, already validated; only zeros and order are left
+                cleaned = [(m, c) for m, c in terms.items() if c != 0]
+            else:
+                cleaned = _validated_terms(ring, terms)
+            cleaned.sort(key=_degrevlex_descending)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", tuple(cleaned))
         object.__setattr__(self, "_hash", None)
@@ -505,19 +512,22 @@ class Polynomial:
     # -------------------------------------------------------------- calculus
 
     def derivative(self, i: int) -> "Polynomial":
-        """Formal partial derivative with respect to variable i."""
+        """Formal partial derivative with respect to variable i.
+
+        Dividing by x_i keeps the order of the terms it applies to, so the
+        result is built in storage order, without a sort.
+        """
         if not 0 <= i < self.ring.arity:
             raise IndexError(f"variable index {i} out of range for {self.ring!r}")
-        dom = self.ring.domain
-        out = {}
+        p = self.ring.domain.char
+        out = []
         for m, c in self._terms:
             e = m[i]
-            if e == 0:
-                continue
-            mono = list(m)
-            mono[i] = e - 1
-            out[tuple(mono)] = dom.mul(c, dom.coerce(e))
-        return Polynomial(self.ring, out, _merged=True)
+            if e:
+                c = c * e % p if p else c * e
+                if c:  # e may be a multiple of p
+                    out.append((m[:i] + (e - 1,) + m[i + 1 :], c))
+        return Polynomial(self.ring, out, _sorted=True)
 
     # ----------------------------------------------------------- evaluation
 

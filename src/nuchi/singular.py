@@ -32,11 +32,15 @@ from .groebner import (
     Ideal,
     Infinite,
     LOCAL_DEGREVLEX,
-    basis_for,
+    _entry,
+    _integer_terms,
+    _local_basis,
+    _lowest_term,
+    _packing,
+    _partial,
     groebner_basis,
     monomial_ideal_dimension,
     normal_form,
-    staircase_count,
     standard_basis,
 )
 from .poly import Polynomial, Ring
@@ -190,17 +194,28 @@ def milnor_number(f: Polynomial, point: Sequence):
 
 
 def _milnor(f: Polynomial, point: Point):
-    """(mu, leads): milnor_number and the leading monomials of the local
-    standard basis of the shifted Jacobian ideal it is read from."""
-    # zero partials, which vanish everywhere, are dropped; the constant term
-    # of g(x + P) is g(P), so df(P) = 0 is read off the shifted partials
-    jac = shift_ideal(jacobian_ideal(f), point)
-    if any(g.constant_term() != 0 for g in jac.generators):
-        return NOT_CRITICAL, ()
-    if not jac.generators:
-        return INFINITE, ()  # constant f: every point critical, never isolated
-    leads = basis_for(jac, LOCAL_DEGREVLEX).leading_monomials()
-    return staircase_count(leads, f.ring.arity), leads
+    """(mu, dim): milnor_number and the local dimension of Crit(f) at the
+    point, both read off the lowest term of the K-polynomial of the local
+    leading-term ideal of the shifted Jacobian ideal (dim is None when df
+    does not vanish there).
+
+    Runs on packed integer terms: f is shifted and packed once, since
+    d_i(f(x + P)) = (d_i f)(x + P), and its partials are taken in the
+    packing.  Zero partials, which vanish everywhere, are dropped, and
+    df(P) = 0 is read off the constant terms, the packed key 0.
+    """
+    n, p = f.ring.arity, f.ring.domain.char
+    pk = _packing(n)
+    terms, _ = _integer_terms(f.shift(point), pk.pack)
+    partials = [d for d in [_partial(terms, i, pk, p) for i in range(n)] if d]
+    if any(0 in d for d in partials):
+        return NOT_CRITICAL, None
+    if not partials:
+        return INFINITE, n  # constant f: every point critical, never isolated
+    basis = _local_basis([_entry(d, pk, LOCAL_DEGREVLEX, p) for d in partials], pk, p)
+    # the leads are minimal generators of a proper ideal, so there is a lowest term
+    k, c = _lowest_term([g[1] for g in basis], pk)
+    return (c if k == n else INFINITE), n - k
 
 
 def _fibre_euler(mu: int, n: int) -> int:
@@ -245,14 +260,13 @@ def behrend_report(presentation: Union[Polynomial, Ideal], point: Sequence) -> N
     if isinstance(presentation, Polynomial):
         f = presentation
         point = as_point(point, f.ring)
-        mu, leads = _milnor(f, point)  # one basis gives mu and the local dimension
+        mu, dim = _milnor(f, point)  # one basis gives mu and the local dimension
         if mu is NOT_CRITICAL:
             raise PointNotOnVariety(f"{tuple(point)} is not on the critical locus of {f}")
         n = f.ring.arity
         if not isinstance(mu, Infinite):
             nu = (-1) ** n * (1 - _fibre_euler(mu, n))
             return NuReport(nu=nu, route="milnor", mu=mu)
-        dim = monomial_ideal_dimension(leads, n)
         check = _jacobian_criterion(jacobian_ideal(f), point, dim)
         if check.smooth:
             return NuReport(nu=(-1) ** check.local_dim, route="smooth", local_dim=check.local_dim)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -537,6 +538,31 @@ def test_batch_mode_counts_exponents_up_to_the_limit(tmp_path, capsys):
     assert [c["coefficient"] for c in payloads[3]["cycle"]] == [2 * top]
     assert payloads[4] == {"mu": 9999999}
     assert payloads[5] == {"mu": 2}
+
+
+def test_cycle_route_reads_eliminants_sparsely():
+    # the eliminant x^(2^31 - 2) is read term by term: the job runs in a child
+    # whose address space is capped at 1.5 GB, so a list as long as the
+    # degree (16 GB) fails there with MemoryError instead of swapping
+    top = 2**31 - 1
+    limit = 3 * 2**29
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    job = (
+        "import sys; from nuchi.cli import main; "
+        f"sys.exit(main(['nu', '--ring', 'x,y', '--critical-locus', 'x^{top}+y^2', "
+        "'--point', '0,0', '--no-cache']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", job], capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)["payload"]
+    assert payload["nu"] == top - 1 and payload["route"] == "cycle"
+    assert [c["coefficient"] for c in payload["cycle"]] == [top - 1]
 
 
 def test_hilb_demo_negative_size_is_an_input_error(tmp_path, capsys):

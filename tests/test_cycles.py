@@ -18,8 +18,9 @@ from nuchi.errors import (
     UnsupportedPresentation,
 )
 import nuchi.groebner as groebner
+import nuchi.singular as singular
 from nuchi.cli import run_job
-from nuchi.groebner import Ideal, StandardBasis, colength, eliminate, groebner_basis
+from nuchi.groebner import Ideal, colength, eliminate, groebner_basis
 from nuchi.poly import GF, Polynomial, Ring
 from nuchi.singular import behrend_at, jacobian_ideal, milnor_number
 from nuchi.cycles import (
@@ -404,11 +405,7 @@ def test_fglm_eliminant_matches_elimination(roots, shear):
     basis = groebner_basis(I)
     for var in (0, 1):
         (reference,) = eliminate(I, {1 - var}).generators
-        unit = [0, 0]
-        expected = []
-        for k in range(reference.degree_in(var) + 1):
-            unit[var] = k
-            expected.append(reference.coefficient(tuple(unit)))
+        expected = {m[var]: c for m, c in reference.terms()}
         assert _eliminant(basis, var) == expected
     grid = {(r, s - shear * r): e * f for r, e in roots[0] for s, f in roots[1]}
     assert rational_points_of_zero_dim(I) == tuple(sorted(grid))
@@ -420,11 +417,11 @@ def test_rational_roots_report_multiplicities():
     # x^3 (x - 1000)^6 (2x + 3)^2: the root 0 comes from the factored-out
     # power of x, the others from exact division by b*x - a
     f = R1.parse("x^3*(x - 1000)^6*(2*x + 3)^2")
-    coeffs = [f.coefficient((k,)) for k in range(f.total_degree() + 1)]
+    coeffs = {m[0]: c for m, c in f.terms()}
     assert _rational_roots(coeffs) == (
         [(Fraction(-3, 2), 2), (Fraction(0), 3), (Fraction(1000), 6)], True
     )
-    assert _rational_roots([Fraction(-2), 0, 1]) == ([], False)  # x^2 - 2
+    assert _rational_roots({0: Fraction(-2), 2: Fraction(1)}) == ([], False)  # x^2 - 2
 
 
 NAMES = ("x", "y", "z")
@@ -547,13 +544,14 @@ def test_broken_mora_moves_the_milnor_route_only(monkeypatch):
     milnor = [milnor_number(f, P) for P in points]
     assert milnor == [2, 4, 4]
     assert [euler_obstruction(cycle, P) for P in points] == milnor
-    real = groebner.standard_basis
+    real = groebner._local_basis
 
-    def drop_last_element(I, *args, **kwargs):
-        basis = real(I, *args, **kwargs)
-        return StandardBasis(basis.order, basis.elements[:-1], basis.source)
+    def drop_last_entry(*args, **kwargs):
+        return real(*args, **kwargs)[:-1]
 
-    monkeypatch.setattr(groebner, "standard_basis", drop_last_element)
+    # the local-basis core behind standard_basis and the Milnor route
+    monkeypatch.setattr(groebner, "_local_basis", drop_last_entry)
+    monkeypatch.setattr(singular, "_local_basis", drop_last_entry)
     assert [milnor_number(f, P) for P in points] != milnor
     assert distinguished_cycle(presentation) == cycle
 

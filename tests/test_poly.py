@@ -304,6 +304,24 @@ def test_derivative_index_out_of_range():
         RING_XY.parse("x").derivative(2)
 
 
+@given(
+    st.sampled_from([0, 2, 3, 5]),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 6)] * 3), st.integers(-9, 9)), max_size=8),
+    st.integers(1, 4),
+)
+def test_derivative_matches_the_validated_constructor(char, terms, den):
+    # the derivative is built in storage order without a sort; the validated
+    # constructor merges, coerces and sorts the same terms itself, and over
+    # F_p an exponent divisible by p drops its term
+    ring = Ring(("x", "y", "z"), GF(char)) if char else RING_XYZ
+    f = Polynomial(ring, [(m, c if char else Fraction(c, den)) for m, c in terms])
+    for i in range(3):
+        expected = Polynomial(
+            ring, [(m[:i] + (m[i] - 1,) + m[i + 1 :], c * m[i]) for m, c in f.terms() if m[i]]
+        )
+        assert f.derivative(i).terms() == expected.terms()
+
+
 @given(polynomials(RING_XYZ, max_terms=4))
 def test_schwarz_symmetry(f):
     for i in range(3):

@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nuchi import groebner, singular
 from nuchi.errors import NonIsolatedCriticalPoint, NotCriticalPoint, PointNotOnVariety, Unsupported
-from nuchi.groebner import Ideal, Infinite
-from nuchi.poly import Polynomial, Ring
+from nuchi.groebner import LOCAL_DEGREVLEX, Ideal, Infinite, colength, monomial_ideal_dimension
+from nuchi.poly import GF, Polynomial, Ring
 from nuchi.singular import (
     NOT_CRITICAL,
     NuReport,
@@ -21,6 +21,7 @@ from nuchi.singular import (
     jacobian_ideal,
     milnor_fibre_euler,
     milnor_number,
+    shift_ideal,
 )
 
 from .oracles import kouchnirenko_mu
@@ -80,14 +81,20 @@ def test_milnor_not_critical():
 
 
 def test_milnor_differentiates_once(monkeypatch):
+    # f is shifted and packed once, and each partial is taken once in the
+    # packing; no Polynomial is differentiated
     calls = []
-    derivative = Polynomial.derivative
+    partial = singular._partial
 
-    def counting_derivative(self, i):
+    def counting_partial(terms, i, *args):
         calls.append(i)
-        return derivative(self, i)
+        return partial(terms, i, *args)
 
-    monkeypatch.setattr(Polynomial, "derivative", counting_derivative)
+    def no_derivative(self, i):
+        raise AssertionError("the Milnor route differentiated a Polynomial")
+
+    monkeypatch.setattr(singular, "_partial", counting_partial)
+    monkeypatch.setattr(Polynomial, "derivative", no_derivative)
     assert milnor_number(R2.parse("x^3 + y^2"), ORIGIN2) == 2
     assert milnor_number(R2.parse("x^3 + y"), ORIGIN2) is NOT_CRITICAL
     assert milnor_number(R2.parse("x^3 + y"), (Fraction(1, 2), Fraction(-2, 3))) is NOT_CRITICAL
@@ -97,9 +104,9 @@ def test_milnor_differentiates_once(monkeypatch):
 
 
 def test_milnor_builds_no_basis_polynomials(monkeypatch):
-    # mu is read off the leads of the basis's integer entries, so the only
-    # polynomials built are the partials; the basis elements are built on
-    # first access
+    # f is shifted (the identity at the origin), packed and differentiated on
+    # integer terms, and mu is read off the leads of the basis's entries, so
+    # no polynomial is built; basis elements are built on first access
     built = []
     init = Polynomial.__init__
 
@@ -110,10 +117,81 @@ def test_milnor_builds_no_basis_polynomials(monkeypatch):
     f = R3.parse("x^3 + y^4 + z^5 + x*y*z")
     monkeypatch.setattr(Polynomial, "__init__", counting_init)
     assert milnor_number(f, (0, 0, 0)) == 11  # T_345: p + q + r - 1
-    assert len(built) == 3
+    assert len(built) == 0
     basis = groebner.standard_basis(jacobian_ideal(f))
     del built[:]
     assert len(basis.elements) == len(basis.leading_monomials()) and len(built) == len(basis.elements)
+
+
+@st.composite
+def critical_cases(draw, isolated):
+    """(f, P, Q): f = g(x - P) with g free of linear terms, so that P is a
+    critical point of f, and a query point Q at or near P.
+
+    f lives in 1-3 variables over Q or F_p (p = 2, 3, 5).  g is a sum of
+    powers x_i^a_i (a_i >= 2, sometimes a multiple of p, so that a partial
+    vanishes) and a few random terms, composed with a unit lower-triangular
+    shear.  With ``isolated`` the powers cover every variable, in 3
+    variables without the shear (sheared Mora bases there can run for
+    seconds); without it they cover only the first k < n variables and are
+    squares, so Crit(f) has dimension at least n - k at P.
+    """
+    n = draw(st.integers(1, 3))
+    char = draw(st.sampled_from([0, 2, 3, 5]))
+    ring = Ring(("x", "y", "z")[:n], GF(char))  # GF(0) is Q
+    dens = [d for d in (1, 2, 3) if not char or d % char]
+
+    def rational():
+        return Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from(dens)))
+
+    P = tuple(rational() for _ in range(n))
+    Q = P if draw(st.booleans()) else tuple(c + rational() for c in P)
+    k = n if isolated else draw(st.integers(0, n - 1))
+    top = 4 if n < 3 else 3
+    powers = [(i, draw(st.integers(2, top)) if isolated else 2) for i in range(k)]
+    exps = st.tuples(*[st.integers(0, top)] * k)
+    terms = draw(st.lists(st.tuples(exps, st.integers(-4, 4)), max_size=3))
+    g = Polynomial(
+        ring,
+        [(tuple(a * (i == j) for j in range(n)), draw(st.integers(1, 4))) for i, a in powers]
+        + [(m + (0,) * (n - k), c) for m, c in terms if sum(m) > 1],
+    )
+    if n < 3 or not isolated:
+        x = [ring.variable(i) for i in range(n)]
+        shear = [sum((draw(st.integers(-2, 2)) * x[j] for j in range(i)), x[i]) for i in range(n)]
+        g = g.substitute(shear)
+    return g.shift(tuple(-c for c in P)), P, Q
+
+
+@settings(max_examples=150)
+@given(critical_cases(isolated=True))
+@example((R2.parse("5"), (0, 0), (1, 2)))  # constant f: INFINITE everywhere
+@example((Ring(("x", "y"), GF(3)).parse("x^3 + y^2"), (0, 0), (0, 0)))  # d/dx is 0 over F_3
+@example((Ring(("x", "y"), GF(3)).parse("x^3 + y^2"), (0, 0), (1, 0)))
+def test_milnor_agrees_with_the_polynomial_route(case):
+    # the packed route (shift f once, differentiate in the packing, read the
+    # lowest term) against the public one: differentiate, shift every
+    # partial, count the staircase of the local standard basis
+    f, _, Q = case
+    oracle = colength(shift_ideal(jacobian_ideal(f), Q), LOCAL_DEGREVLEX)
+    assert milnor_number(f, Q) == (NOT_CRITICAL if oracle == 0 else oracle)
+
+
+@settings(max_examples=80)
+@given(critical_cases(isolated=False))
+def test_local_dimension_agrees_with_the_polynomial_route(case):
+    f, P, _ = case
+    n = f.ring.arity
+    leads = groebner.standard_basis(shift_ideal(jacobian_ideal(f), P)).leading_monomials()
+    expected = monomial_ideal_dimension(leads, n)
+    mu, dim = singular._milnor(f, P)
+    assert dim == expected and isinstance(mu, Infinite) == (expected > 0)
+    try:
+        report = behrend_report(f, P)
+    except Unsupported:
+        return
+    if report.route == "smooth":
+        assert report.local_dim == expected
 
 
 def test_milnor_non_isolated():
@@ -204,14 +282,14 @@ def test_nu_builds_one_local_basis_on_the_non_isolated_path(monkeypatch):
     # f = x^2*y^2 + z^2 is critical along the x- and y-axes: mu is INFINITE
     # at both points and the local dimension 1 comes from the same basis
     calls = []
-    real = groebner.standard_basis
+    real = groebner._local_basis
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "standard_basis", counted)
-    monkeypatch.setattr(singular, "standard_basis", counted)
+    monkeypatch.setattr(groebner, "_local_basis", counted)
+    monkeypatch.setattr(singular, "_local_basis", counted)
     f = R3.parse("x^2*y^2 + z^2")
     report = behrend_report(f, (0, 1, 0))
     assert report == NuReport(nu=-1, route="smooth", mu=None, local_dim=1)
