@@ -62,7 +62,14 @@ from .euler import (
 )
 from .groebner import Ideal, Infinite
 from .poly import GF, QQ, Polynomial, Ring, parse_point
-from .singular import NOT_CRITICAL, OneForm, behrend_report, is_almost_closed, milnor_number
+from .singular import (
+    NOT_CRITICAL,
+    OneForm,
+    behrend_report,
+    format_point,
+    is_almost_closed,
+    milnor_number,
+)
 
 COMMANDS = (
     "milnor",
@@ -224,7 +231,7 @@ def _handle_milnor(spec):
     point = spec["point"]
     mu = milnor_number(spec["f"], point)
     if mu is NOT_CRITICAL:
-        raise NotCriticalPoint(f"df does not vanish at {tuple(map(str, point))}")
+        raise NotCriticalPoint(f"df does not vanish at {format_point(point)}")
     if isinstance(mu, Infinite):
         raise NonIsolatedCriticalPoint("critical point is not isolated")
     return {"mu": mu}, []

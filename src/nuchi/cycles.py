@@ -17,7 +17,9 @@ Supported presentation classes for the distinguished cycle:
 * monomial ideals: components of the cone and their generic lengths are
   combinatorial whenever the reduced cone basis is monomial (minimal
   coordinate covers; lengths count staircase cells after setting off-prime
-  variables to 1).
+  variables to 1).  The zero ideal has no fiber variables and one
+  component, the empty cover of multiplicity 1: its cone is the whole
+  space, so nu = (-1)^n, as for the smooth class.
 
 External mathematical import: the local Euler obstruction of a curve at a
 point equals its Hilbert-Samuel multiplicity there.  It is used only for
@@ -147,11 +149,6 @@ class ConormalCycle:
 
     base: "Descriptor"
 
-    def dimension(self) -> int:
-        # conic Lagrangian: always the ambient dimension of the base
-        base_ring = _descriptor_ring(self.base)
-        return base_ring.arity
-
     def sort_key(self):
         return (4,) + self.base.sort_key()
 
@@ -162,16 +159,6 @@ class ConormalCycle:
 Descriptor = Union[
     PointCycle, SmoothVarietyCycle, CurveCycle, CoordinateSubspaceCycle, ConormalCycle
 ]
-
-
-def _descriptor_ring(d: Descriptor) -> Ring:
-    if isinstance(d, (PointCycle, CoordinateSubspaceCycle)):
-        return d.ring
-    if isinstance(d, (SmoothVarietyCycle, CurveCycle)):
-        return d.ideal.ring
-    if isinstance(d, ConormalCycle):
-        return _descriptor_ring(d.base)
-    raise UnsupportedCycleKind(f"unknown descriptor {d!r}")
 
 
 # ------------------------------------------------------------------- cycles
@@ -190,12 +177,6 @@ class Cycle:
             sorted(((c, d) for d, c in merged.items() if c != 0), key=lambda cd: cd[1].sort_key())
         )
         object.__setattr__(self, "terms", cleaned)
-
-    def __add__(self, other: "Cycle") -> "Cycle":
-        return Cycle(self.terms + other.terms)
-
-    def scale(self, k: int) -> "Cycle":
-        return Cycle([(k * c, d) for c, d in self.terms])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -457,9 +438,6 @@ def normal_cone_ideal(I: Ideal) -> ConeIdealReport:
     stem = "p" if r == n else "y"
     fiber_names = _fresh_names(ring.variables, [f"{stem}{k + 1}" for k in range(r)])
     doubled = Ring(ring.variables + tuple(fiber_names), ring.domain)
-    if r == 0:
-        report_ideal = Ideal(doubled, [])
-        return ConeIdealReport(report_ideal, n, (), n, True, ())
     (t_name,) = _fresh_names(doubled.variables, ["t"])
     ext = Ring(doubled.variables + (t_name,), ring.domain)
     t_idx = ext.arity - 1
@@ -480,10 +458,7 @@ def normal_cone_ideal(I: Ideal) -> ConeIdealReport:
         raise UnitIdeal("normal cone of the empty scheme")
     J_canonical = Ideal(doubled, reduced.elements)
     fiber_indices = tuple(range(n, n + r))
-    if reduced.elements:
-        dim = monomial_ideal_dimension(reduced.leading_monomials(), doubled.arity)
-    else:
-        dim = doubled.arity
+    dim = monomial_ideal_dimension(reduced.leading_monomials(), doubled.arity)
     conic = _fiber_homogeneous(reduced.elements, fiber_indices)
     components = _monomial_components(reduced, doubled)
     return ConeIdealReport(J_canonical, n, fiber_indices, dim, conic, components)
@@ -516,8 +491,6 @@ def _monomial_components(basis: StandardBasis, ring: Ring):
         if len(g.terms()) != 1:
             return None
         monos.append(g.terms()[0][0])
-    if not monos:
-        return ()
     gens = monomial_minimal_generators(monos)
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in gens]
     arity = ring.arity
@@ -597,7 +570,7 @@ def presentation_from_critical_locus(f: Polynomial) -> Presentation:
 
     I = jacobian_ideal(f)
     arity_many = len(I.generators) == I.ring.arity
-    if I.generators and all(len(g.terms()) == 1 for g in I.generators):
+    if all(len(g.terms()) == 1 for g in I.generators):
         monos = [g.terms()[0][0] for g in I.generators]
         finite = not isinstance(staircase_count(monos, I.ring.arity), Infinite)
         return Presentation(REGULAR_SEQUENCE if arity_many and finite else MONOMIAL, I)

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceeded, InputError, MissingValue, NoPolynomialFit, TooLarge
 from .groebner import Ideal
-from .poly import GF, Ring
+from .poly import GF, Ring, _is_prime
 
 
 # ------------------------------------------------------------ stratifications
@@ -170,6 +170,8 @@ def point_count_chi(equations: Ideal, primes: Sequence[int]) -> PointCountResult
     for q in primes:
         if q > 16:
             raise TooLarge(f"q = {q} exceeds the supported bound 16")
+        if not _is_prime(q):  # GF(0) would be Q, with no points to count
+            raise InputError(f"q = {q} is not a prime")
         field_ring = Ring(ring.variables, GF(q))
         gens = [g.change_domain(field_ring) for g in equations.generators]
         count = 0

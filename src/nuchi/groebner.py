@@ -1,8 +1,8 @@
 """Groebner bases (Buchberger) and local standard bases (Mora).
 
 This module supplies the ideal-theoretic queries that the pointwise and
-cycle-level formulas reduce to: normal forms, membership with certificates,
-elimination, colength, Krull dimension and Hilbert-Samuel multiplicity.
+cycle-level formulas reduce to: normal forms, membership, elimination,
+colength, Krull dimension and Hilbert-Samuel multiplicity.
 
 Conventions.  A basis under a global order is the unique reduced Groebner
 basis.  Under a local order we return a minimal monic standard basis computed
@@ -25,8 +25,8 @@ field computation by a nonzero scalar, so leading monomials, zero tests and
 reducer choices are those of the monic algorithm.  Fractions appear at
 output only: one monic Polynomial per basis element, and :func:`normal_form`
 divides out the scalar its remainder was multiplied by, which gives exactly
-the monic algorithm's remainder.  The membership certificates
-(``_tracked_buchberger``) stay on Polynomial arithmetic.
+the monic algorithm's remainder.  This is the one Buchberger driver: every
+basis, membership test, eliminant and colength comes from it.
 
 Entries.  ``_buchberger_loop`` takes a list of entries (see ``_entry``), not
 polynomials: :func:`groebner_basis` and :func:`standard_basis` convert their
@@ -78,9 +78,6 @@ from .poly import (
     Polynomial,
     Ring,
     elimination_order,
-    mono_div,
-    mono_divides,
-    mono_lcm,
 )
 
 
@@ -133,18 +130,17 @@ class Ideal:
 class StandardBasis:
     """A Groebner basis (global order) or Mora standard basis (local order).
 
-    ``StandardBasis(order, elements, source)``.  A computed basis
-    keeps its integer entries (see ``_entry``) and builds the monic
-    ``elements`` from them on first access; a basis built by hand from its
-    elements gets its entries on first use.  Equality, hashing and repr read
+    ``StandardBasis(order, source, entries)``: a basis holds its integer
+    entries (see ``_entry``) from construction and builds the monic
+    ``elements`` from them on first access.  Equality, hashing and repr read
     (order, elements, source), and a basis is immutable.
     """
 
-    def __init__(self, order: MonomialOrder, elements, source: Ideal, _entries=None):
+    def __init__(self, order: MonomialOrder, source: Ideal, entries: tuple):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "_elements", elements)
-        object.__setattr__(self, "_entries", _entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_elements", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -158,17 +154,9 @@ class StandardBasis:
         if self._elements is None:
             ring = self.ring
             unpack = _packing(ring.arity).unpack
-            elements = tuple(_output(ring, unpack, g) for g in self._entries)
+            elements = tuple(_output(ring, unpack, g) for g in self.entries)
             object.__setattr__(self, "_elements", elements)
         return self._elements
-
-    @property
-    def entries(self) -> tuple:
-        """The elements as integer term entries (see ``_entry``), in order."""
-        if self._entries is None:
-            entries = tuple(_to_entries(self.elements, _packing(self.ring.arity), self.order))
-            object.__setattr__(self, "_entries", entries)
-        return self._entries
 
     def leading_monomials(self) -> tuple:
         unpack = _packing(self.ring.arity).unpack
@@ -299,13 +287,6 @@ def _packing(n: int) -> _Packing:
 # the coefficients are integers of content 1 with lc > 0, over F_p residues
 # with lc = 1.
 
-def _lead(terms: dict, pk: _Packing, order: MonomialOrder) -> int:
-    """Leading monomial of a nonzero term dict."""
-    if order.is_local:
-        return min(terms)
-    return max(terms, key=pk.key(order))
-
-
 def _integer_terms(f: Polynomial, pack):
     """(terms, L): L*f as a packed dict of integer coefficients, L = 1 over F_p."""
     if f.ring.domain.char:
@@ -331,8 +312,8 @@ def _partial(terms: dict, i: int, pk: _Packing, p: int) -> dict:
 
 def _entry(terms: dict, pk: _Packing, order: MonomialOrder, p: int, lm=None) -> tuple:
     """The entry of a nonzero term dict, which is scaled in place."""
-    if lm is None:
-        lm = _lead(terms, pk, order)
+    if lm is None:  # the local lead is the least packed int
+        lm = min(terms) if order.is_local else max(terms, key=pk.key(order))
     lc = terms[lm]
     if p:
         if lc != 1:
@@ -642,7 +623,7 @@ def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX, verify: bool = Fa
     if not order.is_global:
         raise InputError("groebner_basis requires a global order")
     if not I.generators:
-        return StandardBasis(order, (), I, ())
+        return StandardBasis(order, I, ())
     p = I.ring.domain.char
     pk = _packing(I.ring.arity)
     basis = _minimalize(_buchberger_loop(_to_entries(I.generators, pk, order), pk, order, p), pk)
@@ -655,7 +636,7 @@ def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX, verify: bool = Fa
         reduced.append(g)
     key = pk.key(order)
     reduced.sort(key=lambda g: key(g[1]))
-    result = StandardBasis(order, None, I, tuple(reduced))
+    result = StandardBasis(order, I, tuple(reduced))
     if verify:
         _assert_spolys_vanish(result)
     return result
@@ -670,10 +651,10 @@ def standard_basis(I: Ideal, order: MonomialOrder = LOCAL_DEGREVLEX, verify: boo
     if not order.is_local:
         raise InputError("standard_basis requires a local order")
     if not I.generators:
-        return StandardBasis(order, (), I, ())
+        return StandardBasis(order, I, ())
     pk = _packing(I.ring.arity)
     entries = _local_basis(_to_entries(I.generators, pk, order), pk, I.ring.domain.char)
-    result = StandardBasis(order, None, I, entries)
+    result = StandardBasis(order, I, entries)
     if verify:
         _assert_spolys_vanish(result)
     return result
@@ -718,120 +699,11 @@ def _assert_spolys_vanish(basis: StandardBasis) -> None:
                 )
 
 
-def basis_for(I: Ideal, order: MonomialOrder) -> StandardBasis:
-    """Groebner or Mora basis depending on whether the order is global."""
-    return groebner_basis(I, order) if order.is_global else standard_basis(I, order)
-
-
-# ----------------------------------------------------- membership with proof
-
-def _divide_tracked(f: Polynomial, items, order: MonomialOrder):
-    """Full division of f by tracked basis elements, (g, rep) pairs.
-
-    Returns (remainder, cofactors) with f - remainder = sum cofactors[k] *
-    gens[k], for the generators the reps are written in; ``items`` is
-    nonempty.
-    """
-    ring, dom = f.ring, f.ring.domain
-    h = f
-    cof = tuple(ring.zero() for _ in items[0][1])
-    rem_terms: list = []
-    while not h.is_zero():
-        hm, hc = h.leading_term(order)
-        for g, grep in items:
-            gm, gc = g.leading_term(order)
-            if mono_divides(gm, hm):
-                qm, qc = mono_div(hm, gm), dom.div(hc, gc)
-                h = h - g.mul_term(qm, qc)
-                cof = tuple(c + p.mul_term(qm, qc) for c, p in zip(cof, grep))
-                break
-        else:
-            rem_terms.append((hm, hc))
-            h = h - Polynomial(ring, [(hm, hc)])
-    return Polynomial(ring, rem_terms), cof
-
-
-def _tracked_buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
-    """Buchberger with representation tracking.
-
-    Returns a list of (g, rep) with g = sum rep[k] * gens[k].  No pair
-    criteria here; the tracked variant is only used on demand for
-    certificates, where simplicity beats speed.
-    """
-    ring = gens[0].ring
-    dom = ring.domain
-    one = dom.coerce(1)
-
-    def unit_rep(k: int):
-        return tuple(ring.one() if t == k else ring.zero() for t in range(len(gens)))
-
-    def rep_term(rep, mono, coeff):
-        return tuple(p.mul_term(mono, coeff) for p in rep)
-
-    def rep_sub(a, b):
-        return tuple(p - q for p, q in zip(a, b))
-
-    def rep_scale(rep, coeff):
-        zerom = (0,) * ring.arity
-        return tuple(p.mul_term(zerom, coeff) for p in rep)
-
-    items = []
-    for k, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        _, lc = g.leading_term(order)
-        items.append((g.monic(order), rep_scale(unit_rep(k), dom.div(one, lc))))
-
-    pairs = {(i, j) for j in range(len(items)) for i in range(j)}
-    while pairs:
-        i, j = min(pairs)
-        pairs.remove((i, j))
-        f, frep = items[i]
-        g, grep = items[j]
-        fm, fc = f.leading_term(order)
-        gm, gc = g.leading_term(order)
-        lcm = mono_lcm(fm, gm)
-        mf, mg = mono_div(lcm, fm), mono_div(lcm, gm)
-        s = f.mul_term(mf, dom.div(one, fc)) - g.mul_term(mg, dom.div(one, gc))
-        srep = rep_sub(
-            rep_term(frep, mf, dom.div(one, fc)), rep_term(grep, mg, dom.div(one, gc))
-        )
-        rem, qrep = _divide_tracked(s, items, order)
-        rem_rep = rep_sub(srep, qrep)
-        if not rem.is_zero():
-            _, lc = rem.leading_term(order)
-            items.append((rem.monic(order), rep_scale(rem_rep, dom.div(one, lc))))
-            new = len(items) - 1
-            pairs.update((k, new) for k in range(new))
-    return items
-
-
-def ideal_membership(f: Polynomial, I: Ideal, certificate: bool = False):
-    """Decide f in I via a global-order normal form.
-
-    With ``certificate`` returns (bool, cofactors) where cofactors is a tuple
-    c with f = sum c[k] * I.generators[k] (None when f is not a member).  The
-    identity is verified before returning.
-    """
+def ideal_membership(f: Polynomial, I: Ideal) -> bool:
+    """Decide f in I via a global-order normal form."""
     if f.ring != I.ring:
         raise RingMismatch("polynomial and ideal rings differ")
-    if not certificate:
-        basis = groebner_basis(I, DEGREVLEX)
-        return normal_form(f, basis).is_zero()
-    if not I.generators:
-        if f.is_zero():
-            return True, ()
-        return False, None
-    items = _tracked_buchberger(I.generators, DEGREVLEX)
-    rem, cof = _divide_tracked(f, items, DEGREVLEX)
-    if not rem.is_zero():
-        return False, None
-    check = f.ring.zero()
-    for c, g in zip(cof, I.generators):
-        check = check + c * g
-    if check != f:
-        raise AssertionError("membership certificate failed verification")
-    return True, cof
+    return normal_form(f, groebner_basis(I, DEGREVLEX)).is_zero()
 
 
 # ---------------------------------------------------------------- elimination
@@ -974,7 +846,8 @@ def colength(I: Ideal, order: MonomialOrder = DEGREVLEX):
     measures the localization at the origin, a global one the full quotient
     ring.
     """
-    return staircase_count(basis_for(I, order).leading_monomials(), I.ring.arity)
+    basis = groebner_basis(I, order) if order.is_global else standard_basis(I, order)
+    return staircase_count(basis.leading_monomials(), I.ring.arity)
 
 
 def krull_dimension(I: Ideal) -> int:

@@ -195,11 +195,6 @@ class Domain:
     def neg(self, a: Scalar) -> Scalar:
         return -a % self.char if self.char else -a
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        if self.char:
-            return a * pow(b, -1, self.char) % self.char
-        return a / b
-
     def pow(self, a: Scalar, e: int) -> Scalar:
         return pow(a, e, self.char) if self.char else a**e
 
@@ -326,11 +321,10 @@ class Polynomial:
     :meth:`derivative` with ``_sorted=True`` from a list already in storage
     order, which also skips the sort; operations that can raise exponents
     check for overflow themselves.
-    ``_hash`` and ``_lead`` (the leading term for the last order asked) are
-    lazy caches of values that depend only on the terms.
+    ``_hash`` is a lazy cache of a value that depends only on the terms.
     """
 
-    __slots__ = ("ring", "_terms", "_hash", "_lead")
+    __slots__ = ("ring", "_terms", "_hash")
 
     def __init__(self, ring: Ring, terms, *, _merged: bool = False, _sorted: bool = False):
         if _sorted:
@@ -348,7 +342,6 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", tuple(cleaned))
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -382,26 +375,20 @@ class Polynomial:
 
     def leading_term(self, order: MonomialOrder = DEGREVLEX):
         """The order-maximal (monomial, coefficient) pair."""
-        lead = self._lead
-        if lead is not None and lead[0] is order:
-            return lead[1]
         terms = self._terms
         if not terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
         if order.kind == "degrevlex":
-            term = terms[0]
-        elif order.kind == "local_degrevlex":
+            return terms[0]
+        if order.kind == "local_degrevlex":
             # the first term of the lowest-degree block of the storage order
             i = len(terms) - 1
             low = sum(terms[i][0])
             while i and sum(terms[i - 1][0]) == low:
                 i -= 1
-            term = terms[i]
-        else:
-            key = order.key
-            term = max(terms, key=lambda mc: key(mc[0]))
-        object.__setattr__(self, "_lead", (order, term))
-        return term
+            return terms[i]
+        key = order.key
+        return max(terms, key=lambda mc: key(mc[0]))
 
     def degree_in(self, i: int) -> int:
         if not self._terms:
@@ -501,13 +488,6 @@ class Polynomial:
             if base_needed and e:
                 base = base * base
         return result
-
-    def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
-        if not self._terms:
-            return self
-        _, lc = self.leading_term(order)
-        div = self.ring.domain.div
-        return Polynomial(self.ring, {m: div(c, lc) for m, c in self._terms}, _merged=True)
 
     # -------------------------------------------------------------- calculus
 

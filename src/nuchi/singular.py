@@ -66,6 +66,11 @@ def as_point(coords: Sequence, ring: Ring) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
+def format_point(point: Sequence) -> str:
+    """Rational coordinates as text for messages, e.g. ``(1/2, 1)``."""
+    return "(" + ", ".join(str(Fraction(c)) for c in point) + ")"
+
+
 # ------------------------------------------------------------------ 1-forms
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ def is_smooth_at(I: Ideal, point: Sequence) -> Smoothness:
     point = as_point(point, I.ring)
     for g in I.generators:
         if g.evaluate(point) != 0:
-            raise PointNotOnVariety(f"generator {g} does not vanish at {point}")
+            raise PointNotOnVariety(f"generator {g} does not vanish at {format_point(point)}")
     dim = local_dimension(I, point)
     if dim == -1:
         raise PointNotOnVariety("ideal is the unit ideal near the point")
@@ -231,9 +236,9 @@ def milnor_fibre_euler(f: Polynomial, point: Sequence) -> int:
     """
     mu = milnor_number(f, point)
     if mu is NOT_CRITICAL:
-        raise NotCriticalPoint(f"df does not vanish at {tuple(point)}")
+        raise NotCriticalPoint(f"df does not vanish at {format_point(point)}")
     if isinstance(mu, Infinite):
-        raise NonIsolatedCriticalPoint(f"critical point {tuple(point)} is not isolated")
+        raise NonIsolatedCriticalPoint(f"critical point {format_point(point)} is not isolated")
     return _fibre_euler(mu, f.ring.arity)
 
 
@@ -262,7 +267,7 @@ def behrend_report(presentation: Union[Polynomial, Ideal], point: Sequence) -> N
         point = as_point(point, f.ring)
         mu, dim = _milnor(f, point)  # one basis gives mu and the local dimension
         if mu is NOT_CRITICAL:
-            raise PointNotOnVariety(f"{tuple(point)} is not on the critical locus of {f}")
+            raise PointNotOnVariety(f"{format_point(point)} is not on the critical locus of {f}")
         n = f.ring.arity
         if not isinstance(mu, Infinite):
             nu = (-1) ** n * (1 - _fibre_euler(mu, n))

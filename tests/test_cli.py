@@ -68,6 +68,18 @@ def test_milnor_refusal_exit_code(tmp_path, capsys):
     assert json.loads(out)["refusal"]["code"] == "NOT_CRITICAL"
 
 
+def test_refusal_messages_print_points_as_rationals(capsys):
+    for args, message in [
+        (["milnor", "--f", "x^2+y^2"], "df does not vanish at (1/2, 1)"),
+        (["behrend", "--critical-locus", "x^2+y^2"],
+         "(1/2, 1) is not on the critical locus of x^2 + y^2"),
+        (["behrend", "--ideal", "x"], "generator x does not vanish at (1/2, 1)"),
+    ]:
+        code, out, _ = run_cli(args + ["--ring", "x,y", "--point", "1/2,1", "--no-cache"], capsys)
+        assert code == 2
+        assert json.loads(out)["refusal"]["message"] == message
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(
         ["milnor", "--ring", "x", "--f", "x + z", "--point", "0",
@@ -455,6 +467,19 @@ def test_batch_mode_malformed_fields_get_error_envelopes(tmp_path, capsys):
     assert all(sorted(e) == ["command", "engine_version", "error"] for e in envelopes[1:])
     messages = [e["error"]["message"] for e in envelopes[1:]]
     assert "got bool True" in messages[4] and "got NoneType None" in messages[5]
+
+
+def test_batch_mode_non_prime_q_is_an_input_error(tmp_path, capsys):
+    # q = 0 would count points over Q in range(0) and refuse with a bogus fit
+    job = {"command": "chi-oracle", "ring": RING, "ideal": ["x*y"], "primes": "2,3"}
+    jobs_file = tmp_path / "jobs.json"
+    jobs_file.write_text(json.dumps([job, dict(job, primes="0,2,3")]))
+    code, out, _ = run_cli(["--jobs", str(jobs_file), "--no-cache"], capsys)
+    first, second = json.loads(out)
+    assert code == 1
+    assert first["payload"]["chi"] == 1
+    assert sorted(second) == ["command", "engine_version", "error"]
+    assert "q = 0 is not a prime" in second["error"]["message"]
 
 
 def test_exponent_notation_point_does_not_stall_a_batch(tmp_path, capsys):

@@ -111,6 +111,22 @@ def test_normal_cone_fiber_naming_avoids_collisions():
     assert report.dimension == 2
 
 
+@pytest.mark.parametrize("ring", [R1, R2, R3], ids=["n=1", "n=2", "n=3"])
+def test_zero_ideal_cone_has_one_component(ring):
+    # Z(0) is smooth affine n-space, so every route gives nu = (-1)^n; the
+    # monomial class reads it off the one component, of multiplicity 1
+    zero = Ideal(ring, [])
+    origin = (0,) * ring.arity
+    sign = (-1) ** ring.arity
+    assert normal_cone_ideal(zero).components == ((1, frozenset()),)
+    assert nu_from_cycle(monomial_presentation(zero), origin) == sign
+    assert nu_from_cycle(smooth_presentation(zero), origin) == sign
+    assert behrend_at(zero, origin) == sign
+    constant = ring.one()  # its critical locus is all of affine n-space
+    assert nu_from_cycle(presentation_from_critical_locus(constant), origin) == sign
+    assert behrend_at(constant, origin) == sign
+
+
 # ------------------------------------------------------ distinguished cycles
 
 def test_smooth_class_sign():

@@ -194,6 +194,13 @@ def test_point_count_limits():
         point_count_chi(Ideal(R1, []), [5])
 
 
+@pytest.mark.parametrize("primes", [[0, 2, 3], [2, 1], [2, 4]])
+def test_point_count_rejects_non_primes(primes):
+    # GF(0) is Q, where range(0) would count no points: malformed, not a "no"
+    with pytest.raises(InputError, match="not a prime"):
+        point_count_chi(Ideal.from_strings(R2, ["x*y"]), primes)
+
+
 # ----------------------------------------------------------------- hilb demo
 
 def test_plane_partition_counts_small():
