@@ -255,7 +255,12 @@ def arc_vanishing_order(omega: OneForm, arc: ArcSeries):
     vanishes through the truncation the result is
     INFINITE_WITHIN_TRUNCATION.
     """
-    return _vanishing_order([compose_along_arc(f, arc) for f in omega.components])
+    return _vanishing_order(_compose_components(omega, arc))
+
+
+def _compose_components(omega: OneForm, arc: ArcSeries) -> list:
+    """Each component of omega composed along the arc, once."""
+    return [compose_along_arc(f, arc) for f in omega.components]
 
 
 def _vanishing_order(composed: Sequence[TruncatedSeries]):
@@ -398,7 +403,12 @@ def lagrangian_obstruction(omega: OneForm, arc: ArcSeries, m: int) -> ParameterF
     sum_i d(constant coefficient of gamma_i) ^ d(t^m coefficient of
     f_i(gamma)).  Requires the certified vanishing order to be at least m.
     """
-    composed = [compose_along_arc(f, arc) for f in omega.components]
+    return _obstruction(_compose_components(omega, arc), arc, m)
+
+
+def _obstruction(composed: Sequence[TruncatedSeries], arc: ArcSeries, m: int) -> ParameterForm:
+    """:func:`lagrangian_obstruction` from omega's components composed along
+    the arc."""
     _certify_order(composed, arc, m)
     acc = zero_form(2, arc.param_ring)
     for gamma, series in zip(arc.components, composed):
@@ -415,7 +425,7 @@ def obstruction_via_exterior_derivative(
     gamma_i and f_i(gamma); agreement with
     :func:`lagrangian_obstruction` is asserted by the test suite.
     """
-    composed = [compose_along_arc(f, arc) for f in omega.components]
+    composed = _compose_components(omega, arc)
     _certify_order(composed, arc, m)
     one_form = zero_form(1, arc.param_ring)
     fact_m = factorial(m)
@@ -490,7 +500,7 @@ def pullback_dt_coefficient_taylor(omega: OneForm, arc: ArcSeries, m: int) -> Pa
         raise InputError("need 1 <= m <= truncation order")
     pr = arc.param_ring
     n = omega.ring.arity
-    composed = [compose_along_arc(f, arc) for f in omega.components]
+    composed = _compose_components(omega, arc)
 
     def c_coeff(i, p):
         return arc.components[i].coeffs[p] * factorial(p)

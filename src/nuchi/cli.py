@@ -36,8 +36,9 @@ from . import __version__
 from .arcs import (
     INFINITE_WITHIN_TRUNCATION,
     ArcSeries,
-    arc_vanishing_order,
-    lagrangian_obstruction,
+    _compose_components,
+    _obstruction,
+    _vanishing_order,
     parse_arc,
 )
 from .cycles import (
@@ -271,7 +272,9 @@ def _handle_almost_closed(spec):
 def _handle_arc_check(spec):
     omega = OneForm(spec["ring"], spec["form"])
     arc = spec["arc"]
-    order = arc_vanishing_order(omega, arc)
+    # arc_vanishing_order and lagrangian_obstruction on one composition
+    composed = _compose_components(omega, arc)
+    order = _vanishing_order(composed)
     infinite = order is INFINITE_WITHIN_TRUNCATION
     payload = {
         "vanishing_order": "INFINITE_WITHIN_TRUNCATION" if infinite else order,
@@ -281,7 +284,7 @@ def _handle_arc_check(spec):
     if m is None and not infinite and order >= 1:
         m = order
     if m is not None:
-        form = lagrangian_obstruction(omega, arc, m)
+        form = _obstruction(composed, arc, m)
         payload["m"] = m
         payload["obstruction"] = form.to_payload()
         payload["obstruction_is_zero"] = form.is_zero()

@@ -25,17 +25,21 @@ External mathematical import: the local Euler obstruction of a curve at a
 point equals its Hilbert-Samuel multiplicity there.  It is used only for
 curve-kind cycle descriptors and is flagged in CLI provenance.
 
-Splitting a zero-dimensional ideal into points needs one degrevlex basis:
-each variable's eliminant e_i is read off it (a univariate basis element, or
-else a minimal polynomial by FGLM), and the rational root theorem on its
-squarefree part finds its rational roots exactly, each with its multiplicity
-k_i in e_i.  The same data give mu_P without a local (Mora) basis: it is 1
-when every k_i is 1, and otherwise the global colength of I plus the pins
-(x_i - P_i)^k_i, an ideal supported at P alone.  So the cycle route shares
-no local computation with the Milnor route of :mod:`nuchi.singular`, and
-:func:`local_colength_at` (Mora) stays only as a library call and an oracle.
-Non-rational support raises IrrationalPoint rather than approximating;
-splitting is over Q only.
+Splitting a zero-dimensional ideal into points needs one degrevlex basis,
+read on the packed integer entries the Groebner driver holds, so no basis
+polynomial and no Fraction is built before the roots: the colength comes off
+the lowest term of the leads' K-polynomial, and each variable's eliminant e_i
+is read off the entries as primitive integer coefficients (a univariate
+entry, or else a minimal polynomial by fraction-free FGLM).  Its rational
+roots are found exactly and p-adically on its squarefree part (Hensel
+lifting of the roots modulo a small prime; no coefficient is factored), each
+with its multiplicity k_i in e_i.  The same data give mu_P without a local
+(Mora) basis: it is 1 when every k_i is 1, and otherwise the global colength
+of I plus the pins (x_i - P_i)^k_i, an ideal supported at P alone.  So the
+cycle route shares no local computation with the Milnor route of
+:mod:`nuchi.singular`, and :func:`local_colength_at` (Mora) stays only as a
+library call and an oracle.  Non-rational support raises IrrationalPoint
+rather than approximating; splitting is over Q only.
 """
 
 from __future__ import annotations
@@ -55,10 +59,17 @@ from .errors import (
     UnsupportedPresentation,
 )
 from .groebner import (
+    _FIELD,
+    _W,
+    INFINITE,
     Ideal,
     Infinite,
     LOCAL_DEGREVLEX,
     StandardBasis,
+    _division,
+    _lowest_term,
+    _packing,
+    _sub_multiple,
     colength,
     eliminate,
     groebner_basis,
@@ -66,7 +77,6 @@ from .groebner import (
     krull_dimension,
     monomial_ideal_dimension,
     monomial_minimal_generators,
-    normal_form,
     staircase_count,
 )
 from .poly import Polynomial, Ring
@@ -95,6 +105,10 @@ class SmoothVarietyCycle:
 
     ideal: Ideal
 
+    @property
+    def ring(self) -> Ring:
+        return self.ideal.ring
+
     def dimension(self) -> int:
         return krull_dimension(self.ideal)
 
@@ -111,6 +125,10 @@ class SmoothVarietyCycle:
 @dataclass(frozen=True)
 class CurveCycle:
     ideal: Ideal
+
+    @property
+    def ring(self) -> Ring:
+        return self.ideal.ring
 
     def dimension(self) -> int:
         return 1
@@ -197,46 +215,79 @@ class Cycle:
 
 # ------------------------------------------------------------ point splitting
 
-def _support(g: Polynomial) -> set:
-    """The indices of the variables that occur in g."""
-    return {i for m, _ in g.terms() for i, e in enumerate(m) if e}
+def _mixed(I: Ideal) -> list:
+    """The generators of I in more than one variable."""
+    return [
+        g for g in I.generators
+        if len({i for m, _ in g.terms() for i, e in enumerate(m) if e}) > 1
+    ]
+
+
+def _colength(basis: StandardBasis):
+    """dim Q[x]/I or INFINITE, read off the packed leads of its reduced basis,
+    which are the minimal generators of the leading-term ideal."""
+    pk = _packing(basis.ring.arity)
+    lowest = _lowest_term([g[1] for g in basis.entries], pk)
+    if lowest is None:
+        return 0  # the unit ideal
+    k, c = lowest
+    return c if k == pk.n else INFINITE
 
 
 def _eliminant(basis: StandardBasis, var: int) -> dict:
-    """The monic generator of I meet Q[x_var], as {exponent: coefficient}
-    over its nonzero terms.
+    """The generator of I meet Q[x_var] with content 1 and a positive leading
+    coefficient, as {exponent: coefficient} over its nonzero terms, read off
+    the packed integer entries of a reduced degrevlex basis.
 
-    A reduced degrevlex basis holds at most one element whose leading
-    monomial is a power of x_var; when that element is univariate it lies in
-    I meet Q[x_var] and has the least degree there, so it is the generator.
-    Otherwise FGLM (Faugere-Gianni-Lazard-Mora, JSC 16, 1993): the generator
-    is the first linear dependency among the normal forms of 1, x, x^2, ...
-    modulo the basis, so the loop ends within colength + 1 steps when the
-    colength is finite.  Each row is a normal form (monomial keys) together
-    with the combination of powers it stands for (integer keys), reduced
-    against the earlier rows in order.
+    Such a basis holds at most one element whose leading monomial is a power
+    of x_var; when that element is univariate it lies in I meet Q[x_var] and
+    has the least degree there, so its entry, which is primitive, is the
+    generator.  Otherwise FGLM (Faugere-Gianni-Lazard-Mora, JSC 16, 1993):
+    the generator is the first linear dependency among the normal forms of
+    1, x, x^2, ... modulo the basis, so the loop ends within colength + 1
+    steps when the colength is finite.  It runs in integers: s_k * x^k
+    reduces to nf_k, and each row is a reduced nf (packed monomial keys)
+    with the combination of powers it stands for (exponent keys), reduced
+    against the earlier rows in order by cross-multiplication and kept
+    primitive.
     """
-    for g in basis.elements:
-        if _support(g) <= {var}:
-            return {m[var]: c for m, c in g.terms()}
-    step = tuple(int(i == var) for i in range(basis.ring.arity))
+    pk = _packing(basis.ring.arity)
+    s = _W * var
+    others = pk.fields ^ (_FIELD << s)
+    for terms, _, _, _ in basis.entries:
+        if not any(m & others for m in terms):
+            return {m >> pk.shift: c for m, c in terms.items()}
+    step = (1 << s) | (1 << pk.shift)  # x_var, packed
     rows = []
-    nf = normal_form(basis.ring.one(), basis)
+    nf, scale = {0: 1}, 1
     for k in itertools.count():
-        vec = dict(nf.terms())
-        vec[k] = Fraction(1)
-        for pivot, row in rows:
+        vec, combo = dict(nf), {k: scale}
+        for pivot, rvec, rcombo in rows:
             c = vec.get(pivot)
             if c:
-                for key, a in row.items():
-                    vec[key] = vec.get(key, 0) - c * a
-                    if not vec[key]:
-                        del vec[key]
-        pivot = next((key for key in vec if isinstance(key, tuple)), None)
-        if pivot is None:
-            return {j: vec[j] for j in range(k + 1) if j in vec}
-        rows.append((pivot, {key: a / vec[pivot] for key, a in vec.items()}))
-        nf = normal_form(nf.mul_term(step, 1), basis)
+                d = math.gcd(rvec[pivot], c)
+                a, b = rvec[pivot] // d, c // d
+                for t in vec:
+                    vec[t] *= a
+                for t in combo:
+                    combo[t] *= a
+                _sub_multiple(vec, b, 0, rvec, 0)
+                _sub_multiple(combo, b, 0, rcombo, 0)
+        if not vec:
+            content = math.gcd(*combo.values())
+            if combo[max(combo)] < 0:
+                content = -content
+            return {j: combo[j] // content for j in sorted(combo)}
+        content = math.gcd(*vec.values(), *combo.values())
+        rows.append((
+            next(iter(vec)),
+            {m: v // content for m, v in vec.items()},
+            {j: v // content for j, v in combo.items()},
+        ))
+        nf, a = _division({m + step: c for m, c in nf.items()}, basis.entries, pk, basis.order, 0)
+        scale *= a
+        content = math.gcd(scale, *nf.values())
+        nf, scale = {m: c // content for m, c in nf.items()}, scale // content
 
 
 def _primitive(f: list) -> list:
@@ -279,58 +330,98 @@ def _multiplicity(p: list, a: int, b: int) -> int:
         p, k = q, k + 1
 
 
+def _value(q: list, y: int, modulus: int) -> int:
+    """q(y) mod the modulus, for integer coefficients lowest first."""
+    v = 0
+    for c in reversed(q):
+        v = (v * y + c) % modulus
+    return v
+
+
 def _rational_roots(coeffs: dict):
-    """The distinct rational roots of a nonzero polynomial, given as
+    """The distinct rational roots of a nonzero integer polynomial, given as
     {exponent: nonzero coefficient}, with their multiplicities, as sorted
     (root, multiplicity) pairs, and whether they split it over Q.
 
-    The power x^zeros of least exponent is split off before the rest is
+    The power x^zeros of least exponent is split off before the rest, p, is
     listed densely, so x^zeros alone costs nothing whatever its degree.  The
-    rational root theorem lists the candidates a/b from the squarefree part
-    p / gcd(p, p'), so that their number does not grow with the
-    multiplicities; p splits when that part has as many roots as its degree.
+    roots are searched on the squarefree part s = p / gcd(p, p'), so their
+    number of candidates does not grow with the multiplicities, and p splits
+    when s has as many roots as its degree d.
+
+    The search is p-adic (Loos, SIAM J. Comput. 12, 1983) and factors no
+    coefficient.  For L > 0 the leading coefficient of s, y = L*x maps the
+    rational roots of s to the integer roots of the monic
+    q(y) = L^(d-1) * s(y/L).  At the first prime l > d where every root of
+    q mod l is simple (any l not dividing the discriminant of q, so one
+    exists), each root of q mod l lifts to exactly one l-adic root, by Newton
+    steps that square the modulus M.  An integer root y of q has
+    |y| <= B = 1 + max |q_i| (Cauchy), so it is the symmetric residue of its
+    lift once M > 2B.  That residue is tested exactly at every step, so a
+    small root stops at once, and a lift whose residue is still no root once
+    M > 2B is dropped: at most d candidates, with no cutoff.
     """
     zeros = min(coeffs)
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
     p = [0] * (max(coeffs) - zeros + 1)  # coefficients lowest first
     for k, c in coeffs.items():
-        p[k - zeros] = c.numerator * (den // c.denominator)
+        p[k - zeros] = int(c)  # integral Fractions are accepted as well
     p = _primitive(p)
     g, h = list(p), _primitive([k * c for k, c in enumerate(p)][1:])
     while h:
         g, h = h, _pseudo_remainder(g, h)
-    # g is primitive, so the quotient is integral (Gauss) and its end
-    # coefficients divide those of p
-    n = len(p) - len(g)
-    rest, squarefree = list(p), [0] * (n + 1)
-    for k in reversed(range(n + 1)):
-        squarefree[k] = rest[k + len(g) - 1] // g[-1]
+    # g is primitive, so the quotient is integral (Gauss)
+    d = len(p) - len(g)
+    rest, s = list(p), [0] * (d + 1)
+    for k in reversed(range(d + 1)):
+        s[k] = rest[k + len(g) - 1] // g[-1]
         for j, c in enumerate(g):
-            rest[k + j] -= squarefree[k] * c
-    low, high = (_divisors(abs(c)) for c in (squarefree[0], squarefree[-1]))
-    candidates = [(a, b) for b in high for r in low if math.gcd(r, b) == 1 for a in (r, -r)]
-    roots = [(Fraction(a, b), k) for a, b in candidates if (k := _multiplicity(p, a, b))]
-    return sorted(roots + [(Fraction(0), zeros)] * bool(zeros)), len(roots) == n
+            rest[k + j] -= s[k] * c
+    roots = [(Fraction(0), zeros)] if zeros else []
+    if d:
+        if s[-1] < 0:
+            s = [-c for c in s]
+        lead = s[-1]
+        q = [c * lead ** (d - 1 - i) for i, c in enumerate(s[:-1])] + [1]
+        dq = [i * c for i, c in enumerate(q)][1:]
+        bound = 2 * (1 + max(map(abs, q[:-1])))
+        ell = d + 1
+        while True:
+            if all(ell % f for f in range(2, math.isqrt(ell) + 1)):
+                residues = [y for y in range(ell) if not _value(q, y, ell)]
+                if all(_value(dq, y, ell) for y in residues):
+                    break
+            ell += 1
+        for y in residues:
+            modulus = ell
+            while True:
+                near = y - modulus if 2 * y > modulus else y  # the symmetric residue
+                e = math.gcd(near, lead)
+                k = _multiplicity(p, near // e, lead // e)
+                if k:
+                    roots.append((Fraction(near, lead), k))
+                    break
+                if modulus > bound:
+                    break
+                modulus *= modulus
+                y = (y - _value(q, y, modulus) * pow(_value(dq, y, modulus), -1, modulus)) % modulus
+    roots.sort()
+    return roots, len(roots) - bool(zeros) == d
 
 
-def _divisors(n: int):
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return sorted(set(small + [n // d for d in small]))
-
-
-def _points_from_basis(I: Ideal, basis: StandardBasis):
+def _points_from_basis(basis: StandardBasis, mixed: list):
     """Rational points P of Z(I) from its degrevlex basis (finite colength),
-    each with the multiplicities k_i of P_i in the eliminants, as sorted
-    (P, k) pairs.
+    each with the multiplicities k_i of P_i in the eliminants, as (P, k)
+    pairs in ascending order of P.
 
-    Each coordinate ranges over the rational roots of its eliminant, and the
-    candidate grid is filtered by exact evaluation of the generators in more
-    than one variable: one in x_i alone lies in I meet Q[x_i], so it is a
-    multiple of the eliminant and vanishes on the whole grid.
+    Each coordinate ranges over the ascending rational roots of its
+    eliminant, so the grid comes out in ascending order, and it is filtered
+    by exact evaluation of the generators in more than one variable,
+    ``mixed``: one in x_i alone lies in I meet Q[x_i], so it is a multiple
+    of the eliminant and vanishes on the whole grid.
     """
-    ring = I.ring
+    ring = basis.ring
     # the unit ideal, whose basis is (1), has no points in any characteristic
-    if ring.domain.char and any(map(any, basis.leading_monomials())):
+    if ring.domain.char and any(g[1] for g in basis.entries):
         raise InputError("point splitting needs characteristic 0")
     roots_per_var = []
     for i in range(ring.arity):
@@ -340,9 +431,8 @@ def _points_from_basis(I: Ideal, basis: StandardBasis):
                 f"support of the ideal has irrational {ring.variables[i]}-coordinates"
             )
         roots_per_var.append(roots)
-    mixed = [g for g in I.generators if len(_support(g)) > 1]
     grid = (tuple(zip(*combo)) for combo in itertools.product(*roots_per_var))
-    return sorted((P, k) for P, k in grid if all(g.evaluate(P) == 0 for g in mixed))
+    return [(P, k) for P, k in grid if all(g.evaluate(P) == 0 for g in mixed)]
 
 
 def rational_points_of_zero_dim(I: Ideal):
@@ -352,14 +442,15 @@ def rational_points_of_zero_dim(I: Ideal):
     IrrationalPoint if a coordinate of the support is irrational.
     """
     basis = groebner_basis(I)
-    if isinstance(staircase_count(basis.leading_monomials(), I.ring.arity), Infinite):
+    if isinstance(_colength(basis), Infinite):
         raise InputError("ideal is not zero-dimensional")
-    return tuple(P for P, _ in _points_from_basis(I, basis))
+    return tuple(P for P, _ in _points_from_basis(basis, _mixed(I)))
 
 
-def _length_at(I: Ideal, P: tuple, k: tuple) -> int:
+def _length_at(ring: Ring, mixed: list, P: tuple, k: tuple) -> int:
     """mu_P, the length of Q[x]/I at a point P of a zero-dimensional Z(I),
-    from the multiplicities k_i of P_i in the eliminants e_i.
+    from the multiplicities k_i of P_i in the eliminants e_i and the
+    generators of I in more than one variable, ``mixed``.
 
     Near P, (x_i - P_i)^k_i is e_i times a unit, so J = I + ((x_i - P_i)^k_i)_i
     agrees with I there and is supported at P alone: mu_P = dim Q[x]/J.  In
@@ -371,12 +462,12 @@ def _length_at(I: Ideal, P: tuple, k: tuple) -> int:
     """
     if all(e == 1 for e in k):
         return 1
-    cut = [g.shift(P, k) for g in I.generators if len(_support(g)) > 1]
+    cut = [g.shift(P, k) for g in mixed]
     if not any(cut):
         return math.prod(k)
-    n = I.ring.arity
-    pins = [Polynomial(I.ring, {tuple(e * (i == j) for j in range(n)): 1}) for i, e in enumerate(k)]
-    return colength(Ideal(I.ring, cut + pins))
+    n = ring.arity
+    pins = [Polynomial(ring, {tuple(e * (i == j) for j in range(n)): 1}) for i, e in enumerate(k)]
+    return colength(Ideal(ring, cut + pins))
 
 
 def local_colength_at(I: Ideal, point) -> int:
@@ -606,15 +697,16 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
                 f"got {len(I.generators)}"
             )
         basis = groebner_basis(I)
-        total = staircase_count(basis.leading_monomials(), ring.arity)
+        total = _colength(basis)
         if isinstance(total, Infinite):
             raise UnsupportedPresentation("regular-sequence class requires finite colength")
+        mixed = _mixed(I)
         terms = []
         accounted = 0
-        for P, k in _points_from_basis(I, basis):
-            mu = _length_at(I, P, k)
+        for P, k in _points_from_basis(basis, mixed):
+            mu = _length_at(ring, mixed, P, k)
             accounted += mu
-            terms.append((mu, PointCycle(ring, tuple(Fraction(c) for c in P))))
+            terms.append((mu, PointCycle(ring, P)))
         if accounted != total:
             raise IrrationalPoint(
                 f"rational points account for length {accounted} of {total}; "
@@ -647,26 +739,25 @@ def euler_obstruction(c: Cycle, point) -> int:
 
     Linear in the cycle; 1 on smooth descriptors through the point, the
     Hilbert-Samuel multiplicity on curves (classical import), 0 away from
-    the support.
+    the support.  The point is converted once, in the ring of the first
+    descriptor: a cycle lives in one ambient ring.
     """
-    total = 0
+    total, P = 0, None
     for coeff, d in c.terms:
-        total += coeff * _eu_descriptor(d, point)
+        if P is None and not isinstance(d, ConormalCycle):
+            P = as_point(point, d.ring)
+        total += coeff * _eu_descriptor(d, P)
     return total
 
 
-def _eu_descriptor(d: Descriptor, point) -> int:
+def _eu_descriptor(d: Descriptor, P: tuple) -> int:
     if isinstance(d, PointCycle):
-        P = as_point(point, d.ring)
         return 1 if P == d.coordinates else 0
     if isinstance(d, CoordinateSubspaceCycle):
-        P = as_point(point, d.ring)
         return 1 if all(P[i] == 0 for i in d.zero_vars) else 0
     if isinstance(d, SmoothVarietyCycle):
-        P = as_point(point, d.ideal.ring)
         return 1 if all(g.evaluate(P) == 0 for g in d.ideal.generators) else 0
     if isinstance(d, CurveCycle):
-        P = as_point(point, d.ideal.ring)
         if any(g.evaluate(P) != 0 for g in d.ideal.generators):
             return 0
         return hs_multiplicity(shift_ideal(d.ideal, P))

@@ -34,7 +34,9 @@ generators with ``_to_entries``, and ``_local_basis``, the one local-basis
 core behind :func:`standard_basis`, is also entered directly by the Milnor
 route (``singular._milnor``), with partials it built in the packing
 (``_partial``); it reads mu and the local dimension off ``_lowest_term`` of
-the packed leads, so no Polynomial is built on that route.
+the packed leads, so no Polynomial is built on that route.  The cycle route
+(``cycles``) reads a degrevlex basis's entries the same way: its colength,
+eliminants and roots need no basis element.
 
 Monomials.  In ``_buchberger_loop``, the normal forms and the Hilbert
 counter a monomial x^e in n variables is one int (``_Packing``; Monagan and

@@ -590,6 +590,60 @@ def test_cycle_route_reads_eliminants_sparsely():
     assert [c["coefficient"] for c in payload["cycle"]] == [top - 1]
 
 
+BIG_ROOTS = [["100000000003", "0"], ["100000000019", "0"]]
+
+
+@pytest.mark.parametrize("args,code,expected", [
+    (["cycle", "--class", "regular-sequence", "--ideal", "x^2-10000000000000061", "y"],
+     2, {"refusal": "IRRATIONAL_POINT"}),
+    (["cycle", "--class", "regular-sequence", "--ideal", "(x-100000000003)*(x-100000000019)", "y"],
+     0, {"cycle": BIG_ROOTS}),
+    (["nu", "--critical-locus",
+      "1/3*x^3 - 100000000011*x^2 + 10000000002200000000057*x + y^2",
+      "--point", "100000000003,0"],
+     0, {"cycle": BIG_ROOTS, "nu": 1}),
+], ids=["irrational", "two-roots", "nu"])
+def test_cycle_route_splits_large_coefficients_quickly(args, code, expected):
+    # eliminants whose end coefficients have 12 to 23 digits and no small
+    # factors: no divisor of them may be listed, so each job answers in
+    # milliseconds; it runs in a child so that the time limit can stop it
+    command = args[:1] + ["--ring", "x,y"] + args[1:] + ["--no-cache"]
+    job = f"import sys; from nuchi.cli import main; sys.exit(main({command!r}))"
+    done = subprocess.run(
+        [sys.executable, "-c", job], capture_output=True, text=True, timeout=5,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert done.returncode == code, done.stderr
+    envelope = json.loads(done.stdout)
+    if "refusal" in expected:
+        assert envelope["refusal"]["code"] == expected["refusal"]
+        return
+    payload = envelope["payload"]
+    assert [t["data"]["coordinates"] for t in payload["cycle"]] == expected["cycle"]
+    assert [t["coefficient"] for t in payload["cycle"]] == [1, 1]
+    assert payload.get("nu") == expected.get("nu")
+
+
+@pytest.mark.parametrize("m", [None, 1])
+def test_arc_check_composes_each_component_once(monkeypatch, m):
+    # the vanishing order and the obstruction are read off one composition
+    calls = []
+    compose = arcs.compose_along_arc
+
+    def counting(f, arc):
+        calls.append(f)
+        return compose(f, arc)
+
+    monkeypatch.setattr(arcs, "compose_along_arc", counting)
+    spec = {"command": "arc-check", "ring": {"vars": ["x", "y", "z"], "char": 0},
+            "form": ["y*z", "x*z", "x*y"], "arc": "x = u*t\ny = v*t\nz = w"}
+    if m is not None:
+        spec["m"] = m
+    payload = run_job(spec, use_cache=False)["payload"]
+    assert payload["vanishing_order"] == 1 and payload["m"] == 1
+    assert len(calls) == 3
+
+
 def test_hilb_demo_negative_size_is_an_input_error(tmp_path, capsys):
     code, _, err = run_cli(["hilb-demo", "--n-max", "-1", "--no-cache"], capsys)
     assert code == 1

@@ -421,8 +421,13 @@ def test_fglm_eliminant_matches_elimination(roots, shear):
     basis = groebner_basis(I)
     for var in (0, 1):
         (reference,) = eliminate(I, {1 - var}).generators
-        expected = {m[var]: c for m, c in reference.terms()}
-        assert _eliminant(basis, var) == expected
+        # the monic reference times the lcm of its denominators: the same
+        # polynomial with content 1 and a positive lead, in integers
+        den = math.lcm(*(c.denominator for _, c in reference.terms()))
+        expected = {m[var]: int(c * den) for m, c in reference.terms()}
+        eliminant = _eliminant(basis, var)
+        assert eliminant == expected
+        assert all(type(c) is int for c in eliminant.values())
     grid = {(r, s - shear * r): e * f for r, e in roots[0] for s, f in roots[1]}
     assert rational_points_of_zero_dim(I) == tuple(sorted(grid))
     c = distinguished_cycle(regular_sequence_presentation(I))
@@ -438,6 +443,58 @@ def test_rational_roots_report_multiplicities():
         [(Fraction(-3, 2), 2), (Fraction(0), 3), (Fraction(1000), 6)], True
     )
     assert _rational_roots({0: Fraction(-2), 2: Fraction(1)}) == ([], False)  # x^2 - 2
+
+
+def times(f, g):
+    """The product of two integer coefficient lists, lowest first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def planted_roots(draw):
+    """(roots, multiplicities): distinct nonzero rationals a/b with |a| up to
+    10^15 and b <= 12, some as +-a/b pairs and some over a shared
+    denominator, each of multiplicity 1..4."""
+    numerators = st.one_of(st.integers(1, 30), st.integers(1, 10**15))
+    shared = draw(st.integers(1, 12))
+    roots = set()
+    for a in draw(st.lists(numerators, min_size=1, max_size=3)):
+        b = draw(st.one_of(st.just(shared), st.integers(1, 12)))
+        signs = draw(st.sampled_from([(1,), (-1,), (1, -1)]))
+        roots.update(Fraction(s * a, b) for s in signs)
+    roots = sorted(roots)
+    return roots, [draw(st.integers(1, 4)) for _ in roots]
+
+
+@settings(max_examples=150)
+@given(
+    planted_roots(),
+    st.integers(1, 10**6) | st.integers(-10**6, -1),
+    st.integers(0, 3),
+    st.sampled_from([None, [-2, 0, 1], [1, 1, 1]]),  # none, x^2 - 2, x^2 + x + 1
+)
+def test_rational_roots_find_the_planted_roots(planted, content, zeros, extra):
+    # content * x^zeros * prod (b*x - a)^e [* a factor without rational roots]:
+    # exactly the planted roots come back, and they split it iff nothing else
+    # is there; a finder that divides out each root it finds can lose the
+    # second root of a +-a/b pair
+    roots, multiplicities = planted
+    f = [content]
+    for r, e in zip(roots, multiplicities):
+        for _ in range(e):
+            f = times(f, [-r.numerator, r.denominator])
+    if extra:
+        f = times(f, extra)
+    coeffs = {k + zeros: c for k, c in enumerate(f) if c}
+    expected = sorted(list(zip(roots, multiplicities)) + [(Fraction(0), zeros)] * bool(zeros))
+    with time_limit(5):
+        found, split = _rational_roots(coeffs)
+    assert found == expected and split == (extra is None)
+    assert all(type(r) is Fraction for r, _ in found)
 
 
 NAMES = ("x", "y", "z")
@@ -570,6 +627,26 @@ def test_broken_mora_moves_the_milnor_route_only(monkeypatch):
     monkeypatch.setattr(singular, "_local_basis", drop_last_entry)
     assert [milnor_number(f, P) for P in points] != milnor
     assert distinguished_cycle(presentation) == cycle
+
+
+def test_cycle_route_builds_no_basis_polynomials(monkeypatch):
+    # the cycle route reads its colength, eliminants (FGLM included) and roots
+    # off the basis's packed integer entries, so it never asks for the monic
+    # basis elements
+    def refuse(*args):
+        raise AssertionError("a basis polynomial was built")
+
+    monkeypatch.setattr(groebner, "_output", refuse)
+    separable = ideal("x^3*(x - 1)^2", "y^2*(2*y + 3)")
+    c = distinguished_cycle(regular_sequence_presentation(separable))
+    points = [(0, Fraction(-3, 2)), (0, 0), (1, Fraction(-3, 2)), (1, 0)]
+    assert [(coeff, d.coordinates) for coeff, d in c.terms] == list(zip([3, 6, 2, 4], points))
+    # roots of x and of y + x: no basis element is univariate in y
+    mixed = ideal("(x - 1)^2*(x + 1)", "(y + x - 2)^2*(y + x)")
+    c = distinguished_cycle(regular_sequence_presentation(mixed))
+    assert {d.coordinates: coeff for coeff, d in c.terms} == {
+        (-1, 1): 1, (-1, 3): 2, (1, -1): 2, (1, 1): 4
+    }
 
 
 def separable_critical_locus(n, roots, entries):

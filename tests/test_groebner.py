@@ -596,6 +596,8 @@ def test_fglm_eliminant_is_pinned():
     # no element of this basis is univariate in x, so the eliminant is FGLM's
     basis = groebner_basis(ideal("x^2 + 1/2*y - 1", "y^2 - 3*x*y + 2/3"))
     assert not any(all(m[1] == 0 for m, _ in g.terms()) for g in basis.elements)
-    assert {k: str(c) for k, c in _eliminant(basis, 0).items()} == {
-        0: "7/6", 1: "-3/2", 2: "-2", 3: "3/2", 4: "1"
-    }
+    # the monic x^4 + 3/2*x^3 - 2*x^2 - 3/2*x + 7/6 with content 1 and a
+    # positive lead: times 6, in integers
+    eliminant = _eliminant(basis, 0)
+    assert eliminant == {0: 7, 1: -9, 2: -12, 3: 9, 4: 6}
+    assert all(type(c) is int for c in eliminant.values())
