@@ -498,6 +498,16 @@ def _pretty_tables(envelope: dict) -> None:
 
 # ----------------------------------------------------------------- argparse
 
+class _Parser(argparse.ArgumentParser):
+    """Malformed arguments exit 1, as other malformed input does: argparse's
+    own code, 2, is the one a verified mathematical refusal exits with.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_ring_arguments(p):
     p.add_argument("--ring", required=True, help="comma-separated variable names")
     p.add_argument("--char", type=int, default=0, help="0 for Q, or a prime p for F_p")
@@ -514,7 +524,7 @@ def _add_global_arguments(p, top: bool):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nuchi",
         description="exact Milnor numbers, cone cycles and weighted Euler characteristics",
     )

@@ -26,11 +26,11 @@ point equals its Hilbert-Samuel multiplicity there.  It is used only for
 curve-kind cycle descriptors and is flagged in CLI provenance.
 
 Splitting a zero-dimensional ideal into points needs one degrevlex basis,
-read on the packed integer entries the Groebner driver holds, so no basis
-polynomial and no Fraction is built before the roots: the colength comes off
-the lowest term of the leads' K-polynomial, and each variable's eliminant e_i
-is read off the entries as primitive integer coefficients (a univariate
-entry, or else a minimal polynomial by fraction-free FGLM).  Its rational
+and no basis polynomial and no Fraction is built before the roots: the
+colength is one of the basis's invariants, and each variable's eliminant e_i
+comes from :func:`~nuchi.groebner.eliminant` as primitive integer
+coefficients (a univariate basis element, or else a minimal polynomial by
+fraction-free FGLM), both read off the driver's integer entries.  Its rational
 roots are found exactly and p-adically on its squarefree part (Hensel
 lifting of the roots modulo a small prime; no coefficient is factored), each
 with its multiplicity k_i in e_i.  The same data give mu_P without a local
@@ -59,24 +59,16 @@ from .errors import (
     UnsupportedPresentation,
 )
 from .groebner import (
-    _FIELD,
-    _W,
-    INFINITE,
     Ideal,
     Infinite,
     LOCAL_DEGREVLEX,
     StandardBasis,
-    _division,
-    _lowest_term,
-    _packing,
-    _sub_multiple,
     colength,
+    eliminant,
     eliminate,
     groebner_basis,
     hs_multiplicity,
     krull_dimension,
-    monomial_ideal_dimension,
-    monomial_minimal_generators,
     staircase_count,
 )
 from .poly import Polynomial, Ring
@@ -223,73 +215,6 @@ def _mixed(I: Ideal) -> list:
     ]
 
 
-def _colength(basis: StandardBasis):
-    """dim Q[x]/I or INFINITE, read off the packed leads of its reduced basis,
-    which are the minimal generators of the leading-term ideal."""
-    pk = _packing(basis.ring.arity)
-    lowest = _lowest_term([g[1] for g in basis.entries], pk)
-    if lowest is None:
-        return 0  # the unit ideal
-    k, c = lowest
-    return c if k == pk.n else INFINITE
-
-
-def _eliminant(basis: StandardBasis, var: int) -> dict:
-    """The generator of I meet Q[x_var] with content 1 and a positive leading
-    coefficient, as {exponent: coefficient} over its nonzero terms, read off
-    the packed integer entries of a reduced degrevlex basis.
-
-    Such a basis holds at most one element whose leading monomial is a power
-    of x_var; when that element is univariate it lies in I meet Q[x_var] and
-    has the least degree there, so its entry, which is primitive, is the
-    generator.  Otherwise FGLM (Faugere-Gianni-Lazard-Mora, JSC 16, 1993):
-    the generator is the first linear dependency among the normal forms of
-    1, x, x^2, ... modulo the basis, so the loop ends within colength + 1
-    steps when the colength is finite.  It runs in integers: s_k * x^k
-    reduces to nf_k, and each row is a reduced nf (packed monomial keys)
-    with the combination of powers it stands for (exponent keys), reduced
-    against the earlier rows in order by cross-multiplication and kept
-    primitive.
-    """
-    pk = _packing(basis.ring.arity)
-    s = _W * var
-    others = pk.fields ^ (_FIELD << s)
-    for terms, _, _, _ in basis.entries:
-        if not any(m & others for m in terms):
-            return {m >> pk.shift: c for m, c in terms.items()}
-    step = (1 << s) | (1 << pk.shift)  # x_var, packed
-    rows = []
-    nf, scale = {0: 1}, 1
-    for k in itertools.count():
-        vec, combo = dict(nf), {k: scale}
-        for pivot, rvec, rcombo in rows:
-            c = vec.get(pivot)
-            if c:
-                d = math.gcd(rvec[pivot], c)
-                a, b = rvec[pivot] // d, c // d
-                for t in vec:
-                    vec[t] *= a
-                for t in combo:
-                    combo[t] *= a
-                _sub_multiple(vec, b, 0, rvec, 0)
-                _sub_multiple(combo, b, 0, rcombo, 0)
-        if not vec:
-            content = math.gcd(*combo.values())
-            if combo[max(combo)] < 0:
-                content = -content
-            return {j: combo[j] // content for j in sorted(combo)}
-        content = math.gcd(*vec.values(), *combo.values())
-        rows.append((
-            next(iter(vec)),
-            {m: v // content for m, v in vec.items()},
-            {j: v // content for j, v in combo.items()},
-        ))
-        nf, a = _division({m + step: c for m, c in nf.items()}, basis.entries, pk, basis.order, 0)
-        scale *= a
-        content = math.gcd(scale, *nf.values())
-        nf, scale = {m: c // content for m, c in nf.items()}, scale // content
-
-
 def _primitive(f: list) -> list:
     content = math.gcd(*f)
     return [c // content for c in f] if content else f
@@ -408,10 +333,10 @@ def _rational_roots(coeffs: dict):
     return roots, len(roots) - bool(zeros) == d
 
 
-def _points_from_basis(basis: StandardBasis, mixed: list):
-    """Rational points P of Z(I) from its degrevlex basis (finite colength),
-    each with the multiplicities k_i of P_i in the eliminants, as (P, k)
-    pairs in ascending order of P.
+def _points_from_basis(basis: StandardBasis, length: int, mixed: list):
+    """Rational points P of Z(I) from its degrevlex basis and its finite
+    colength, each with the multiplicities k_i of P_i in the eliminants, as
+    (P, k) pairs in ascending order of P.
 
     Each coordinate ranges over the ascending rational roots of its
     eliminant, so the grid comes out in ascending order, and it is filtered
@@ -420,12 +345,13 @@ def _points_from_basis(basis: StandardBasis, mixed: list):
     of the eliminant and vanishes on the whole grid.
     """
     ring = basis.ring
-    # the unit ideal, whose basis is (1), has no points in any characteristic
-    if ring.domain.char and any(g[1] for g in basis.entries):
+    if not length:
+        return []  # the unit ideal has no points in any characteristic
+    if ring.domain.char:
         raise InputError("point splitting needs characteristic 0")
     roots_per_var = []
     for i in range(ring.arity):
-        roots, split = _rational_roots(_eliminant(basis, i))
+        roots, split = _rational_roots(eliminant(basis, i))
         if not split:
             raise IrrationalPoint(
                 f"support of the ideal has irrational {ring.variables[i]}-coordinates"
@@ -442,9 +368,10 @@ def rational_points_of_zero_dim(I: Ideal):
     IrrationalPoint if a coordinate of the support is irrational.
     """
     basis = groebner_basis(I)
-    if isinstance(_colength(basis), Infinite):
+    length = basis.invariants()[0]
+    if isinstance(length, Infinite):
         raise InputError("ideal is not zero-dimensional")
-    return tuple(P for P, _ in _points_from_basis(basis, _mixed(I)))
+    return tuple(P for P, _ in _points_from_basis(basis, length, _mixed(I)))
 
 
 def _length_at(ring: Ring, mixed: list, P: tuple, k: tuple) -> int:
@@ -543,13 +470,13 @@ def normal_cone_ideal(I: Ideal) -> ConeIdealReport:
     cone_gens += [g.transport(doubled, base_map) for g in gens]
     J = Ideal(doubled, cone_gens)
     reduced = groebner_basis(J)
+    _, dim, _ = reduced.invariants()
     # J contains I, and the cone of a nonempty scheme is nonempty: J = (1)
     # exactly when I = (1)
-    if reduced.elements and reduced.elements[0].total_degree() == 0:
+    if dim < 0:
         raise UnitIdeal("normal cone of the empty scheme")
     J_canonical = Ideal(doubled, reduced.elements)
     fiber_indices = tuple(range(n, n + r))
-    dim = monomial_ideal_dimension(reduced.leading_monomials(), doubled.arity)
     conic = _fiber_homogeneous(reduced.elements, fiber_indices)
     components = _monomial_components(reduced, doubled)
     return ConeIdealReport(J_canonical, n, fiber_indices, dim, conic, components)
@@ -575,14 +502,12 @@ def _monomial_components(basis: StandardBasis, ring: Ring):
 
     Minimal primes of a monomial ideal are the minimal coordinate covers of
     the generator supports; the generic length along a prime sets the other
-    variables to 1 and counts the staircase of what remains.
+    variables to 1 and counts the staircase of what remains.  The leads of
+    a reduced basis are the minimal generators.
     """
-    monos = []
-    for g in basis.elements:
-        if len(g.terms()) != 1:
-            return None
-        monos.append(g.terms()[0][0])
-    gens = monomial_minimal_generators(monos)
+    if any(len(g.terms()) != 1 for g in basis.elements):
+        return None
+    gens = basis.leading_monomials()
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in gens]
     arity = ring.arity
     covers: list = []
@@ -697,13 +622,13 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
                 f"got {len(I.generators)}"
             )
         basis = groebner_basis(I)
-        total = _colength(basis)
+        total = basis.invariants()[0]
         if isinstance(total, Infinite):
             raise UnsupportedPresentation("regular-sequence class requires finite colength")
         mixed = _mixed(I)
         terms = []
         accounted = 0
-        for P, k in _points_from_basis(basis, mixed):
+        for P, k in _points_from_basis(basis, total, mixed):
             mu = _length_at(ring, mixed, P, k)
             accounted += mu
             terms.append((mu, PointCycle(ring, P)))

@@ -30,13 +30,15 @@ basis, membership test, eliminant and colength comes from it.
 
 Entries.  ``_buchberger_loop`` takes a list of entries (see ``_entry``), not
 polynomials: :func:`groebner_basis` and :func:`standard_basis` convert their
-generators with ``_to_entries``, and ``_local_basis``, the one local-basis
-core behind :func:`standard_basis`, is also entered directly by the Milnor
-route (``singular._milnor``), with partials it built in the packing
-(``_partial``); it reads mu and the local dimension off ``_lowest_term`` of
-the packed leads, so no Polynomial is built on that route.  The cycle route
-(``cycles``) reads a degrevlex basis's entries the same way: its colength,
-eliminants and roots need no basis element.
+generators with ``_to_entries``, and :func:`jacobian_basis` takes a packed
+polynomial's partials in the packing (``_partial``); both local bases come
+from ``_local_basis``, the one local-basis core.  A :class:`StandardBasis`
+keeps the entries, and no other module reads the packing: the basis reads
+the Hilbert invariants of its leading-term ideal off the packed leads
+(:meth:`StandardBasis.invariants`, the one ``_hilbert``), and
+:func:`eliminant` reads primitive integer eliminants off the entries.  So
+the Milnor route (``singular``) and the cycle route (``cycles``) build no
+basis Polynomial; the monic ``elements`` are built only when asked for.
 
 Monomials.  In ``_buchberger_loop``, the normal forms and the Hilbert
 counter a monomial x^e in n variables is one int (``_Packing``; Monagan and
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import operator
 import struct
@@ -132,24 +135,24 @@ class Ideal:
 class StandardBasis:
     """A Groebner basis (global order) or Mora standard basis (local order).
 
-    ``StandardBasis(order, source, entries)``: a basis holds its integer
-    entries (see ``_entry``) from construction and builds the monic
-    ``elements`` from them on first access.  Equality, hashing and repr read
-    (order, elements, source), and a basis is immutable.
+    ``StandardBasis(order, ring, entries)``: a basis holds the driver's
+    integer entries (see ``_entry``), whose leading monomials are the minimal
+    generators of the leading-term ideal.  :meth:`invariants` reads that
+    ideal's Hilbert invariants off the packed leads, and the monic
+    ``elements`` are built from the entries on first access.  A basis is
+    immutable.
     """
 
-    def __init__(self, order: MonomialOrder, source: Ideal, entries: tuple):
+    __slots__ = ("order", "ring", "entries", "_elements")
+
+    def __init__(self, order: MonomialOrder, ring: Ring, entries: tuple):
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_elements", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    @property
-    def ring(self) -> Ring:
-        return self.source.ring
 
     @property
     def elements(self) -> tuple:
@@ -164,25 +167,18 @@ class StandardBasis:
         unpack = _packing(self.ring.arity).unpack
         return tuple(unpack(g[1]) for g in self.entries)
 
-    def __iter__(self):
-        return iter(self.elements)
+    def invariants(self) -> tuple:
+        """(length, dim, degree) of the quotient by the leading-term ideal:
+        length is the colength or INFINITE, dim the Krull dimension (-1 for
+        the unit ideal) and degree the multiplicity (0 for the unit ideal).
 
-    def _fields(self) -> tuple:
-        return (self.order, self.elements, self.source)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"StandardBasis(order={self.order!r}, elements={self.elements!r}, "
-            f"source={self.source!r})"
-        )
+        Length and dim are those of ring/I under a global order, and those of
+        the localization at the origin under the local order, where degree
+        is the Hilbert-Samuel multiplicity; under degrevlex degree is that
+        of ring/I.  See ``_hilbert``.
+        """
+        pk = _packing(self.ring.arity)
+        return _hilbert([g[1] for g in self.entries], pk)
 
 
 # -------------------------------------------------------- packed monomials
@@ -524,6 +520,64 @@ def normal_form(f: Polynomial, basis: StandardBasis) -> Polynomial:
     return Polynomial(f.ring, h, _merged=True)
 
 
+def eliminant(basis: StandardBasis, var: int) -> dict:
+    """The generator of I meet Q[x_var] with content 1 and a positive leading
+    coefficient, as {exponent: coefficient} over its nonzero terms, read off
+    the integer entries of a reduced degrevlex basis of a zero-dimensional I
+    over Q.
+
+    Such a basis holds at most one element whose leading monomial is a power
+    of x_var; when that element is univariate it lies in I meet Q[x_var] and
+    has the least degree there, so its entry, which is primitive, is the
+    generator.  Otherwise FGLM (Faugere-Gianni-Lazard-Mora, JSC 16, 1993):
+    the generator is the first linear dependency among the normal forms of
+    1, x, x^2, ... modulo the basis, so the loop ends within colength + 1
+    steps.  It runs in integers: s_k * x^k reduces to nf_k, and each row is
+    a reduced nf (packed monomial keys) with the combination of powers it
+    stands for (exponent keys), reduced against the earlier rows in order by
+    cross-multiplication and kept primitive.
+    """
+    if basis.ring.domain.char:
+        raise InputError("eliminants are read over Q only")
+    pk = _packing(basis.ring.arity)
+    s = _W * var
+    others = pk.fields ^ (_FIELD << s)
+    for terms, _, _, _ in basis.entries:
+        if not any(m & others for m in terms):
+            return {m >> pk.shift: c for m, c in terms.items()}
+    step = (1 << s) | (1 << pk.shift)  # x_var, packed
+    rows = []
+    nf, scale = {0: 1}, 1
+    for k in itertools.count():
+        vec, combo = dict(nf), {k: scale}
+        for pivot, rvec, rcombo in rows:
+            c = vec.get(pivot)
+            if c:
+                d = gcd(rvec[pivot], c)
+                a, b = rvec[pivot] // d, c // d
+                for t in vec:
+                    vec[t] *= a
+                for t in combo:
+                    combo[t] *= a
+                _sub_multiple(vec, b, 0, rvec, 0)
+                _sub_multiple(combo, b, 0, rcombo, 0)
+        if not vec:
+            content = gcd(*combo.values())
+            if combo[max(combo)] < 0:
+                content = -content
+            return {j: combo[j] // content for j in sorted(combo)}
+        content = gcd(*vec.values(), *combo.values())
+        rows.append((
+            next(iter(vec)),
+            {m: v // content for m, v in vec.items()},
+            {j: v // content for j, v in combo.items()},
+        ))
+        nf, a = _division({m + step: c for m, c in nf.items()}, basis.entries, pk, basis.order, 0)
+        scale *= a
+        content = gcd(scale, *nf.values())
+        nf, scale = {m: c // content for m, c in nf.items()}, scale // content
+
+
 # ---------------------------------------------------------------- buchberger
 
 def _s_poly(f: tuple, g: tuple, pk: _Packing, p: int) -> dict:
@@ -615,17 +669,16 @@ def _minimalize(basis: Sequence[tuple], pk: _Packing) -> list:
     return kept
 
 
-def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX, verify: bool = False) -> StandardBasis:
+def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX) -> StandardBasis:
     """The reduced Groebner basis of I under a global order.
 
     Unique for (I, order); elements are monic, fully inter-reduced and sorted
-    by ascending leading monomial.  With ``verify`` every S-polynomial of the
-    result is checked to reduce to zero.
+    by ascending leading monomial.
     """
     if not order.is_global:
         raise InputError("groebner_basis requires a global order")
     if not I.generators:
-        return StandardBasis(order, I, ())
+        return StandardBasis(order, I.ring, ())
     p = I.ring.domain.char
     pk = _packing(I.ring.arity)
     basis = _minimalize(_buchberger_loop(_to_entries(I.generators, pk, order), pk, order, p), pk)
@@ -638,13 +691,10 @@ def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX, verify: bool = Fa
         reduced.append(g)
     key = pk.key(order)
     reduced.sort(key=lambda g: key(g[1]))
-    result = StandardBasis(order, I, tuple(reduced))
-    if verify:
-        _assert_spolys_vanish(result)
-    return result
+    return StandardBasis(order, I.ring, tuple(reduced))
 
 
-def standard_basis(I: Ideal, order: MonomialOrder = LOCAL_DEGREVLEX, verify: bool = False) -> StandardBasis:
+def standard_basis(I: Ideal, order: MonomialOrder = LOCAL_DEGREVLEX) -> StandardBasis:
     """A minimal monic standard basis of I under a local order.
 
     Uses Mora's normal form with ecart-minimizing reducer selection; the
@@ -653,13 +703,30 @@ def standard_basis(I: Ideal, order: MonomialOrder = LOCAL_DEGREVLEX, verify: boo
     if not order.is_local:
         raise InputError("standard_basis requires a local order")
     if not I.generators:
-        return StandardBasis(order, I, ())
+        return StandardBasis(order, I.ring, ())
     pk = _packing(I.ring.arity)
     entries = _local_basis(_to_entries(I.generators, pk, order), pk, I.ring.domain.char)
-    result = StandardBasis(order, I, entries)
-    if verify:
-        _assert_spolys_vanish(result)
-    return result
+    return StandardBasis(order, I.ring, entries)
+
+
+def jacobian_basis(f: Polynomial):
+    """The minimal local standard basis of the Jacobian ideal of f at the
+    origin, or None when df(0) != 0.
+
+    Runs on packed integer terms and builds no Polynomial: f is packed once
+    and its partials are taken in the packing.  Zero partials, which vanish
+    everywhere, are dropped, and df(0) = 0 is read off the constant terms,
+    the packed key 0.
+    """
+    ring = f.ring
+    n, p = ring.arity, ring.domain.char
+    pk = _packing(n)
+    terms, _ = _integer_terms(f, pk.pack)
+    partials = [d for d in [_partial(terms, i, pk, p) for i in range(n)] if d]
+    if any(0 in d for d in partials):
+        return None
+    entries = [_entry(d, pk, LOCAL_DEGREVLEX, p) for d in partials]
+    return StandardBasis(LOCAL_DEGREVLEX, ring, _local_basis(entries, pk, p) if entries else ())
 
 
 def _local_basis(entries: list, pk: _Packing, p: int) -> tuple:
@@ -668,8 +735,7 @@ def _local_basis(entries: list, pk: _Packing, p: int) -> tuple:
 
     Its leading monomials are the minimal generators of the local
     leading-term ideal.  This is the one local-basis core: behind
-    :func:`standard_basis`, and behind the Milnor route, which enters with
-    its packed partials.
+    :func:`standard_basis` and :func:`jacobian_basis`.
     """
     shift, guard = pk.shift, pk.guard
     normalized = []
@@ -749,16 +815,6 @@ def _minimal_packed(monos: Iterable[int], guard: int) -> list:
     return minimal
 
 
-def monomial_minimal_generators(monos: Iterable[tuple]) -> list:
-    """Inclusion-minimal generators of the monomial ideal they span, by
-    ascending degree."""
-    monos = list(monos)
-    if not monos:
-        return []
-    pk = _packing(len(monos[0]))
-    return [pk.unpack(m) for m in _minimal_packed(map(pk.pack, monos), pk.guard)]
-
-
 def _lowest_term(gens: list, pk: _Packing):
     """(k, c) with N(t) = c*(1-t)^k + (higher powers of 1-t) for the
     K-polynomial N of the monomial ideal I of packed generators, where
@@ -806,35 +862,37 @@ def _lowest_term(gens: list, pk: _Packing):
     return k, c + cc
 
 
-def _lowest_term_of(lead_monos: Sequence[tuple], arity: int):
-    pk = _packing(arity)
-    return _lowest_term(_minimal_packed(map(pk.pack, lead_monos), pk.guard), pk)
+def _hilbert(gens: list, pk: _Packing) -> tuple:
+    """(length, dim, degree) of R/I for the monomial ideal I of minimal packed
+    generators, read off the lowest term c*(1-t)^k of its exact K-polynomial
+    N (see ``_lowest_term``): R/I has dimension n - k and degree c.  Its
+    length, the number of monomials outside I, is finite iff (1-t)^n divides
+    N, that is k = n, and then it is the value at t = 1 of N/(1-t)^n, the
+    Hilbert series of R/I as a polynomial, which is c.  INFINITE is always a
+    verified infinity.  The unit ideal gives (0, -1, 0).
+    """
+    lowest = _lowest_term(gens, pk)
+    if lowest is None:
+        return 0, -1, 0
+    k, c = lowest
+    return (c if k == pk.n else INFINITE), pk.n - k, c
 
 
 def staircase_count(lead_monos: Sequence[tuple], arity: int):
-    """Number of monomials outside the monomial ideal, or INFINITE.
-
-    Read off the exact K-polynomial N: the count is finite iff (1-t)^arity
-    divides N, and then it is the value at t = 1 of N/(1-t)^arity, the
-    Hilbert series of the quotient as a polynomial, which is the
-    coefficient c of the lowest term c*(1-t)^arity of N.  INFINITE is
-    always a verified infinity.
-    """
-    lowest = _lowest_term_of(lead_monos, arity)
-    if lowest is None:
-        return 0  # unit ideal
-    k, c = lowest
-    return c if k == arity else INFINITE
+    """Number of monomials outside the monomial ideal, or INFINITE (see
+    ``_hilbert``)."""
+    pk = _packing(arity)
+    return _hilbert(_minimal_packed(map(pk.pack, lead_monos), pk.guard), pk)[0]
 
 
 def monomial_ideal_dimension(lead_monos: Sequence[tuple], arity: int) -> int:
     """Krull dimension of R / (monomial ideal); -1 for the unit ideal.
 
     It is the pole order of the Hilbert series at t = 1: arity minus the
-    number of (1-t) factors of the K-polynomial.
+    number of (1-t) factors of the K-polynomial (see ``_hilbert``).
     """
-    lowest = _lowest_term_of(lead_monos, arity)
-    return -1 if lowest is None else arity - lowest[0]
+    pk = _packing(arity)
+    return _hilbert(_minimal_packed(map(pk.pack, lead_monos), pk.guard), pk)[1]
 
 
 # -------------------------------------------------------------- measurements
@@ -844,18 +902,17 @@ def colength(I: Ideal, order: MonomialOrder = DEGREVLEX):
 
     This is the number of standard monomials: monomials outside the
     leading-term ideal of a basis under ``order``, counted exactly from the
-    K-polynomial of that ideal (see :func:`staircase_count`).  A local order
-    measures the localization at the origin, a global one the full quotient
-    ring.
+    K-polynomial of that ideal (see :meth:`StandardBasis.invariants`).  A
+    local order measures the localization at the origin, a global one the
+    full quotient ring.
     """
     basis = groebner_basis(I, order) if order.is_global else standard_basis(I, order)
-    return staircase_count(basis.leading_monomials(), I.ring.arity)
+    return basis.invariants()[0]
 
 
 def krull_dimension(I: Ideal) -> int:
     """Krull dimension of ring/I from the leading-term ideal; -1 if I = (1)."""
-    leads = groebner_basis(I, DEGREVLEX).leading_monomials()
-    return monomial_ideal_dimension(leads, I.ring.arity)
+    return groebner_basis(I, DEGREVLEX).invariants()[1]
 
 
 def hs_multiplicity(I: Ideal) -> int:
@@ -872,8 +929,7 @@ def hs_multiplicity(I: Ideal) -> int:
     for g in I.generators:
         if g.constant_term() != 0:
             raise OriginNotOnVariety(f"generator {g} does not vanish at the origin")
-    leads = standard_basis(I, LOCAL_DEGREVLEX).leading_monomials()
-    _, e = _lowest_term_of(leads, I.ring.arity)  # a proper ideal: it lies in (x_1..x_n)
+    _, _, e = standard_basis(I, LOCAL_DEGREVLEX).invariants()
     if e <= 0:
         raise AssertionError("Hilbert-Samuel multiplicity must be positive")
     return e

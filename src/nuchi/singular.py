@@ -2,7 +2,10 @@
 
 Milnor numbers via local colengths of Jacobian ideals, the canonical
 constructible function nu at smooth points and isolated critical points, and
-the almost-closed test for 1-forms.
+the almost-closed test for 1-forms.  The Milnor route builds one local basis
+of the shifted Jacobian ideal (:func:`~nuchi.groebner.jacobian_basis`, on
+integer terms) and reads mu and the local dimension off its invariants, so
+no Polynomial is differentiated and no basis Polynomial is built.
 
 External mathematical import, used here and documented in the README: for an
 isolated critical point of f in n variables, the Euler characteristic of the
@@ -28,18 +31,11 @@ from .errors import (
     Unsupported,
 )
 from .groebner import (
-    INFINITE,
     Ideal,
     Infinite,
     LOCAL_DEGREVLEX,
-    _entry,
-    _integer_terms,
-    _local_basis,
-    _lowest_term,
-    _packing,
-    _partial,
     groebner_basis,
-    monomial_ideal_dimension,
+    jacobian_basis,
     normal_form,
     standard_basis,
 )
@@ -153,8 +149,7 @@ def local_dimension(I: Ideal, point: Point) -> int:
     Read combinatorially off the local leading-term ideal of a standard
     basis after shifting the point to the origin.
     """
-    basis = standard_basis(shift_ideal(I, point), LOCAL_DEGREVLEX)
-    return monomial_ideal_dimension(basis.leading_monomials(), I.ring.arity)
+    return standard_basis(shift_ideal(I, point), LOCAL_DEGREVLEX).invariants()[1]
 
 
 @dataclass(frozen=True)
@@ -200,27 +195,18 @@ def milnor_number(f: Polynomial, point: Sequence):
 
 def _milnor(f: Polynomial, point: Point):
     """(mu, dim): milnor_number and the local dimension of Crit(f) at the
-    point, both read off the lowest term of the K-polynomial of the local
-    leading-term ideal of the shifted Jacobian ideal (dim is None when df
-    does not vanish there).
+    point (dim is None when df does not vanish there), both read off the
+    invariants of the local basis of the shifted Jacobian ideal.
 
-    Runs on packed integer terms: f is shifted and packed once, since
-    d_i(f(x + P)) = (d_i f)(x + P), and its partials are taken in the
-    packing.  Zero partials, which vanish everywhere, are dropped, and
-    df(P) = 0 is read off the constant terms, the packed key 0.
+    f is shifted once, since d_i(f(x + P)) = (d_i f)(x + P), and
+    :func:`~nuchi.groebner.jacobian_basis` differentiates it on packed
+    integer terms.
     """
-    n, p = f.ring.arity, f.ring.domain.char
-    pk = _packing(n)
-    terms, _ = _integer_terms(f.shift(point), pk.pack)
-    partials = [d for d in [_partial(terms, i, pk, p) for i in range(n)] if d]
-    if any(0 in d for d in partials):
+    basis = jacobian_basis(f.shift(point))
+    if basis is None:
         return NOT_CRITICAL, None
-    if not partials:
-        return INFINITE, n  # constant f: every point critical, never isolated
-    basis = _local_basis([_entry(d, pk, LOCAL_DEGREVLEX, p) for d in partials], pk, p)
-    # the leads are minimal generators of a proper ideal, so there is a lowest term
-    k, c = _lowest_term([g[1] for g in basis], pk)
-    return (c if k == n else INFINITE), n - k
+    mu, dim, _ = basis.invariants()
+    return mu, dim
 
 
 def _fibre_euler(mu: int, n: int) -> int:

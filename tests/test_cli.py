@@ -90,6 +90,30 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert "z" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["milnor", "--ring", "x", "--point", "0"],
+    ["cycle", "--ring", "x", "--class", "bogus", "--ideal", "x"],
+    ["milnor", "--ring", "x", "--char", "abc", "--f", "x", "--point", "0"],
+    ["hilb-demo", "--n-max", "2.5"],
+    ["bogus"],
+], ids=["missing-f", "unknown-class", "char-not-integer", "n-max-not-integer",
+        "unknown-subcommand"])
+def test_malformed_arguments_exit_1(args, capsys):
+    # exit 2 is reserved for a verified refusal, so argparse's own code is not used
+    with pytest.raises(SystemExit) as exited:
+        main(args + ["--no-cache"])
+    assert exited.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["milnor", "--help"]])
+def test_help_exits_0(args, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(args)
+    assert exited.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_nu_and_behrend_agree(tmp_path, capsys):
     _, out_nu, _ = run_cli(
         ["nu", "--ring", "x", "--critical-locus", "x^3", "--point", "0",

@@ -18,13 +18,11 @@ from nuchi.errors import (
     UnsupportedPresentation,
 )
 import nuchi.groebner as groebner
-import nuchi.singular as singular
 from nuchi.cli import run_job
-from nuchi.groebner import Ideal, colength, eliminate, groebner_basis
+from nuchi.groebner import Ideal, colength, eliminant, eliminate, groebner_basis
 from nuchi.poly import GF, Polynomial, Ring
 from nuchi.singular import behrend_at, jacobian_ideal, milnor_number
 from nuchi.cycles import (
-    _eliminant,
     _rational_roots,
     CoordinateSubspaceCycle,
     CurveCycle,
@@ -425,9 +423,9 @@ def test_fglm_eliminant_matches_elimination(roots, shear):
         # polynomial with content 1 and a positive lead, in integers
         den = math.lcm(*(c.denominator for _, c in reference.terms()))
         expected = {m[var]: int(c * den) for m, c in reference.terms()}
-        eliminant = _eliminant(basis, var)
-        assert eliminant == expected
-        assert all(type(c) is int for c in eliminant.values())
+        coefficients = eliminant(basis, var)
+        assert coefficients == expected
+        assert all(type(c) is int for c in coefficients.values())
     grid = {(r, s - shear * r): e * f for r, e in roots[0] for s, f in roots[1]}
     assert rational_points_of_zero_dim(I) == tuple(sorted(grid))
     c = distinguished_cycle(regular_sequence_presentation(I))
@@ -624,7 +622,6 @@ def test_broken_mora_moves_the_milnor_route_only(monkeypatch):
 
     # the local-basis core behind standard_basis and the Milnor route
     monkeypatch.setattr(groebner, "_local_basis", drop_last_entry)
-    monkeypatch.setattr(singular, "_local_basis", drop_last_entry)
     assert [milnor_number(f, P) for P in points] != milnor
     assert distinguished_cycle(presentation) == cycle
 

@@ -1,18 +1,20 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nuchi.cycles import _eliminant
-
-from nuchi.errors import ExponentOverflow, OriginNotOnVariety, RingMismatch
+import nuchi
+from nuchi.errors import ExponentOverflow, InputError, OriginNotOnVariety, RingMismatch
 from nuchi.groebner import (
     DEGREVLEX,
     INFINITE,
     Ideal,
     LOCAL_DEGREVLEX,
     colength,
+    eliminant,
     eliminate,
     groebner_basis,
     hs_multiplicity,
@@ -22,6 +24,7 @@ from nuchi.groebner import (
     normal_form,
     staircase_count,
     standard_basis,
+    _assert_spolys_vanish,
     _packing,
 )
 from nuchi.poly import (
@@ -57,6 +60,13 @@ def basis_strings(basis):
     return [str(g) for g in basis.elements]
 
 
+def checked(basis):
+    """The basis, after checking that every S-polynomial of its elements
+    reduces to zero."""
+    _assert_spolys_vanish(basis)
+    return basis
+
+
 # ------------------------------------------------------------ Groebner bases
 
 def test_groebner_lex_example():
@@ -81,8 +91,8 @@ def test_groebner_in_no_variables():
 def test_groebner_verify_buchberger_criterion():
     # post-hoc S-pair check on a few nontrivial bases
     for gens in [("x^2 + y", "x*y - 1"), ("x^3 - 2*x*y", "x^2*y - 2*y^2 + x")]:
-        groebner_basis(ideal(*gens), DEGREVLEX, verify=True)
-        groebner_basis(ideal(*gens), LEX, verify=True)
+        checked(groebner_basis(ideal(*gens), DEGREVLEX))
+        checked(groebner_basis(ideal(*gens), LEX))
 
 
 def test_reduced_basis_unique_under_representation_change():
@@ -104,7 +114,7 @@ def test_reduced_basis_unique_under_representation_change():
 # ------------------------------------------------------------ standard bases
 
 def test_standard_basis_unit_absorption():
-    assert basis_strings(standard_basis(ideal("x + x^2"), verify=True)) == ["x"]
+    assert basis_strings(checked(standard_basis(ideal("x + x^2")))) == ["x"]
 
 
 def test_standard_basis_unit_factor():
@@ -124,8 +134,8 @@ def test_standard_basis_keeps_mixed_element():
 def test_standard_basis_is_minimal():
     # a divisor's lead is the larger one under the local order, so
     # minimality must not depend on visiting entries in that order
-    assert basis_strings(standard_basis(ideal("x", "x^2 + y^3"), verify=True)) == ["y^3", "x"]
-    assert basis_strings(standard_basis(ideal("x - 1", "y"), verify=True)) == ["1"]
+    assert basis_strings(checked(standard_basis(ideal("x", "x^2 + y^3")))) == ["y^3", "x"]
+    assert basis_strings(checked(standard_basis(ideal("x - 1", "y")))) == ["1"]
 
 
 # -------------------------------------------------------------- normal forms
@@ -349,7 +359,7 @@ def test_groebner_over_prime_field_advisory_mode():
     ring_p = Ring(("x", "y"), GF(7))
     I_p = Ideal.from_strings(ring_p, ["x^2 - y", "y^2 - 1"])
     I_q = ideal("x^2 - y", "y^2 - 1")
-    basis_p = groebner_basis(I_p, verify=True)
+    basis_p = checked(groebner_basis(I_p))
     basis_q = groebner_basis(I_q)
     assert [g.leading_term(DEGREVLEX)[0] for g in basis_p.elements] == [
         g.leading_term(DEGREVLEX)[0] for g in basis_q.elements
@@ -578,7 +588,7 @@ def pinned_basis(case):
     names, char, order, gens, _ = case
     ring = Ring(tuple(names.split(",")), GF(char) if char else QQ)
     compute = standard_basis if order == "local" else groebner_basis
-    return compute(Ideal.from_strings(ring, gens), PINNED_ORDERS[order], verify=True)
+    return checked(compute(Ideal.from_strings(ring, gens), PINNED_ORDERS[order]))
 
 
 @pytest.mark.parametrize("case", PINNED_BASES)
@@ -598,6 +608,70 @@ def test_fglm_eliminant_is_pinned():
     assert not any(all(m[1] == 0 for m, _ in g.terms()) for g in basis.elements)
     # the monic x^4 + 3/2*x^3 - 2*x^2 - 3/2*x + 7/6 with content 1 and a
     # positive lead: times 6, in integers
-    eliminant = _eliminant(basis, 0)
-    assert eliminant == {0: 7, 1: -9, 2: -12, 3: 9, 4: 6}
-    assert all(type(c) is int for c in eliminant.values())
+    coefficients = eliminant(basis, 0)
+    assert coefficients == {0: 7, 1: -9, 2: -12, 3: 9, 4: 6}
+    assert all(type(c) is int for c in coefficients.values())
+    # the eliminant is read in integers over Q: a basis over F_p is refused
+    basis_p = groebner_basis(Ideal.from_strings(Ring(("x", "y"), GF(7)), ["x^2 + y", "y^2 - 3*x*y"]))
+    with pytest.raises(InputError):
+        eliminant(basis_p, 0)
+
+
+# ------------------------------------------------- invariants and the boundary
+
+@st.composite
+def small_bases(draw):
+    """A degrevlex or lex basis of up to three small random generators in
+    two or three variables, or a local basis: of up to two random generators
+    in two variables, or of a ``local_ideals`` ideal.  (Mora runs past 20 s
+    on some ideals of three random generators in three variables.)"""
+    if draw(st.booleans()):
+        ring = draw(st.sampled_from([RING_XY, RING_XYZ]))
+        gens = draw(st.lists(polynomials(ring, max_terms=3, max_exp=2), max_size=3))
+        return groebner_basis(Ideal(ring, gens), draw(st.sampled_from([DEGREVLEX, LEX])))
+    if draw(st.booleans()):
+        return standard_basis(draw(local_ideals()))
+    gens = draw(st.lists(polynomials(RING_XY, max_terms=3, max_exp=3), max_size=2))
+    return standard_basis(Ideal(RING_XY, gens))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_bases())
+@example(groebner_basis(ideal()))  # the zero ideal
+@example(standard_basis(ideal()))
+@example(groebner_basis(ideal("x", "x - 1")))  # the unit ideal
+@example(standard_basis(ideal("1 + x", "y")))
+@example(groebner_basis(Ideal(Ring(()), [])))
+def test_invariants_read_the_leading_term_ideal(basis):
+    # the packed leads of the entries against the public counters on the
+    # unpacked leads, which minimalize them again
+    n = basis.ring.arity
+    leads = basis.leading_monomials()
+    length, dim, degree = basis.invariants()
+    assert length == staircase_count(leads, n)
+    assert dim == monomial_ideal_dimension(leads, n)
+    if dim < 0:
+        assert (length, degree) == (0, 0)
+    else:
+        assert degree > 0 and (length == INFINITE) == (dim > 0)
+        assert dim > 0 or degree == length
+
+
+def test_only_groebner_reads_its_internals():
+    # the packing and the driver's helpers stay behind groebner's public
+    # names: no other module imports or reads an underscore name of it
+    offenders = []
+    for path in sorted(Path(nuchi.__file__).parent.glob("*.py")):
+        if path.name == "groebner.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("groebner", "nuchi.groebner"):
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "groebner"
+                and node.attr.startswith("_")
+            ):
+                offenders.append(f"{path.name}: groebner.{node.attr}")
+    assert offenders == []

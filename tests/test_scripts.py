@@ -50,21 +50,34 @@ def test_payload_digest_is_repeatable():
     assert other.stdout != first.stdout
 
 
-# Digests of the first jobs of each benchmark stream (seed 1), so that a
-# change to any answer fails here and not only in the benchmark.  A change to
-# the benchmark that alters its job streams must re-record them.
+# Digests of the first jobs of each benchmark stream at seed 1, and of one
+# full pass (jobs None) at seeds 1, 5 and 9, so that a change to any answer
+# fails here and not only in the benchmark.  A change to the benchmark that
+# alters its job streams must re-record them.
 PINNED_DIGESTS = [
-    ("batch-cache", "130", "ac5ecaffcedcd31d30115514a2f88957e20eba013863c3572d6e6f14d4199293"),
-    ("milnor-normal", "104", "19daefd05b46557e30e9ae2cc86a206096331cd7b764ea218d2f0819a0d31957"),
-    ("cycle-route", "64", "77360f7cb6734341995c476da75fb9edac46468984b6685e73009a726181f7b4"),
+    ("batch-cache", 1, 130, "ac5ecaffcedcd31d30115514a2f88957e20eba013863c3572d6e6f14d4199293"),
+    ("milnor-normal", 1, 104, "19daefd05b46557e30e9ae2cc86a206096331cd7b764ea218d2f0819a0d31957"),
+    ("cycle-route", 1, 64, "77360f7cb6734341995c476da75fb9edac46468984b6685e73009a726181f7b4"),
+    ("milnor-normal", 1, None, "9b88fd74e58df82116aca01d5dd2a96055cf9347f6cea361c9a0e923b8dcd504"),
+    ("milnor-normal", 5, None, "b153e8feda8c19bc0805ef3d913667be5fadef7d67da9f86ba9d8a1c6c594105"),
+    ("milnor-normal", 9, None, "77f1e02d3f05029509393d2d06eb2fdddaba776b7f08827a1790df9674404719"),
+    ("cycle-route", 1, None, "3530f148bc5e175305285dd21c03fcef2e8b01e13088b39a37d7c5692ccd22ec"),
+    ("cycle-route", 5, None, "754a025875cab71773bf2b4ec9d4dfa163043da7d6e57471dc1de40decd2dab8"),
+    ("cycle-route", 9, None, "edcbb9e666db1c4fd08d3c6d52e59445fc7a34f60598b6f506b0711741a3309b"),
+    ("batch-cache", 1, None, "2119fa6f5849d68cbd99cf25daca7abd6c258c145f9cb8d4ea24fa6bbca744f4"),
+    ("batch-cache", 5, None, "951259f721f22ef53f0296f1b204fc5f611b08ed02aff001ac29b05b681d6021"),
+    ("batch-cache", 9, None, "b6fe734ba1b71d77a192332769dd6270cacd6e9a0011762047d90aface9f4e4b"),
 ]
 
 
 @pytest.mark.parametrize(
-    "workload,jobs,expected", PINNED_DIGESTS, ids=[w for w, _, _ in PINNED_DIGESTS]
+    "workload,seed,jobs,expected",
+    PINNED_DIGESTS,
+    ids=[w if jobs else f"{w}-pass-seed{seed}" for w, seed, jobs, _ in PINNED_DIGESTS],
 )
-def test_payload_digest_is_pinned(workload, jobs, expected):
-    done = run_script("payload_digest.py", "--workload", workload, "--seed", "1", "--jobs", jobs)
+def test_payload_digest_is_pinned(workload, seed, jobs, expected):
+    args = ["--workload", workload, "--seed", str(seed)]
+    done = run_script("payload_digest.py", *args, *(["--jobs", str(jobs)] if jobs else []))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == expected
 

@@ -84,7 +84,7 @@ def test_milnor_differentiates_once(monkeypatch):
     # f is shifted and packed once, and each partial is taken once in the
     # packing; no Polynomial is differentiated
     calls = []
-    partial = singular._partial
+    partial = groebner._partial
 
     def counting_partial(terms, i, *args):
         calls.append(i)
@@ -93,7 +93,7 @@ def test_milnor_differentiates_once(monkeypatch):
     def no_derivative(self, i):
         raise AssertionError("the Milnor route differentiated a Polynomial")
 
-    monkeypatch.setattr(singular, "_partial", counting_partial)
+    monkeypatch.setattr(groebner, "_partial", counting_partial)
     monkeypatch.setattr(Polynomial, "derivative", no_derivative)
     assert milnor_number(R2.parse("x^3 + y^2"), ORIGIN2) == 2
     assert milnor_number(R2.parse("x^3 + y"), ORIGIN2) is NOT_CRITICAL
@@ -175,6 +175,24 @@ def test_milnor_agrees_with_the_polynomial_route(case):
     f, _, Q = case
     oracle = colength(shift_ideal(jacobian_ideal(f), Q), LOCAL_DEGREVLEX)
     assert milnor_number(f, Q) == (NOT_CRITICAL if oracle == 0 else oracle)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(critical_cases(isolated=True), critical_cases(isolated=False)))
+@example((Ring(()).parse("3"), (), ()))  # no variables: the zero ideal of a point
+def test_jacobian_basis_matches_the_standard_basis(case):
+    # the packed partials of f(x + Q) against the local basis of the shifted
+    # Jacobian ideal, which is the unit ideal exactly when df(Q) != 0
+    f, _, Q = case
+    basis = groebner.jacobian_basis(f.shift(Q))
+    reference = groebner.standard_basis(shift_ideal(jacobian_ideal(f), Q))
+    if basis is None:
+        assert reference.invariants() == (0, -1, 0)
+        assert milnor_number(f, Q) is NOT_CRITICAL
+    else:
+        assert basis.invariants() == reference.invariants()
+        assert basis.leading_monomials() == reference.leading_monomials()
+        assert milnor_number(f, Q) == basis.invariants()[0]
 
 
 @settings(max_examples=80)
@@ -289,7 +307,6 @@ def test_nu_builds_one_local_basis_on_the_non_isolated_path(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "_local_basis", counted)
-    monkeypatch.setattr(singular, "_local_basis", counted)
     f = R3.parse("x^2*y^2 + z^2")
     report = behrend_report(f, (0, 1, 0))
     assert report == NuReport(nu=-1, route="smooth", mu=None, local_dim=1)
