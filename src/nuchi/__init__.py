@@ -63,15 +63,12 @@ from .cycles import (  # noqa: F401
     ConeIdealReport,
     Cycle,
     Presentation,
-    conormal_L,
     distinguished_cycle,
     euler_obstruction,
-    is_conic,
     monomial_presentation,
     normal_cone_ideal,
     nu_from_cycle,
     presentation_from_critical_locus,
-    projection_pi,
     rational_points_of_zero_dim,
     regular_sequence_presentation,
     smooth_presentation,

@@ -33,8 +33,7 @@ from __future__ import annotations
 import re
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from types import MappingProxyType
 from typing import Sequence
 
 from .errors import ArityMismatch, InputError, OrderTooLow, RingMismatch
@@ -60,36 +59,41 @@ INFINITE_WITHIN_TRUNCATION = _InfiniteWithinTruncation()
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Power series in t truncated at order N, coefficients in a parameter ring."""
+    """Power series in t truncated at order N, coefficients in a parameter ring.
+
+    Only the nonzero terms are stored, as a read-only {(parameter
+    exponents..., power of t): coefficient} mapping, so what a series costs
+    follows its terms and not its order.
+    """
 
     param_ring: Ring
-    coeffs: tuple  # coeffs[p] is the Polynomial coefficient of t^p, p <= N
+    order: int
+    terms: MappingProxyType
 
-    def __init__(self, param_ring: Ring, coeffs: Sequence[Polynomial]):
-        coeffs = tuple(coeffs)
-        for c in coeffs:
-            if c.ring != param_ring:
-                raise RingMismatch("series coefficient in wrong ring")
+    def __init__(self, param_ring: Ring, order: int, terms: dict):
         object.__setattr__(self, "param_ring", param_ring)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coefficient(self, p: int) -> Polynomial:
+        """The coefficient of t^p, a Polynomial in the parameters."""
+        part = {m[:-1]: c for m, c in self.terms.items() if m[-1] == p}
+        return Polynomial(self.param_ring, part, _merged=True)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.terms
 
     def valuation(self):
-        """Index of the first nonzero coefficient, or None if all vanish."""
-        for p, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return p
-        return None
+        """The least power of t with a nonzero coefficient, or None if all vanish."""
+        return min((m[-1] for m in self.terms), default=None)
 
     def __str__(self):
-        parts = [f"({c})*t^{p}" for p, c in enumerate(self.coeffs) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
+        parts: dict = {}
+        for m, c in self.terms.items():
+            parts.setdefault(m[-1], {})[m[:-1]] = c
+        return " + ".join(
+            f"({Polynomial(self.param_ring, parts[p], _merged=True)})*t^{p}" for p in sorted(parts)
+        ) or "0"
 
 
 # ------------------------------------------------------------------- arcs
@@ -156,7 +160,7 @@ def arc_from_strings(
             raise InputError(
                 f"component {expr!r} has t-degree beyond the truncation order {order}"
             )
-        series.append(_series_from_terms(param_ring, order, poly.terms()))
+        series.append(TruncatedSeries(param_ring, order, dict(poly.terms())))
     return ArcSeries(ambient_ring, param_ring, series, order)
 
 
@@ -191,14 +195,6 @@ def parse_arc(text: str, ambient_ring: Ring) -> ArcSeries:
     )
 
 
-def _series_from_terms(param_ring: Ring, order: int, terms) -> TruncatedSeries:
-    """Split distinct (parameter exponents + (power of t,), coeff) terms by t."""
-    parts: list = [{} for _ in range(order + 1)]
-    for mono, coeff in terms:
-        parts[mono[-1]][mono[:-1]] = coeff
-    return TruncatedSeries(param_ring, [Polynomial(param_ring, d, _merged=True) for d in parts])
-
-
 def _truncated_product(a: dict, b: dict, order: int, char: int) -> dict:
     """a * b with every power of t above the order dropped; t is last."""
     out: dict = {}
@@ -223,10 +219,7 @@ def compose_along_arc(f: Polynomial, arc: ArcSeries) -> TruncatedSeries:
     if f.ring.arity != arc.ambient_ring.arity:
         raise ArityMismatch("polynomial arity does not match the arc")
     order, dom, char = arc.order, arc.param_ring.domain, arc.param_ring.domain.char
-    powers = {  # (i, e) -> gamma_i^e
-        (i, 1): {m + (p,): c for p, coeff in enumerate(gamma.coeffs) for m, c in coeff.terms()}
-        for i, gamma in enumerate(arc.components)
-    }
+    powers = {(i, 1): gamma.terms for i, gamma in enumerate(arc.components)}  # (i, e) -> gamma_i^e
 
     def power(i: int, e: int) -> dict:
         if (i, e) not in powers:
@@ -245,7 +238,7 @@ def compose_along_arc(f: Polynomial, arc: ArcSeries) -> TruncatedSeries:
         for m, c in term.items():
             acc[m] = dom.add(acc.get(m, 0), c)
     _check_exponents(acc)
-    return _series_from_terms(arc.param_ring, order, acc.items())
+    return TruncatedSeries(arc.param_ring, order, {m: c for m, c in acc.items() if c})
 
 
 def arc_vanishing_order(omega: OneForm, arc: ArcSeries):
@@ -365,23 +358,6 @@ def wedge(a: ParameterForm, b: ParameterForm) -> ParameterForm:
     return ParameterForm(2, a.param_ring, out)
 
 
-def exterior_derivative(a: ParameterForm) -> ParameterForm:
-    """d of a 1-form in the parameters."""
-    if a.degree != 1:
-        raise InputError("exterior_derivative expects a 1-form")
-    out: list = []
-    for (j,), c in a.terms:
-        for k in range(a.param_ring.arity):
-            dc = c.derivative(k)
-            if dc.is_zero() or k == j:
-                continue
-            if k < j:
-                out.append(((k, j), dc))
-            else:
-                out.append(((j, k), -dc))
-    return ParameterForm(2, a.param_ring, out)
-
-
 # ------------------------------------------------------- the obstruction form
 
 def _certify_order(composed: Sequence[TruncatedSeries], arc: ArcSeries, m: int) -> None:
@@ -412,107 +388,7 @@ def _obstruction(composed: Sequence[TruncatedSeries], arc: ArcSeries, m: int) ->
     _certify_order(composed, arc, m)
     acc = zero_form(2, arc.param_ring)
     for gamma, series in zip(arc.components, composed):
-        acc = acc + wedge(param_differential(gamma.coeffs[0]), param_differential(series.coeffs[m]))
+        acc = acc + wedge(
+            param_differential(gamma.coefficient(0)), param_differential(series.coefficient(m))
+        )
     return acc
-
-
-def obstruction_via_exterior_derivative(
-    omega: OneForm, arc: ArcSeries, m: int
-) -> ParameterForm:
-    """Equivalent route: -(1/m!) d( sum_i F_i^(m) d c_i^(0) ).
-
-    Here c_i^(p) and F_i^(p) are the factorial-normalized coefficients of
-    gamma_i and f_i(gamma); agreement with
-    :func:`lagrangian_obstruction` is asserted by the test suite.
-    """
-    composed = _compose_components(omega, arc)
-    _certify_order(composed, arc, m)
-    one_form = zero_form(1, arc.param_ring)
-    fact_m = factorial(m)
-    for gamma, series in zip(arc.components, composed):
-        dc0 = param_differential(gamma.coeffs[0])
-        one_form = one_form + dc0.scale(series.coeffs[m] * fact_m)
-    return exterior_derivative(one_form).scale(Fraction(-1, fact_m))
-
-
-# --------------------------------------- pullback of d(omega): two evaluations
-
-def _component_differential_series(arc: ArcSeries, i: int):
-    """d(gamma_i) as a t-series valued 1-form.
-
-    Returns (ds_part, dt_part): ds_part[p] is the parameter 1-form
-    coefficient of t^p, dt_part[p] the scalar coefficient of t^p dt.
-    """
-    coeffs = arc.components[i].coeffs
-    N = arc.order
-    ds_part = [param_differential(c) for c in coeffs]
-    dt_part = [
-        coeffs[p + 1] * (p + 1) if p + 1 <= N else arc.param_ring.zero()
-        for p in range(N + 1)
-    ]
-    return ds_part, dt_part
-
-
-def pullback_dt_coefficient_direct(omega: OneForm, arc: ArcSeries, m: int) -> ParameterForm:
-    """Coefficient of t^(m-1) dt in the arc pullback of d(omega).
-
-    Direct expansion: compose the antisymmetrized Jacobian coefficients of
-    d(omega) along the arc and wedge the coordinate differentials as
-    truncated series.
-    """
-    if not 1 <= m <= arc.order:
-        raise InputError("need 1 <= m <= truncation order")
-    ring = omega.ring
-    n = ring.arity
-    N = arc.order
-    pr = arc.param_ring
-    diff_series = [_component_differential_series(arc, i) for i in range(n)]
-    acc = zero_form(1, pr)
-    for i in range(n):
-        for j in range(i + 1, n):
-            # d(omega) = sum_{i<j} (d f_j / d x_i - d f_i / d x_j) dx_i ^ dx_j
-            a_ij = omega.components[j].derivative(i) - omega.components[i].derivative(j)
-            if a_ij.is_zero():
-                continue
-            A = compose_along_arc(a_ij, arc)
-            (xs, xt), (ys, yt) = diff_series[i], diff_series[j]
-            # ds^dt part of dgamma_i ^ dgamma_j at t-degree p
-            st = [zero_form(1, pr) for _ in range(N + 1)]
-            for a in range(N + 1):
-                for b in range(N + 1 - a):
-                    st[a + b] = st[a + b] + xs[a].scale(yt[b]) - ys[b].scale(xt[a])
-            # multiply by the scalar series A and read off t^(m-1)
-            for a in range(m):
-                c = A.coeffs[a]
-                if not c.is_zero():
-                    acc = acc + st[m - 1 - a].scale(c)
-    return acc
-
-
-def pullback_dt_coefficient_taylor(omega: OneForm, arc: ArcSeries, m: int) -> ParameterForm:
-    """Same coefficient via the binomial sums over factorial-normalized
-    coefficients:
-
-        (1/(m-1)!) sum_{k=0}^{m-1} C(m-1, k) sum_i
-            [ c_i^(m-k) dF_i^(k)  -  F_i^(k+1) dc_i^(m-k-1) ]
-    """
-    if not 1 <= m <= arc.order:
-        raise InputError("need 1 <= m <= truncation order")
-    pr = arc.param_ring
-    n = omega.ring.arity
-    composed = _compose_components(omega, arc)
-
-    def c_coeff(i, p):
-        return arc.components[i].coeffs[p] * factorial(p)
-
-    def F_coeff(i, p):
-        return composed[i].coeffs[p] * factorial(p)
-
-    acc = zero_form(1, pr)
-    for k in range(m):
-        binom = comb(m - 1, k)
-        for i in range(n):
-            first = param_differential(F_coeff(i, k)).scale(c_coeff(i, m - k) * binom)
-            second = param_differential(c_coeff(i, m - k - 1)).scale(F_coeff(i, k + 1) * binom)
-            acc = acc + first - second
-    return acc.scale(Fraction(1, factorial(m - 1)))

@@ -1,5 +1,5 @@
-"""Cycle-level constructions: normal cones, the distinguished cycle, the
-local Euler obstruction, and the conormal correspondence.
+"""Cycle-level constructions: normal cones, the distinguished cycle and the
+local Euler obstruction.
 
 The normal cone of Z(I) in affine space is presented by an ideal in a
 doubled ring: fiber variables are adjoined, the Rees kernel of y_i -> t*g_i
@@ -48,12 +48,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import (
     InputError,
     IrrationalPoint,
-    KindMismatch,
     UnitIdeal,
     UnsupportedCycleKind,
     UnsupportedPresentation,
@@ -153,22 +152,7 @@ class CoordinateSubspaceCycle:
         return {"kind": "coordinate-subspace", "data": {"zero_variables": names}}
 
 
-@dataclass(frozen=True)
-class ConormalCycle:
-    """Closure of the conormal bundle of a base cycle, in the doubled ring."""
-
-    base: "Descriptor"
-
-    def sort_key(self):
-        return (4,) + self.base.sort_key()
-
-    def to_payload(self):
-        return {"kind": "conormal", "data": {"base": self.base.to_payload()}}
-
-
-Descriptor = Union[
-    PointCycle, SmoothVarietyCycle, CurveCycle, CoordinateSubspaceCycle, ConormalCycle
-]
+Descriptor = Union[PointCycle, SmoothVarietyCycle, CurveCycle, CoordinateSubspaceCycle]
 
 
 # ------------------------------------------------------------------- cycles
@@ -491,12 +475,6 @@ def _fiber_homogeneous(elements, fiber_indices) -> bool:
     return True
 
 
-def is_conic(J: Ideal, fiber_indices: Sequence[int]) -> bool:
-    """Certify invariance under fiber scaling: a reduced basis must be
-    homogeneous in the fiber variables."""
-    return _fiber_homogeneous(groebner_basis(J).elements, fiber_indices)
-
-
 def _monomial_components(basis: StandardBasis, ring: Ring):
     """Minimal primes and generic lengths when the basis is monomial.
 
@@ -526,20 +504,6 @@ def _monomial_components(basis: StandardBasis, ring: Ring):
             raise AssertionError("generic length along a minimal prime must be finite")
         components.append((length, prime))
     return tuple(components)
-
-
-def component_conormal_check(report: ConeIdealReport) -> bool:
-    """For a cone in canonical coordinates (fiber count equals arity), check
-    that every component is the conormal subspace of its projection."""
-    if report.components is None or len(report.fiber_indices) != report.base_arity:
-        return False
-    n = report.base_arity
-    for _, prime in report.components:
-        base_part = frozenset(i for i in prime if i < n)
-        expected = base_part | frozenset(n + j for j in range(n) if j not in base_part)
-        if prime != expected:
-            return False
-    return True
 
 
 # ----------------------------------------------------- distinguished cycles
@@ -669,7 +633,7 @@ def euler_obstruction(c: Cycle, point) -> int:
     """
     total, P = 0, None
     for coeff, d in c.terms:
-        if P is None and not isinstance(d, ConormalCycle):
+        if P is None:
             P = as_point(point, d.ring)
         total += coeff * _eu_descriptor(d, P)
     return total
@@ -692,27 +656,3 @@ def _eu_descriptor(d: Descriptor, P: tuple) -> int:
 def nu_from_cycle(presentation: Presentation, point) -> int:
     """nu via the cycle route: Euler obstruction of the distinguished cycle."""
     return euler_obstruction(distinguished_cycle(presentation), point)
-
-
-# ------------------------------------------------- conormal correspondence
-
-def conormal_L(c: Cycle) -> Cycle:
-    """Send each prime cycle V to (-1)^(dim V) times its conormal closure."""
-    terms = []
-    for coeff, d in c.terms:
-        if isinstance(d, ConormalCycle):
-            raise KindMismatch("conormal_L expects base cycles")
-        terms.append((coeff * (-1) ** d.dimension(), ConormalCycle(d)))
-    return Cycle(terms)
-
-
-def projection_pi(c: Cycle) -> Cycle:
-    """Inverse map: unwrap conormal descriptors with sign (-1)^(dim of the
-    projection)."""
-    terms = []
-    for coeff, d in c.terms:
-        if not isinstance(d, ConormalCycle):
-            raise KindMismatch("projection_pi expects conormal cycles")
-        base = d.base
-        terms.append((coeff * (-1) ** base.dimension(), base))
-    return Cycle(terms)

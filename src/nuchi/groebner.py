@@ -611,8 +611,13 @@ def _buchberger_loop(basis: list, pk: _Packing, order: MonomialOrder, p: int) ->
     extends and returns; the normal form is Mora for local orders.
 
     Pair selection follows the normal strategy (minimal lcm degree first)
-    with the product and chain criteria for pair elimination.
+    with the product and chain criteria for pair elimination.  An entry
+    whose lead is the constant monomial (packed 0) generates (1) under either
+    kind of order, so the first such entry is returned alone.
     """
+    for g in basis:
+        if g[1] == 0:
+            return [g]
     key, guard = pk.key(order), pk.guard
     leads = [g[1] for g in basis]
     queue = [
@@ -648,8 +653,11 @@ def _buchberger_loop(basis: list, pk: _Packing, order: MonomialOrder, p: int) ->
             r, _ = _mora_nf(s, basis, pk, p)
             lm = None
         if r:
-            basis.append(_entry(r, pk, order, p, lm))
-            leads.append(basis[-1][1])
+            g = _entry(r, pk, order, p, lm)
+            if g[1] == 0:
+                return [g]
+            basis.append(g)
+            leads.append(g[1])
             new = len(basis) - 1
             for k in range(new):
                 heapq.heappush(queue, _pair_key(k, new, leads, pk, key))
@@ -747,24 +755,6 @@ def _local_basis(entries: list, pk: _Packing, p: int) -> tuple:
         normalized.append(g)
     normalized.sort(key=lambda g: -g[1])  # the local order key is the negated int
     return tuple(normalized)
-
-
-def _assert_spolys_vanish(basis: StandardBasis) -> None:
-    """Check the output polynomials themselves, not the driver's entries."""
-    order, p = basis.order, basis.ring.domain.char
-    pk = _packing(basis.ring.arity)
-    elems = _to_entries(basis.elements, pk, order)
-    for i in range(len(elems)):
-        for j in range(i):
-            s = _s_poly(elems[i], elems[j], pk, p)
-            if order.is_global:
-                rem, _ = _division(s, elems, pk, order, p)
-            else:
-                rem, _ = _mora_nf(s, elems, pk, p)
-            if rem:
-                raise AssertionError(
-                    f"S-polynomial of elements {j},{i} does not reduce to zero"
-                )
 
 
 def ideal_membership(f: Polynomial, I: Ideal) -> bool:

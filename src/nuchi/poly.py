@@ -70,11 +70,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(operator.le, a, b))
 
 
-def mono_div(b: Monomial, a: Monomial) -> Monomial:
-    """Quotient exponent vector b - a; caller guarantees divisibility."""
-    return tuple(map(operator.sub, b, a))
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 

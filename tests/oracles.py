@@ -1,17 +1,44 @@
-"""Independent brute-force oracles used to cross-check the engine.
+"""Independent reference implementations used to cross-check the engine.
 
 Colengths come from exact linear algebra on Macaulay-style multiplication
 matrices, and monomial-ideal counts from direct lattice enumeration.  The one
 exception is :func:`lazard_colength_local`, which reaches the local colength
 through the global Buchberger driver, so it shares no code with Mora's
-normal form.  The oracles are intentionally slow and simple.
+normal form.  :func:`assert_spolys_vanish` rechecks a finished basis on its
+output polynomials.  The arc obstruction and the pulled-back d(omega)
+coefficient each have a second evaluation here, and the conormal
+correspondence L / pi lives here as a tag layer over cycle descriptors,
+which no command builds.  The oracles are intentionally slow and simple.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
-from nuchi.groebner import Ideal, groebner_basis, staircase_count
+from nuchi.arcs import (
+    ArcSeries,
+    ParameterForm,
+    _certify_order,
+    compose_along_arc,
+    param_differential,
+    zero_form,
+)
+from nuchi.cycles import ConeIdealReport, Cycle
+from nuchi.errors import InputError, KindMismatch
+from nuchi.groebner import (
+    Ideal,
+    StandardBasis,
+    _division,
+    _mora_nf,
+    _packing,
+    _s_poly,
+    _to_entries,
+    groebner_basis,
+    staircase_count,
+)
 from nuchi.poly import Polynomial, Ring, elimination_order, mono_divides
+from nuchi.singular import OneForm
 
 
 def sparse_pivots(rows):
@@ -201,3 +228,200 @@ def kouchnirenko_mu(a, b, c, d):
     """
     twice_area = a * d + b * c if c * b + d * a < a * b else a * b
     return twice_area - a - b + 1
+
+
+def assert_spolys_vanish(basis: StandardBasis) -> None:
+    """Check the output polynomials themselves, not the driver's entries."""
+    order, p = basis.order, basis.ring.domain.char
+    pk = _packing(basis.ring.arity)
+    elems = _to_entries(basis.elements, pk, order)
+    for i in range(len(elems)):
+        for j in range(i):
+            s = _s_poly(elems[i], elems[j], pk, p)
+            if order.is_global:
+                rem, _ = _division(s, elems, pk, order, p)
+            else:
+                rem, _ = _mora_nf(s, elems, pk, p)
+            if rem:
+                raise AssertionError(
+                    f"S-polynomial of elements {j},{i} does not reduce to zero"
+                )
+
+
+# ------------------------------------------------- arcs: second evaluations
+
+def exterior_derivative(a: ParameterForm) -> ParameterForm:
+    """d of a 1-form in the parameters."""
+    if a.degree != 1:
+        raise InputError("exterior_derivative expects a 1-form")
+    out: list = []
+    for (j,), c in a.terms:
+        for k in range(a.param_ring.arity):
+            dc = c.derivative(k)
+            if dc.is_zero() or k == j:
+                continue
+            if k < j:
+                out.append(((k, j), dc))
+            else:
+                out.append(((j, k), -dc))
+    return ParameterForm(2, a.param_ring, out)
+
+
+def obstruction_via_exterior_derivative(
+    omega: OneForm, arc: ArcSeries, m: int
+) -> ParameterForm:
+    """The Lagrangian obstruction as -(1/m!) d( sum_i F_i^(m) d c_i^(0) ).
+
+    Here c_i^(p) and F_i^(p) are the factorial-normalized coefficients of
+    gamma_i and f_i(gamma).
+    """
+    composed = [compose_along_arc(f, arc) for f in omega.components]
+    _certify_order(composed, arc, m)
+    one_form = zero_form(1, arc.param_ring)
+    fact_m = factorial(m)
+    for gamma, series in zip(arc.components, composed):
+        dc0 = param_differential(gamma.coefficient(0))
+        one_form = one_form + dc0.scale(series.coefficient(m) * fact_m)
+    return exterior_derivative(one_form).scale(Fraction(-1, fact_m))
+
+
+def _component_differential_series(arc: ArcSeries, i: int):
+    """d(gamma_i) as a t-series valued 1-form.
+
+    Returns (ds_part, dt_part): ds_part[p] is the parameter 1-form
+    coefficient of t^p, dt_part[p] the scalar coefficient of t^p dt.
+    """
+    N = arc.order
+    coeffs = [arc.components[i].coefficient(p) for p in range(N + 1)]
+    ds_part = [param_differential(c) for c in coeffs]
+    dt_part = [
+        coeffs[p + 1] * (p + 1) if p + 1 <= N else arc.param_ring.zero()
+        for p in range(N + 1)
+    ]
+    return ds_part, dt_part
+
+
+def pullback_dt_coefficient_direct(omega: OneForm, arc: ArcSeries, m: int) -> ParameterForm:
+    """Coefficient of t^(m-1) dt in the arc pullback of d(omega).
+
+    Direct expansion: compose the antisymmetrized Jacobian coefficients of
+    d(omega) along the arc and wedge the coordinate differentials as
+    truncated series.
+    """
+    if not 1 <= m <= arc.order:
+        raise InputError("need 1 <= m <= truncation order")
+    ring = omega.ring
+    n = ring.arity
+    N = arc.order
+    pr = arc.param_ring
+    diff_series = [_component_differential_series(arc, i) for i in range(n)]
+    acc = zero_form(1, pr)
+    for i in range(n):
+        for j in range(i + 1, n):
+            # d(omega) = sum_{i<j} (d f_j / d x_i - d f_i / d x_j) dx_i ^ dx_j
+            a_ij = omega.components[j].derivative(i) - omega.components[i].derivative(j)
+            if a_ij.is_zero():
+                continue
+            A = compose_along_arc(a_ij, arc)
+            (xs, xt), (ys, yt) = diff_series[i], diff_series[j]
+            # ds^dt part of dgamma_i ^ dgamma_j at t-degree p
+            st = [zero_form(1, pr) for _ in range(N + 1)]
+            for a in range(N + 1):
+                for b in range(N + 1 - a):
+                    st[a + b] = st[a + b] + xs[a].scale(yt[b]) - ys[b].scale(xt[a])
+            # multiply by the scalar series A and read off t^(m-1)
+            for a in range(m):
+                c = A.coefficient(a)
+                if not c.is_zero():
+                    acc = acc + st[m - 1 - a].scale(c)
+    return acc
+
+
+def pullback_dt_coefficient_taylor(omega: OneForm, arc: ArcSeries, m: int) -> ParameterForm:
+    """Same coefficient via the binomial sums over factorial-normalized
+    coefficients:
+
+        (1/(m-1)!) sum_{k=0}^{m-1} C(m-1, k) sum_i
+            [ c_i^(m-k) dF_i^(k)  -  F_i^(k+1) dc_i^(m-k-1) ]
+    """
+    if not 1 <= m <= arc.order:
+        raise InputError("need 1 <= m <= truncation order")
+    pr = arc.param_ring
+    n = omega.ring.arity
+    composed = [compose_along_arc(f, arc) for f in omega.components]
+
+    def c_coeff(i, p):
+        return arc.components[i].coefficient(p) * factorial(p)
+
+    def F_coeff(i, p):
+        return composed[i].coefficient(p) * factorial(p)
+
+    acc = zero_form(1, pr)
+    for k in range(m):
+        binom = comb(m - 1, k)
+        for i in range(n):
+            first = param_differential(F_coeff(i, k)).scale(c_coeff(i, m - k) * binom)
+            second = param_differential(c_coeff(i, m - k - 1)).scale(F_coeff(i, k + 1) * binom)
+            acc = acc + first - second
+    return acc.scale(Fraction(1, factorial(m - 1)))
+
+
+# ------------------------------------------------- conormal correspondence
+
+@dataclass(frozen=True)
+class ConormalCycle:
+    """Closure of the conormal bundle of a base cycle, in the doubled ring."""
+
+    base: object  # a cycle descriptor of nuchi.cycles
+
+    def sort_key(self):
+        return (4,) + self.base.sort_key()
+
+    def to_payload(self):
+        return {"kind": "conormal", "data": {"base": self.base.to_payload()}}
+
+
+def conormal_L(c: Cycle) -> Cycle:
+    """Send each prime cycle V to (-1)^(dim V) times its conormal closure."""
+    terms = []
+    for coeff, d in c.terms:
+        if isinstance(d, ConormalCycle):
+            raise KindMismatch("conormal_L expects base cycles")
+        terms.append((coeff * (-1) ** d.dimension(), ConormalCycle(d)))
+    return Cycle(terms)
+
+
+def projection_pi(c: Cycle) -> Cycle:
+    """Inverse map: unwrap conormal descriptors with sign (-1)^(dim of the
+    projection)."""
+    terms = []
+    for coeff, d in c.terms:
+        if not isinstance(d, ConormalCycle):
+            raise KindMismatch("projection_pi expects conormal cycles")
+        base = d.base
+        terms.append((coeff * (-1) ** base.dimension(), base))
+    return Cycle(terms)
+
+
+def component_conormal_check(report: ConeIdealReport) -> bool:
+    """For a cone in canonical coordinates (fiber count equals arity), check
+    that every component is the conormal subspace of its projection."""
+    if report.components is None or len(report.fiber_indices) != report.base_arity:
+        return False
+    n = report.base_arity
+    for _, prime in report.components:
+        base_part = frozenset(i for i in prime if i < n)
+        expected = base_part | frozenset(n + j for j in range(n) if j not in base_part)
+        if prime != expected:
+            return False
+    return True
+
+
+def is_conic(J: Ideal, fiber_indices) -> bool:
+    """Certify invariance under fiber scaling: a reduced basis must be
+    homogeneous in the fiber variables."""
+    fibers = set(fiber_indices)
+    return all(
+        len({sum(m[i] for i in fibers) for m, _ in g.terms()}) <= 1
+        for g in groebner_basis(J).elements
+    )

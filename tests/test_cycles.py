@@ -29,21 +29,19 @@ from nuchi.cycles import (
     Cycle,
     PointCycle,
     SmoothVarietyCycle,
-    component_conormal_check,
-    conormal_L,
     distinguished_cycle,
     euler_obstruction,
-    is_conic,
     local_colength_at,
     monomial_presentation,
     normal_cone_ideal,
     nu_from_cycle,
     presentation_from_critical_locus,
-    projection_pi,
     rational_points_of_zero_dim,
     regular_sequence_presentation,
     smooth_presentation,
 )
+
+from .oracles import component_conormal_check, conormal_L, is_conic, projection_pi
 
 R1 = Ring(("x",))
 R2 = Ring(("x", "y"))

@@ -24,7 +24,6 @@ from nuchi.groebner import (
     normal_form,
     staircase_count,
     standard_basis,
-    _assert_spolys_vanish,
     _packing,
 )
 from nuchi.poly import (
@@ -40,6 +39,7 @@ from nuchi.poly import (
 )
 
 from .oracles import (
+    assert_spolys_vanish,
     lazard_colength_local,
     macaulay_colength_global,
     macaulay_colength_local,
@@ -63,7 +63,7 @@ def basis_strings(basis):
 def checked(basis):
     """The basis, after checking that every S-polynomial of its elements
     reduces to zero."""
-    _assert_spolys_vanish(basis)
+    assert_spolys_vanish(basis)
     return basis
 
 

@@ -168,6 +168,15 @@ def critical_cases(draw, isolated):
 @example((R2.parse("5"), (0, 0), (1, 2)))  # constant f: INFINITE everywhere
 @example((Ring(("x", "y"), GF(3)).parse("x^3 + y^2"), (0, 0), (0, 0)))  # d/dx is 0 over F_3
 @example((Ring(("x", "y"), GF(3)).parse("x^3 + y^2"), (0, 0), (1, 0)))
+@example((  # not critical: the oracle's shifted ideal holds a unit
+    Ring(("x", "y", "z"), GF(5)).parse(
+        "4*x^2*y^2*z + 4*x^2*y^2 + 3*x^2*y*z + 2*x*y^2*z + 2*x^3 + 3*x^2*y + 2*x*y^2"
+        " + 2*y^3 + x^2*z + 4*x*y*z + 4*y^2*z + z^3 + 4*x*y + 3*x*z + 3*y*z + 3*z^2"
+        " + 4*x + 4*y + 4*z + 2"
+    ),
+    (0, 0, 0),
+    (Fraction(-5, 3), Fraction(1, 6), Fraction(-5, 3)),
+))
 def test_milnor_agrees_with_the_polynomial_route(case):
     # the packed route (shift f once, differentiate in the packing, read the
     # lowest term) against the public one: differentiate, shift every
