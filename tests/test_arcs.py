@@ -108,12 +108,9 @@ def _substituted(f, arc):
 def _reduced_mod(arc, p):
     """The same arc with its coefficients in F_p."""
     pr = Ring(arc.param_ring.variables, GF(p))
+    coerce = pr.domain.coerce
     series = [
-        TruncatedSeries(pr, arc.order, {
-            m + (q,): c
-            for q in range(arc.order + 1)
-            for m, c in s.coefficient(q).change_domain(pr).terms()
-        })
+        TruncatedSeries(pr, arc.order, {m: coerce(c) for m, c in s.terms.items() if coerce(c)})
         for s in arc.components
     ]
     return ArcSeries(arc.ambient_ring, pr, series, arc.order)
