@@ -417,28 +417,37 @@ def default_cache_dir() -> Path:
 
 
 def _cache_load(path: Path):
+    """The envelope stored at path, or None when the entry cannot be read or
+    decoded or is not this version's envelope.  A missing entry, one removed
+    by a concurrent clean-up included, raises FileNotFoundError from the one
+    ``open``, and the caller takes that as a miss."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             stored = json.load(fh)
-        if (
-            not isinstance(stored, dict)
-            or stored.get("engine_version") != __version__
-            or "payload" not in stored
-            or "command" not in stored
-        ):
-            return None
-        return stored
-    except (OSError, json.JSONDecodeError):
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError):  # ValueError covers JSON and UTF-8 decoding
         return None
+    if (
+        not isinstance(stored, dict)
+        or stored.get("engine_version") != __version__
+        or "payload" not in stored
+        or "command" not in stored
+    ):
+        return None
+    return stored
 
 
 def _cache_store(path: Path, envelope: dict) -> None:
+    # encoded before any file exists, so an envelope that cannot be encoded
+    # leaves nothing behind; dumps runs the C encoder, which dump does not
+    text = json.dumps(envelope, sort_keys=True)
     path.parent.mkdir(parents=True, exist_ok=True)
     # a temp file per writer, so concurrent writers of one key never share it
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(envelope, fh, sort_keys=True)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -451,8 +460,11 @@ def run_job(raw: dict, use_cache: bool = True, cache_dir: Path | None = None) ->
     if use_cache:
         entry = (cache_dir or default_cache_dir()) / f"{cache_key(spec)}.json"
         start = time.monotonic()
-        if entry.exists():
+        try:
             stored = _cache_load(entry)
+        except FileNotFoundError:
+            pass  # a miss
+        else:
             if stored is not None:
                 stored = dict(stored)
                 stored["cache"] = "hit"

@@ -33,21 +33,30 @@ coefficients (a univariate basis element, or else a minimal polynomial by
 fraction-free FGLM), both read off the driver's integer entries.  Its rational
 roots are found exactly and p-adically on its squarefree part (Hensel
 lifting of the roots modulo a small prime; no coefficient is factored), each
-with its multiplicity k_i in e_i.  The same data give mu_P without a local
-(Mora) basis: it is 1 when every k_i is 1, and otherwise the global colength
-of I plus the pins (x_i - P_i)^k_i, an ideal supported at P alone.  So the
-cycle route shares no local computation with the Milnor route of
-:mod:`nuchi.singular`, and :func:`local_colength_at` (Mora) stays only as a
-library call and an oracle.  Non-rational support raises IrrationalPoint
-rather than approximating; splitting is over Q only.
+with its multiplicity k_i in e_i.  The grid of roots is filtered by the basis
+elements in more than one variable, the only basis elements built as
+Polynomials (in identity coordinates there are none).  The same data give
+mu_P without a local (Mora) basis: it is 1 when every k_i is 1, and otherwise
+the global colength of I plus the pins (x_i - P_i)^k_i, an ideal supported
+at P alone.  So the cycle route shares no local computation with the Milnor
+route of :mod:`nuchi.singular`, and :func:`local_colength_at` (Mora) stays
+only as a library call and an oracle.  Non-rational support raises
+IrrationalPoint rather than approximating; splitting is over Q only.
+
+For nu on a critical locus the basis comes from f itself: the partials are
+taken in groebner's packing (:func:`~nuchi.groebner.jacobian_groebner_basis`),
+so no partial is built as a Polynomial unless they are all monomials, which
+the monomial class needs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Union
 
 from .errors import (
@@ -67,11 +76,12 @@ from .groebner import (
     eliminate,
     groebner_basis,
     hs_multiplicity,
+    jacobian_groebner_basis,
     krull_dimension,
     staircase_count,
 )
 from .poly import Polynomial, Ring
-from .singular import as_point, shift_ideal
+from .singular import as_point, jacobian_ideal, shift_ideal
 
 # ------------------------------------------------------------- descriptors
 
@@ -159,18 +169,33 @@ Descriptor = Union[PointCycle, SmoothVarietyCycle, CurveCycle, CoordinateSubspac
 
 @dataclass(frozen=True)
 class Cycle:
-    """A finite integer combination of prime cycle descriptors."""
+    """A finite integer combination of prime cycle descriptors.
+
+    ``terms`` holds (coefficient, descriptor) pairs with nonzero
+    coefficients and distinct descriptors, sorted by ``sort_key()``; equal
+    keys keep the order of first occurrence.  The terms are sorted first
+    and equal descriptors are merged within runs of equal keys, so no
+    descriptor is hashed.  That needs equal descriptors to have equal keys,
+    which holds for every descriptor the package builds (a point's
+    coordinates are Fractions, whose text is canonical).
+    """
 
     terms: tuple
 
     def __init__(self, terms):
-        merged: dict = {}
-        for coeff, d in terms:
-            merged[d] = merged.get(d, 0) + coeff
-        cleaned = tuple(
-            sorted(((c, d) for d, c in merged.items() if c != 0), key=lambda cd: cd[1].sort_key())
-        )
-        object.__setattr__(self, "terms", cleaned)
+        keyed = sorted(((d.sort_key(), coeff, d) for coeff, d in terms), key=itemgetter(0))
+        merged: list = []  # [key, coefficient, descriptor]
+        run = 0  # where the run of the current key starts in merged
+        for key, coeff, d in keyed:
+            if not merged or merged[-1][0] != key:
+                run = len(merged)
+            else:
+                same = next((t for t in merged[run:] if t[2] == d), None)
+                if same is not None:
+                    same[1] += coeff
+                    continue
+            merged.append([key, coeff, d])
+        object.__setattr__(self, "terms", tuple((c, d) for _, c, d in merged if c != 0))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -191,17 +216,9 @@ class Cycle:
 
 # ------------------------------------------------------------ point splitting
 
-def _mixed(I: Ideal) -> list:
-    """The generators of I in more than one variable."""
-    return [
-        g for g in I.generators
-        if len({i for m, _ in g.terms() for i, e in enumerate(m) if e}) > 1
-    ]
-
-
 def _primitive(f: list) -> list:
     content = math.gcd(*f)
-    return [c // content for c in f] if content else f
+    return [c // content for c in f] if content > 1 else f
 
 
 def _pseudo_remainder(f: list, g: list) -> list:
@@ -275,7 +292,7 @@ def _rational_roots(coeffs: dict):
     for k, c in coeffs.items():
         p[k - zeros] = int(c)  # integral Fractions are accepted as well
     p = _primitive(p)
-    g, h = list(p), _primitive([k * c for k, c in enumerate(p)][1:])
+    g, h = p, _primitive([k * c for k, c in enumerate(p)][1:])
     while h:
         g, h = h, _pseudo_remainder(g, h)
     # g is primitive, so the quotient is integral (Gauss)
@@ -283,9 +300,11 @@ def _rational_roots(coeffs: dict):
     rest, s = list(p), [0] * (d + 1)
     for k in reversed(range(d + 1)):
         s[k] = rest[k + len(g) - 1] // g[-1]
-        for j, c in enumerate(g):
-            rest[k + j] -= s[k] * c
-    roots = [(Fraction(0), zeros)] if zeros else []
+        if s[k]:
+            for j, c in enumerate(g):
+                rest[k + j] -= s[k] * c
+    # the roots are near/lead for one lead > 0: collected as (near, k) pairs
+    roots, lead = [(0, zeros)] if zeros else [], 1
     if d:
         if s[-1] < 0:
             s = [-c for c in s]
@@ -307,14 +326,14 @@ def _rational_roots(coeffs: dict):
                 e = math.gcd(near, lead)
                 k = _multiplicity(p, near // e, lead // e)
                 if k:
-                    roots.append((Fraction(near, lead), k))
+                    roots.append((near, k))
                     break
                 if modulus > bound:
                     break
                 modulus *= modulus
                 y = (y - _value(q, y, modulus) * pow(_value(dq, y, modulus), -1, modulus)) % modulus
     roots.sort()
-    return roots, len(roots) - bool(zeros) == d
+    return [(Fraction(near, lead), k) for near, k in roots], len(roots) - bool(zeros) == d
 
 
 def _points_from_basis(basis: StandardBasis, length: int, mixed: list):
@@ -324,9 +343,10 @@ def _points_from_basis(basis: StandardBasis, length: int, mixed: list):
 
     Each coordinate ranges over the ascending rational roots of its
     eliminant, so the grid comes out in ascending order, and it is filtered
-    by exact evaluation of the generators in more than one variable,
-    ``mixed``: one in x_i alone lies in I meet Q[x_i], so it is a multiple
-    of the eliminant and vanishes on the whole grid.
+    by exact evaluation of the basis elements in more than one variable,
+    ``mixed``: the basis generates I, and an element in x_i alone lies in
+    I meet Q[x_i], so it is a multiple of the eliminant and vanishes on the
+    whole grid.
     """
     ring = basis.ring
     if not length:
@@ -355,21 +375,21 @@ def rational_points_of_zero_dim(I: Ideal):
     length = basis.invariants()[0]
     if isinstance(length, Infinite):
         raise InputError("ideal is not zero-dimensional")
-    return tuple(P for P, _ in _points_from_basis(basis, length, _mixed(I)))
+    return tuple(P for P, _ in _points_from_basis(basis, length, basis.multivariate_elements()))
 
 
 def _length_at(ring: Ring, mixed: list, P: tuple, k: tuple) -> int:
     """mu_P, the length of Q[x]/I at a point P of a zero-dimensional Z(I),
     from the multiplicities k_i of P_i in the eliminants e_i and the
-    generators of I in more than one variable, ``mixed``.
+    elements in more than one variable, ``mixed``, of a basis of I.
 
     Near P, (x_i - P_i)^k_i is e_i times a unit, so J = I + ((x_i - P_i)^k_i)_i
     agrees with I there and is supported at P alone: mu_P = dim Q[x]/J.  In
-    the coordinates t = x - P, J is the generators expanded at P and cut to
-    the box t^m with every m_i < k_i, plus the pins t_i^k_i.  A generator in
-    x_i alone is a multiple of e_i, so its cut vanishes and it is skipped.
-    J is the point itself when every k_i is 1, the whole box when the cut
-    generators vanish, and otherwise its global degrevlex colength counts it.
+    the coordinates t = x - P, J is the basis expanded at P and cut to the
+    box t^m with every m_i < k_i, plus the pins t_i^k_i.  An element in x_i
+    alone is a multiple of e_i, so its cut vanishes and it is skipped.  J
+    is the point itself when every k_i is 1, the whole box when the cut
+    elements vanish, and otherwise its global degrevlex colength counts it.
     """
     if all(e == 1 for e in k):
         return 1
@@ -515,14 +535,33 @@ MONOMIAL = "monomial"
 
 @dataclass(frozen=True)
 class Presentation:
-    """A declared presentation class together with the ideal of X."""
+    """A declared presentation class of X, given by the ideal of X or, from a
+    critical locus, by f with X = Z(df).
+
+    ``basis`` is the reduced degrevlex basis of the ideal when it is already
+    known (a presentation from a critical locus carries it); the
+    regular-sequence class of :func:`distinguished_cycle` uses it and
+    otherwise computes it.  The ideal of a presentation given by f, the ideal
+    of its partials, is built only when ``ideal`` is read.
+    """
 
     kind: str
-    ideal: Ideal
+    source: Union[Ideal, Polynomial]
+    basis: StandardBasis | None = None
 
     def __post_init__(self):
         if self.kind not in (SMOOTH, REGULAR_SEQUENCE, MONOMIAL):
             raise UnsupportedPresentation(f"unknown presentation class {self.kind!r}")
+
+    @property
+    def ring(self) -> Ring:
+        return self.source.ring
+
+    @functools.cached_property
+    def ideal(self) -> Ideal:
+        if isinstance(self.source, Ideal):
+            return self.source
+        return jacobian_ideal(self.source)
 
 
 def smooth_presentation(I: Ideal) -> Presentation:
@@ -545,17 +584,23 @@ def presentation_from_critical_locus(f: Polynomial) -> Presentation:
     Other partials are declared a regular sequence when there are
     arity-many of them; :func:`distinguished_cycle` then checks the
     colength.  Anything else is refused.
-    """
-    from .singular import jacobian_ideal
 
-    I = jacobian_ideal(f)
-    arity_many = len(I.generators) == I.ring.arity
-    if all(len(g.terms()) == 1 for g in I.generators):
+    The class is read off the number of terms of each partial: d_i f has one
+    term for each term c*x^m of f whose m_i is nonzero in the field.  Only
+    the monomial partials are built as Polynomials.  A regular sequence of
+    other partials carries the reduced degrevlex basis of its ideal, from
+    f's packed terms (:func:`~nuchi.groebner.jacobian_groebner_basis`).
+    """
+    n, p = f.ring.arity, f.ring.domain.char
+    sizes = [sum(1 for m, _ in f.terms() if (m[i] % p if p else m[i])) for i in range(n)]
+    arity_many = all(sizes)
+    if all(size <= 1 for size in sizes):
+        I = jacobian_ideal(f)
         monos = [g.terms()[0][0] for g in I.generators]
-        finite = not isinstance(staircase_count(monos, I.ring.arity), Infinite)
+        finite = not isinstance(staircase_count(monos, n), Infinite)
         return Presentation(REGULAR_SEQUENCE if arity_many and finite else MONOMIAL, I)
     if arity_many:
-        return Presentation(REGULAR_SEQUENCE, I)
+        return Presentation(REGULAR_SEQUENCE, f, jacobian_groebner_basis(f))
     raise UnsupportedPresentation(
         "critical locus is neither presented by arity-many partials "
         "nor by monomial partials"
@@ -568,28 +613,33 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
     Smooth class: (-1)^dim [X].  Zero-dimensional regular sequences (over
     Q): the cone is X x A^n, so the cycle is the sum of mu_P [P] over the
     rational support points, each mu_P read off the eliminants
-    (IrrationalPoint if the support is not rational).  Monomial class: combinatorial components of the cone ideal,
-    each contributing (-1)^(dim of projection) * multiplicity times its
+    (IrrationalPoint if the support is not rational); the points are found
+    from the presentation's basis, or from ``groebner_basis`` of its ideal.
+    Monomial class: combinatorial components of the cone ideal, each
+    contributing (-1)^(dim of projection) * multiplicity times its
     projection.
     """
-    I = presentation.ideal
-    ring = I.ring
+    ring = presentation.ring
     if presentation.kind == SMOOTH:
+        I = presentation.ideal
         dim = krull_dimension(I)
         if dim < 0:
             raise UnsupportedPresentation("the empty scheme has no cycle")
         return Cycle([((-1) ** dim, SmoothVarietyCycle(I))])
     if presentation.kind == REGULAR_SEQUENCE:
-        if len(I.generators) != ring.arity:
-            raise UnsupportedPresentation(
-                "regular-sequence class needs exactly arity-many generators, "
-                f"got {len(I.generators)}"
-            )
-        basis = groebner_basis(I)
+        basis = presentation.basis
+        if basis is None:
+            I = presentation.ideal
+            if len(I.generators) != ring.arity:
+                raise UnsupportedPresentation(
+                    "regular-sequence class needs exactly arity-many generators, "
+                    f"got {len(I.generators)}"
+                )
+            basis = groebner_basis(I)
         total = basis.invariants()[0]
         if isinstance(total, Infinite):
             raise UnsupportedPresentation("regular-sequence class requires finite colength")
-        mixed = _mixed(I)
+        mixed = basis.multivariate_elements()
         terms = []
         accounted = 0
         for P, k in _points_from_basis(basis, total, mixed):
@@ -603,6 +653,7 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
             )
         return Cycle(terms)
     # monomial class
+    I = presentation.ideal
     for g in I.generators:
         if len(g.terms()) != 1:
             raise UnsupportedPresentation(f"generator {g} is not a monomial")

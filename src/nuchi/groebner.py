@@ -30,15 +30,19 @@ basis, membership test, eliminant and colength comes from it.
 
 Entries.  ``_buchberger_loop`` takes a list of entries (see ``_entry``), not
 polynomials: :func:`groebner_basis` and :func:`standard_basis` convert their
-generators with ``_to_entries``, and :func:`jacobian_basis` takes a packed
-polynomial's partials in the packing (``_partial``); both local bases come
-from ``_local_basis``, the one local-basis core.  A :class:`StandardBasis`
-keeps the entries, and no other module reads the packing: the basis reads
-the Hilbert invariants of its leading-term ideal off the packed leads
+generators with ``_to_entries``, and :func:`jacobian_basis` and
+:func:`jacobian_groebner_basis` pack f once and take its partials in the
+packing (``_partials``).  Both local bases come from ``_local_basis``, the
+one local-basis core, and both reduced global bases from ``_reduced``, the
+driver followed by the one global finish.  A :class:`StandardBasis` keeps
+the entries, and no other module reads the packing: the basis reads the
+Hilbert invariants of its leading-term ideal off the packed leads
 (:meth:`StandardBasis.invariants`, the one ``_hilbert``), and
 :func:`eliminant` reads primitive integer eliminants off the entries.  So
 the Milnor route (``singular``) and the cycle route (``cycles``) build no
-basis Polynomial; the monic ``elements`` are built only when asked for.
+basis Polynomial but the cycle route's elements in more than one variable
+(:meth:`StandardBasis.multivariate_elements`); the monic ``elements`` are
+built only when asked for.
 
 Monomials.  In ``_buchberger_loop``, the normal forms and the Hilbert
 counter a monomial x^e in n variables is one int (``_Packing``; Monagan and
@@ -166,6 +170,24 @@ class StandardBasis:
     def leading_monomials(self) -> tuple:
         unpack = _packing(self.ring.arity).unpack
         return tuple(unpack(g[1]) for g in self.entries)
+
+    def multivariate_elements(self) -> tuple:
+        """The elements in more than one variable, in basis order, each with
+        its entry's coefficients: over Q the integer multiple of the monic
+        element with content 1 and a positive leading coefficient.  Only
+        these Polynomials are built."""
+        ring = self.ring
+        pk = _packing(ring.arity)
+        coerce = int if ring.domain.char else Fraction
+        out = []
+        for terms, _, _, _ in self.entries:
+            support = 0
+            for m in terms:
+                support |= m
+            if sum(1 for s in range(0, pk.shift, _W) if (support >> s) & _FIELD) > 1:
+                terms = {pk.unpack(m): coerce(c) for m, c in terms.items()}
+                out.append(Polynomial(ring, terms, _merged=True))
+        return tuple(out)
 
     def invariants(self) -> tuple:
         """(length, dim, degree) of the quotient by the leading-term ideal:
@@ -677,6 +699,33 @@ def _minimalize(basis: Sequence[tuple], pk: _Packing) -> list:
     return kept
 
 
+def _reduced(entries: list, ring: Ring, order: MonomialOrder) -> StandardBasis:
+    """The reduced Groebner basis, under a global order, of the ideal of a
+    list of entries: the driver's basis made minimal, inter-reduced and
+    sorted by ascending leading monomial.
+
+    The leads of a minimal basis divide no other lead, so only tail terms
+    can be reducible; an element none of whose terms is divisible by
+    another's lead is already reduced, and it is kept as it is.
+    """
+    if not entries:
+        return StandardBasis(order, ring, ())
+    p, pk = ring.domain.char, _packing(ring.arity)
+    basis = _minimalize(_buchberger_loop(entries, pk, order, p), pk)
+    guard = pk.guard
+    leads = [g[1] for g in basis]
+    reduced = []
+    for idx, g in enumerate(basis):
+        # a tail term lies below its own lead, so its own lead divides none
+        if any(((m | guard) - lead) & guard == guard for m in g[0] if m != g[1] for lead in leads):
+            rem, _ = _division(dict(g[0]), basis[:idx] + basis[idx + 1 :], pk, order, p)
+            g = _entry(rem, pk, order, p, g[1])
+        reduced.append(g)
+    key = pk.key(order)
+    reduced.sort(key=lambda g: key(g[1]))
+    return StandardBasis(order, ring, tuple(reduced))
+
+
 def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX) -> StandardBasis:
     """The reduced Groebner basis of I under a global order.
 
@@ -685,21 +734,7 @@ def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX) -> StandardBasis:
     """
     if not order.is_global:
         raise InputError("groebner_basis requires a global order")
-    if not I.generators:
-        return StandardBasis(order, I.ring, ())
-    p = I.ring.domain.char
-    pk = _packing(I.ring.arity)
-    basis = _minimalize(_buchberger_loop(_to_entries(I.generators, pk, order), pk, order, p), pk)
-    reduced = []
-    for idx, g in enumerate(basis):
-        others = basis[:idx] + basis[idx + 1 :]
-        if others:
-            rem, _ = _division(dict(g[0]), others, pk, order, p)
-            g = _entry(rem, pk, order, p, g[1])
-        reduced.append(g)
-    key = pk.key(order)
-    reduced.sort(key=lambda g: key(g[1]))
-    return StandardBasis(order, I.ring, tuple(reduced))
+    return _reduced(_to_entries(I.generators, _packing(I.ring.arity), order), I.ring, order)
 
 
 def standard_basis(I: Ideal, order: MonomialOrder = LOCAL_DEGREVLEX) -> StandardBasis:
@@ -717,24 +752,38 @@ def standard_basis(I: Ideal, order: MonomialOrder = LOCAL_DEGREVLEX) -> Standard
     return StandardBasis(order, I.ring, entries)
 
 
+def _partials(f: Polynomial) -> tuple:
+    """(pk, p, partials): f packed once, with integer coefficients, and its
+    nonzero partial derivatives taken in the packing, as term dicts in
+    variable order.  A zero partial vanishes everywhere and adds nothing to
+    the Jacobian ideal."""
+    n, p = f.ring.arity, f.ring.domain.char
+    pk = _packing(n)
+    terms, _ = _integer_terms(f, pk.pack)
+    return pk, p, [d for d in [_partial(terms, i, pk, p) for i in range(n)] if d]
+
+
+def jacobian_groebner_basis(f: Polynomial) -> StandardBasis:
+    """The reduced degrevlex Groebner basis of the Jacobian ideal of f: the
+    basis :func:`groebner_basis` gives for the ideal of the partials, built
+    without a Polynomial for any partial (see ``_partials``)."""
+    pk, p, partials = _partials(f)
+    return _reduced([_entry(d, pk, DEGREVLEX, p) for d in partials], f.ring, DEGREVLEX)
+
+
 def jacobian_basis(f: Polynomial):
     """The minimal local standard basis of the Jacobian ideal of f at the
     origin, or None when df(0) != 0.
 
-    Runs on packed integer terms and builds no Polynomial: f is packed once
-    and its partials are taken in the packing.  Zero partials, which vanish
-    everywhere, are dropped, and df(0) = 0 is read off the constant terms,
-    the packed key 0.
+    Runs on packed integer terms and builds no Polynomial (see
+    ``_partials``); df(0) = 0 is read off the constant terms of the
+    partials, the packed key 0.
     """
-    ring = f.ring
-    n, p = ring.arity, ring.domain.char
-    pk = _packing(n)
-    terms, _ = _integer_terms(f, pk.pack)
-    partials = [d for d in [_partial(terms, i, pk, p) for i in range(n)] if d]
+    pk, p, partials = _partials(f)
     if any(0 in d for d in partials):
         return None
     entries = [_entry(d, pk, LOCAL_DEGREVLEX, p) for d in partials]
-    return StandardBasis(LOCAL_DEGREVLEX, ring, _local_basis(entries, pk, p) if entries else ())
+    return StandardBasis(LOCAL_DEGREVLEX, f.ring, _local_basis(entries, pk, p) if entries else ())
 
 
 def _local_basis(entries: list, pk: _Packing, p: int) -> tuple:

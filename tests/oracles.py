@@ -5,7 +5,8 @@ matrices, and monomial-ideal counts from direct lattice enumeration.  The one
 exception is :func:`lazard_colength_local`, which reaches the local colength
 through the global Buchberger driver, so it shares no code with Mora's
 normal form.  :func:`assert_spolys_vanish` rechecks a finished basis on its
-output polynomials.  The arc obstruction and the pulled-back d(omega)
+output polynomials, and :func:`dict_merged_terms` is the dict merge that
+``Cycle`` replaced by a sort.  The arc obstruction and the pulled-back d(omega)
 coefficient each have a second evaluation here, and the conormal
 correspondence L / pi lives here as a tag layer over cycle descriptors,
 which no command builds.  The oracles are intentionally slow and simple.
@@ -364,6 +365,20 @@ def pullback_dt_coefficient_taylor(omega: OneForm, arc: ArcSeries, m: int) -> Pa
             second = param_differential(c_coeff(i, m - k - 1)).scale(F_coeff(i, k + 1) * binom)
             acc = acc + first - second
     return acc.scale(Fraction(1, factorial(m - 1)))
+
+
+# ---------------------------------------------------------- cycle merging
+
+def dict_merged_terms(terms) -> tuple:
+    """The terms of ``Cycle(terms)`` by the first construction: merge equal
+    descriptors in a dict (first occurrence first), drop zero coefficients,
+    then sort stably by ``sort_key()``."""
+    merged: dict = {}
+    for coeff, d in terms:
+        merged[d] = merged.get(d, 0) + coeff
+    return tuple(
+        sorted(((c, d) for d, c in merged.items() if c != 0), key=lambda cd: cd[1].sort_key())
+    )
 
 
 # ------------------------------------------------- conormal correspondence

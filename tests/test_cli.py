@@ -324,6 +324,25 @@ def test_each_job_parses_its_polynomials_once(raw, parses, monkeypatch):
     assert len(calls) == parses
 
 
+def test_nu_on_a_critical_locus_builds_only_f(monkeypatch):
+    # the partials are taken in the packing and the points are read off the
+    # basis entries; identity coordinates have no basis element in more than
+    # one variable, so the parsed f is the job's one Polynomial
+    built = []
+    init = poly.Polynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(poly.Polynomial, "__init__", counting_init)
+    raw = {"command": "nu", "ring": RING, "critical_locus": "x^3 - 3*x + y^2", "point": "1,0"}
+    payload = run_job(raw, use_cache=False)["payload"]
+    assert payload["nu"] == 1
+    assert [term["data"]["coordinates"] for term in payload["cycle"]] == [["-1", "0"], ["1", "0"]]
+    assert len(built) == 1
+
+
 def test_cache_corrupt_entry_recomputed(tmp_path, capsys):
     first = run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
     key = cache_key(normalize_spec(job_behrend()))
@@ -340,6 +359,35 @@ def test_cache_corrupt_entry_recomputed(tmp_path, capsys):
     assert json.loads(out)["payload"] == first["payload"]
     # the entry was rewritten and is served again
     assert json.loads(entry.read_text())["payload"] == first["payload"]
+
+
+def test_cache_entry_that_is_not_utf8_is_recomputed(tmp_path, capsys):
+    first = run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
+    entry = tmp_path / f"{cache_key(normalize_spec(job_behrend()))}.json"
+    entry.write_bytes(b"\xff\xfe{")
+    envelope = run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
+    assert "corrupt cache entry" in capsys.readouterr().err
+    assert envelope["payload"] == first["payload"]
+    assert json.loads(entry.read_text(encoding="utf-8"))["payload"] == first["payload"]
+
+
+def test_cache_entry_removed_before_the_read_is_a_miss(tmp_path, monkeypatch, capsys):
+    # a concurrent clean-up can remove the entry between any check and the
+    # read; that is a miss, not a corrupt entry
+    first = run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
+    entry = tmp_path / f"{cache_key(normalize_spec(job_behrend()))}.json"
+    assert entry.exists()
+
+    def open_after_removal(path, *args, **kwargs):
+        if path == entry:
+            entry.unlink(missing_ok=True)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_after_removal, raising=False)
+    envelope = run_job(job_behrend(), use_cache=True, cache_dir=tmp_path)
+    assert capsys.readouterr().err == ""
+    assert envelope["cache"] == "miss"
+    assert envelope["payload"] == first["payload"]
 
 
 def test_cache_store_uses_a_temp_file_per_writer(tmp_path, monkeypatch):

@@ -41,7 +41,13 @@ from nuchi.cycles import (
     smooth_presentation,
 )
 
-from .oracles import component_conormal_check, conormal_L, is_conic, projection_pi
+from .oracles import (
+    component_conormal_check,
+    conormal_L,
+    dict_merged_terms,
+    is_conic,
+    projection_pi,
+)
 
 R1 = Ring(("x",))
 R2 = Ring(("x", "y"))
@@ -188,6 +194,31 @@ def test_monomial_class_refuses_binomial_cone():
 def test_monomial_class_requires_monomial_generators():
     with pytest.raises(UnsupportedPresentation):
         distinguished_cycle(monomial_presentation(ideal("x + y")))
+
+
+# ------------------------------------------------------------------- cycles
+
+# Few coordinates, two rings and coefficients in -2..2, so points repeat,
+# coefficients cancel, and unequal descriptors share a sort key (the same
+# coordinates or zero variables in another ring).
+UV = Ring(("u", "v"))
+_coordinate = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1)])
+_descriptors = st.one_of(
+    st.builds(PointCycle, st.sampled_from([R2, UV]), st.tuples(_coordinate, _coordinate)),
+    st.builds(CoordinateSubspaceCycle, st.sampled_from([R2, UV]),
+              st.frozensets(st.integers(0, 1))),
+    st.builds(SmoothVarietyCycle, st.sampled_from([ideal("y - x^2"), ideal("x", "y")])),
+    st.builds(CurveCycle, st.sampled_from([ideal("y^2 - x^3"), ideal("x*y")])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), _descriptors), max_size=12))
+def test_cycle_merge_matches_the_dict_merge(terms):
+    got, want = Cycle(terms).terms, dict_merged_terms(terms)
+    assert got == want
+    # the descriptor kept for equal ones is the first occurrence, as in a dict
+    assert [id(d) for _, d in got] == [id(d) for _, d in want]
 
 
 # --------------------------------------------------------- Euler obstruction
