@@ -45,8 +45,9 @@ IrrationalPoint rather than approximating; splitting is over Q only.
 
 For nu on a critical locus the basis comes from f itself: the partials are
 taken in groebner's packing (:func:`~nuchi.groebner.jacobian_groebner_basis`),
-so no partial is built as a Polynomial unless they are all monomials, which
-the monomial class needs.
+and the presentation class is read off their numbers of terms
+(:func:`~nuchi.groebner.partial_term_counts`), so no partial is built as a
+Polynomial unless they are all monomials, which the monomial class needs.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ from .groebner import (
     hs_multiplicity,
     jacobian_groebner_basis,
     krull_dimension,
+    partial_term_counts,
     staircase_count,
 )
 from .poly import Polynomial, Ring
@@ -87,8 +89,14 @@ from .singular import as_point, jacobian_ideal, shift_ideal
 
 @dataclass(frozen=True)
 class PointCycle:
+    """A rational point; its coordinates are kept as Fractions."""
+
     ring: Ring
     coordinates: tuple
+
+    def __post_init__(self):
+        if any(type(c) is not Fraction for c in self.coordinates):
+            object.__setattr__(self, "coordinates", tuple(map(Fraction, self.coordinates)))
 
     def dimension(self) -> int:
         return 0
@@ -176,8 +184,8 @@ class Cycle:
     keys keep the order of first occurrence.  The terms are sorted first
     and equal descriptors are merged within runs of equal keys, so no
     descriptor is hashed.  That needs equal descriptors to have equal keys,
-    which holds for every descriptor the package builds (a point's
-    coordinates are Fractions, whose text is canonical).
+    which holds for every descriptor: a point's coordinates are Fractions,
+    whose text is canonical.
     """
 
     terms: tuple
@@ -538,16 +546,14 @@ class Presentation:
     """A declared presentation class of X, given by the ideal of X or, from a
     critical locus, by f with X = Z(df).
 
-    ``basis`` is the reduced degrevlex basis of the ideal when it is already
-    known (a presentation from a critical locus carries it); the
-    regular-sequence class of :func:`distinguished_cycle` uses it and
-    otherwise computes it.  The ideal of a presentation given by f, the ideal
-    of its partials, is built only when ``ideal`` is read.
+    ``ideal`` and ``basis``, the reduced degrevlex basis of the ideal, are
+    worked out from the source when first read.  For f, the basis comes
+    from f's packed terms (:func:`~nuchi.groebner.jacobian_groebner_basis`)
+    and the ideal of its partials is built only when ``ideal`` is read.
     """
 
     kind: str
     source: Union[Ideal, Polynomial]
-    basis: StandardBasis | None = None
 
     def __post_init__(self):
         if self.kind not in (SMOOTH, REGULAR_SEQUENCE, MONOMIAL):
@@ -562,6 +568,12 @@ class Presentation:
         if isinstance(self.source, Ideal):
             return self.source
         return jacobian_ideal(self.source)
+
+    @functools.cached_property
+    def basis(self) -> StandardBasis:
+        if isinstance(self.source, Ideal):
+            return groebner_basis(self.source)
+        return jacobian_groebner_basis(self.source)
 
 
 def smooth_presentation(I: Ideal) -> Presentation:
@@ -585,22 +597,20 @@ def presentation_from_critical_locus(f: Polynomial) -> Presentation:
     arity-many of them; :func:`distinguished_cycle` then checks the
     colength.  Anything else is refused.
 
-    The class is read off the number of terms of each partial: d_i f has one
-    term for each term c*x^m of f whose m_i is nonzero in the field.  Only
-    the monomial partials are built as Polynomials.  A regular sequence of
-    other partials carries the reduced degrevlex basis of its ideal, from
-    f's packed terms (:func:`~nuchi.groebner.jacobian_groebner_basis`).
+    The class is read off the number of terms of each partial
+    (:func:`~nuchi.groebner.partial_term_counts`), and only monomial
+    partials are built as Polynomials.  A regular sequence of other partials
+    is presented by f, whose basis is computed from f's packed terms.
     """
-    n, p = f.ring.arity, f.ring.domain.char
-    sizes = [sum(1 for m, _ in f.terms() if (m[i] % p if p else m[i])) for i in range(n)]
-    arity_many = all(sizes)
-    if all(size <= 1 for size in sizes):
+    counts = partial_term_counts(f)
+    arity_many = all(counts)
+    if all(count <= 1 for count in counts):
         I = jacobian_ideal(f)
         monos = [g.terms()[0][0] for g in I.generators]
-        finite = not isinstance(staircase_count(monos, n), Infinite)
+        finite = not isinstance(staircase_count(monos, f.ring.arity), Infinite)
         return Presentation(REGULAR_SEQUENCE if arity_many and finite else MONOMIAL, I)
     if arity_many:
-        return Presentation(REGULAR_SEQUENCE, f, jacobian_groebner_basis(f))
+        return Presentation(REGULAR_SEQUENCE, f)
     raise UnsupportedPresentation(
         "critical locus is neither presented by arity-many partials "
         "nor by monomial partials"
@@ -614,7 +624,7 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
     Q): the cone is X x A^n, so the cycle is the sum of mu_P [P] over the
     rational support points, each mu_P read off the eliminants
     (IrrationalPoint if the support is not rational); the points are found
-    from the presentation's basis, or from ``groebner_basis`` of its ideal.
+    from the presentation's basis.
     Monomial class: combinatorial components of the cone ideal, each
     contributing (-1)^(dim of projection) * multiplicity times its
     projection.
@@ -627,15 +637,13 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
             raise UnsupportedPresentation("the empty scheme has no cycle")
         return Cycle([((-1) ** dim, SmoothVarietyCycle(I))])
     if presentation.kind == REGULAR_SEQUENCE:
+        source = presentation.source
+        if isinstance(source, Ideal) and len(source.generators) != ring.arity:
+            raise UnsupportedPresentation(
+                "regular-sequence class needs exactly arity-many generators, "
+                f"got {len(source.generators)}"
+            )
         basis = presentation.basis
-        if basis is None:
-            I = presentation.ideal
-            if len(I.generators) != ring.arity:
-                raise UnsupportedPresentation(
-                    "regular-sequence class needs exactly arity-many generators, "
-                    f"got {len(I.generators)}"
-                )
-            basis = groebner_basis(I)
         total = basis.invariants()[0]
         if isinstance(total, Infinite):
             raise UnsupportedPresentation("regular-sequence class requires finite colength")

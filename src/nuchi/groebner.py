@@ -32,7 +32,8 @@ Entries.  ``_buchberger_loop`` takes a list of entries (see ``_entry``), not
 polynomials: :func:`groebner_basis` and :func:`standard_basis` convert their
 generators with ``_to_entries``, and :func:`jacobian_basis` and
 :func:`jacobian_groebner_basis` pack f once and take its partials in the
-packing (``_partials``).  Both local bases come from ``_local_basis``, the
+packing (``_partials``); :func:`partial_term_counts` reads the partials'
+numbers of terms off f's exponents by ``_partial``'s rule.  Both local bases come from ``_local_basis``, the
 one local-basis core, and both reduced global bases from ``_reduced``, the
 driver followed by the one global finish.  A :class:`StandardBasis` keeps
 the entries, and no other module reads the packing: the basis reads the
@@ -761,6 +762,16 @@ def _partials(f: Polynomial) -> tuple:
     pk = _packing(n)
     terms, _ = _integer_terms(f, pk.pack)
     return pk, p, [d for d in [_partial(terms, i, pk, p) for i in range(n)] if d]
+
+
+def partial_term_counts(f: Polynomial) -> tuple:
+    """The number of terms of each partial derivative of f, in variable
+    order, read off f's exponents by ``_partial``'s rule: a term c*x^m of f
+    gives a term of d_i f exactly when m_i is nonzero in the field."""
+    p = f.ring.domain.char
+    return tuple(
+        sum(1 for m, _ in f.terms() if (m[i] % p if p else m[i])) for i in range(f.ring.arity)
+    )
 
 
 def jacobian_groebner_basis(f: Polynomial) -> StandardBasis:

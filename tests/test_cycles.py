@@ -200,9 +200,10 @@ def test_monomial_class_requires_monomial_generators():
 
 # Few coordinates, two rings and coefficients in -2..2, so points repeat,
 # coefficients cancel, and unequal descriptors share a sort key (the same
-# coordinates or zero variables in another ring).
+# coordinates or zero variables in another ring).  Int coordinates give
+# points equal to Fraction ones.
 UV = Ring(("u", "v"))
-_coordinate = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1)])
+_coordinate = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1), 0, -1])
 _descriptors = st.one_of(
     st.builds(PointCycle, st.sampled_from([R2, UV]), st.tuples(_coordinate, _coordinate)),
     st.builds(CoordinateSubspaceCycle, st.sampled_from([R2, UV]),
@@ -632,6 +633,14 @@ def test_multiple_roots_in_mixed_coordinates_answer_quickly():
     assert payload["nu"] == 6 and payload["route"] == "cycle"
     cycle = {tuple(t["data"]["coordinates"]): t["coefficient"] for t in payload["cycle"]}
     assert cycle == expected
+
+
+def test_presentations_of_one_f_are_equal():
+    # the basis is worked out from f, not carried beside it
+    f = R2.parse("x^3 - 3*x + y^2")
+    presentation = presentation_from_critical_locus(f)
+    assert presentation == presentation_from_critical_locus(R2.parse("x^3 - 3*x + y^2"))
+    assert presentation.basis.entries == groebner_basis(jacobian_ideal(f)).entries
 
 
 def test_broken_mora_moves_the_milnor_route_only(monkeypatch):

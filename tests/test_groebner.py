@@ -19,9 +19,11 @@ from nuchi.groebner import (
     groebner_basis,
     hs_multiplicity,
     ideal_membership,
+    jacobian_groebner_basis,
     krull_dimension,
     monomial_ideal_dimension,
     normal_form,
+    partial_term_counts,
     staircase_count,
     standard_basis,
     _packing,
@@ -47,6 +49,8 @@ from .oracles import (
     monomial_subset_dimension,
 )
 from .strategies import RING_XY, RING_XYZ, polynomials
+
+RING_XY_GF5 = Ring(("x", "y"), GF(5))
 
 R2 = Ring(("x", "y"))
 R1 = Ring(("x",))
@@ -93,6 +97,18 @@ def test_groebner_verify_buchberger_criterion():
     for gens in [("x^2 + y", "x*y - 1"), ("x^3 - 2*x*y", "x^2*y - 2*y^2 + x")]:
         checked(groebner_basis(ideal(*gens), DEGREVLEX))
         checked(groebner_basis(ideal(*gens), LEX))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    polynomials(RING_XY),
+    polynomials(RING_XYZ, max_terms=4),
+    polynomials(RING_XY_GF5, max_exp=6),  # m_i = 5 vanishes in the field
+))
+def test_jacobian_entry_matches_the_ideal_of_the_partials(f):
+    partials = [f.derivative(i) for i in range(f.ring.arity)]
+    assert partial_term_counts(f) == tuple(len(d.terms()) for d in partials)
+    assert jacobian_groebner_basis(f).entries == groebner_basis(Ideal(f.ring, partials)).entries
 
 
 def test_reduced_basis_unique_under_representation_change():
