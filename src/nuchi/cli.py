@@ -12,15 +12,20 @@ disables the cache and ``--cache-dir`` / the NUCHI_CACHE_DIR environment
 variable relocate it.  Payloads are byte-identical across runs and across
 cache hits and misses.
 
-Job specifications (also accepted in batch via ``--jobs file.json``, an
-array of specs) use the schemas documented in the README.  Each job's inputs
-are parsed once; the normalized spec keeps the parsed objects, and their
-canonical printing is hashed, so equivalent spellings share cache entries.
+Each command is declared once, in ``COMMANDS``: its help line, its handler
+and the job fields it reads, in order.  ``FIELDS`` gives each field's reader
+and command-line flags.  The JSON job schema (also accepted in batch via
+``--jobs file.json``, an array of jobs), the handlers and the argparse tree
+are all read off these two tables; ``nuchi <command> --help`` lists a
+command's flags.  Each job's inputs are parsed once; the normalized spec
+keeps the parsed objects, and their canonical printing is hashed, so
+equivalent spellings share cache entries.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -31,6 +36,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .arcs import (
@@ -72,118 +78,17 @@ from .singular import (
     milnor_number,
 )
 
-COMMANDS = (
-    "milnor",
-    "behrend",
-    "almost-closed",
-    "arc-check",
-    "normal-cone",
-    "cycle",
-    "nu",
-    "weighted-euler",
-    "chi-oracle",
-    "hilb-demo",
-)
-
 MILNOR_FIBRE_NOTE = (
     "imported fact: chi(Milnor fibre) = 1 + (-1)^(n-1)*mu for isolated "
     "critical points (classical Milnor theory)"
 )
 HEURISTIC_NOTE = "heuristic: finite-field point counts fitted by an integer polynomial"
+PRESENTATION_CLASSES = (SMOOTH, REGULAR_SEQUENCE, MONOMIAL)
 
 
-# ----------------------------------------------------------- normalization
-
-def normalize_spec(raw: dict) -> dict:
-    """Validate a raw job dict and parse every input once.
-
-    The spec keeps the parsed objects: the ``Ring``, ``Polynomial``s, the
-    point as a tuple of ``Fraction``s and the ``ArcSeries``.  Any malformed
-    field raises ``InputError``.
-    """
-    if "command" not in raw:
-        raise InputError("job is missing the command field")
-    command = raw["command"]
-    if command not in COMMANDS:
-        raise InputError(f"unknown command {command!r}")
-    spec: dict = {"command": command}
-
-    if command not in ("weighted-euler", "hilb-demo"):
-        ring = spec["ring"] = _ring(raw)
-
-    def polys(field):
-        exprs = _require(raw, field)
-        if not isinstance(exprs, (list, tuple)):
-            raise InputError(f"{field!r} must be an array of polynomials")
-        return [ring.parse(e) for e in exprs]
-
-    def form():
-        components = polys("form")
-        if len(components) != ring.arity:
-            raise InputError("a 1-form needs one component per ring variable")
-        return components
-
-    if command == "milnor":
-        spec["f"] = ring.parse(_require(raw, "f"))
-        spec["point"] = _point(_require(raw, "point"), ring)
-    elif command == "behrend":
-        if "critical_locus" in raw:
-            spec["critical_locus"] = ring.parse(raw["critical_locus"])
-        elif "ideal" in raw:
-            spec["ideal"] = polys("ideal")
-        else:
-            raise InputError("behrend needs critical_locus or ideal")
-        spec["point"] = _point(_require(raw, "point"), ring)
-    elif command == "almost-closed":
-        spec["form"] = form()
-    elif command == "arc-check":
-        spec["form"] = form()
-        arc = _require(raw, "arc")
-        if not isinstance(arc, str):
-            raise InputError("'arc' must be arc text")
-        spec["arc"] = parse_arc(arc, ring)
-        if raw.get("m") is not None:
-            spec["m"] = as_integer(raw["m"], "m")
-    elif command == "normal-cone":
-        spec["ideal"] = polys("ideal")
-    elif command == "cycle":
-        spec["class"] = _presentation_class(_require(raw, "class"))
-        spec["ideal"] = polys("ideal")
-    elif command == "nu":
-        spec["point"] = _point(_require(raw, "point"), ring)
-        if "critical_locus" in raw:
-            spec["critical_locus"] = ring.parse(raw["critical_locus"])
-        elif "ideal" in raw and "class" in raw:
-            spec["class"] = _presentation_class(raw["class"])
-            spec["ideal"] = polys("ideal")
-        else:
-            raise InputError("nu needs critical_locus, or class plus ideal")
-    elif command == "weighted-euler":
-        strata = Stratification.from_json(_require(raw, "strata"))
-        spec["strata"] = [
-            {"label": s.label, "chi": s.chi, "dim": s.dim, "how": s.how,
-             "heuristic": s.heuristic}
-            for s in strata.strata
-        ]
-        spec["function"] = ConstructibleFunction(_require(raw, "function")).as_dict()
-    elif command == "chi-oracle":
-        spec["ideal"] = polys("ideal")
-        primes = _require(raw, "primes")
-        if isinstance(primes, str):
-            primes = [p for p in primes.split(",") if p.strip()]
-        elif not isinstance(primes, (list, tuple)):
-            raise InputError("'primes' must be an array or comma-separated text")
-        spec["primes"] = [as_integer(p, "primes") for p in primes]
-    elif command == "hilb-demo":
-        spec["n_max"] = as_integer(_require(raw, "n_max"), "n_max")
-    return spec
-
-
-def _require(raw: dict, field: str):
-    if raw.get(field) is None:
-        raise InputError(f"command {raw.get('command')} requires {field!r}")
-    return raw[field]
-
+# ----------------------------------------------------------- field readers
+# Each reader takes a field's JSON value and the job's ring and returns the
+# parsed object the spec keeps; a malformed value raises InputError.
 
 def _ring(raw: dict) -> Ring:
     ring = raw.get("ring")
@@ -191,6 +96,19 @@ def _ring(raw: dict) -> Ring:
         raise InputError("job needs a ring declaration before any polynomial input")
     domain = GF(as_integer(ring["char"], "char")) if ring.get("char") else QQ
     return Ring(tuple(ring["vars"]), domain)
+
+
+def _polynomials(value, ring: Ring, field: str = "ideal") -> list:
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{field!r} must be an array of polynomials")
+    return [ring.parse(e) for e in value]
+
+
+def _form(value, ring: Ring) -> list:
+    components = _polynomials(value, ring, "form")
+    if len(components) != ring.arity:
+        raise InputError("a 1-form needs one component per ring variable")
+    return components
 
 
 def _point(value, ring: Ring) -> tuple:
@@ -212,21 +130,28 @@ def _point(value, ring: Ring) -> tuple:
     return parse_point(value, ring.arity)
 
 
-def _presentation_class(name: str) -> str:
+def _arc(value, ring: Ring) -> ArcSeries:
+    if not isinstance(value, str):
+        raise InputError("'arc' must be arc text")
+    return parse_arc(value, ring)
+
+
+def _presentation_class(name, ring=None) -> str:
     name = str(name)
-    if name not in (SMOOTH, REGULAR_SEQUENCE, MONOMIAL):
+    if name not in PRESENTATION_CLASSES:
         raise InputError(f"unknown presentation class {name!r}")
     return name
 
 
-# --------------------------------------------------------------- execution
+def _primes(value, ring=None) -> list:
+    if isinstance(value, str):
+        value = [p for p in value.split(",") if p.strip()]
+    elif not isinstance(value, (list, tuple)):
+        raise InputError("'primes' must be an array or comma-separated text")
+    return [as_integer(p, "primes") for p in value]
 
-def execute_spec(spec: dict):
-    """Run a normalized spec; returns (payload, provenance notes)."""
-    command = spec["command"]
-    handler = _HANDLERS[command]
-    return handler(spec)
 
+# --------------------------------------------------------------- handlers
 
 def _handle_milnor(spec):
     point = spec["point"]
@@ -314,25 +239,25 @@ def _handle_normal_cone(spec):
     return payload, []
 
 
+def _presentation(spec) -> Presentation:
+    if "critical_locus" in spec:
+        return presentation_from_critical_locus(spec["critical_locus"])
+    return Presentation(spec["class"], Ideal(spec["ring"], spec["ideal"]))
+
+
 def _handle_cycle(spec):
-    cycle = distinguished_cycle(Presentation(spec["class"], Ideal(spec["ring"], spec["ideal"])))
-    return {"cycle": cycle.to_payload()}, []
+    return {"cycle": distinguished_cycle(_presentation(spec)).to_payload()}, []
 
 
 def _handle_nu(spec):
-    if "critical_locus" in spec:
-        presentation = presentation_from_critical_locus(spec["critical_locus"])
-    else:
-        presentation = Presentation(spec["class"], Ideal(spec["ring"], spec["ideal"]))
-    cycle = distinguished_cycle(presentation)
+    cycle = distinguished_cycle(_presentation(spec))
     value = euler_obstruction(cycle, spec["point"])
     return {"nu": value, "route": "cycle", "cycle": cycle.to_payload()}, []
 
 
 def _handle_weighted_euler(spec):
-    strat = Stratification.from_json(spec["strata"])
-    func = ConstructibleFunction(spec["function"])
-    value = weighted_euler(strat, func)
+    strat = spec["strata"]
+    value = weighted_euler(strat, spec["function"])
     heuristic = has_heuristic_inputs(strat)
     notes = [HEURISTIC_NOTE] if heuristic else []
     return {"weighted_euler": value, "heuristic_inputs": heuristic}, notes
@@ -360,18 +285,150 @@ def _handle_hilb_demo(spec):
     return payload, [demo.weight_note]
 
 
-_HANDLERS = {
-    "milnor": _handle_milnor,
-    "behrend": _handle_behrend,
-    "almost-closed": _handle_almost_closed,
-    "arc-check": _handle_arc_check,
-    "normal-cone": _handle_normal_cone,
-    "cycle": _handle_cycle,
-    "nu": _handle_nu,
-    "weighted-euler": _handle_weighted_euler,
-    "chi-oracle": _handle_chi_oracle,
-    "hilb-demo": _handle_hilb_demo,
+# ------------------------------------------------------------ declaration
+
+def _read_text(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _arc_from_args(args) -> str:
+    if not (args.arc_text or args.arc):
+        raise InputError("arc-check needs --arc FILE or --arc-text TEXT")
+    return args.arc_text or _read_text(args.arc)
+
+
+class Field(NamedTuple):
+    """A job field: the reader of its JSON value and its command-line flags.
+
+    The first flag's value is the field's JSON value unless ``from_args``
+    builds it from the parsed arguments.  The first flag is required when
+    every field list of the command holds the field, unless its options say
+    otherwise.
+    """
+
+    read: Callable | None  # (JSON value, ring) -> parsed value; None for the ring itself
+    flags: tuple  # (flag, argparse options) pairs
+    from_args: Callable | None = None
+
+
+FIELDS = {
+    "ring": Field(None, (
+        ("--ring", {"help": "comma-separated variable names"}),
+        ("--char", {"type": int, "default": 0, "help": "0 for Q, or a prime p for F_p"}),
+    ), lambda args: {"vars": [v.strip() for v in args.ring.split(",") if v.strip()],
+                     "char": args.char}),
+    "f": Field(lambda value, ring: ring.parse(value), (("--f", {}),)),
+    "point": Field(_point, (("--point", {}),)),
+    "critical_locus": Field(lambda value, ring: ring.parse(value), (("--critical-locus", {}),)),
+    "ideal": Field(_polynomials, (("--ideal", {"nargs": "+"}),)),
+    "form": Field(_form, (("--form", {"nargs": "+", "help": "components f_1 .. f_n"}),)),
+    "arc": Field(_arc, (
+        # --arc-text can give the arc instead, so neither flag is required
+        ("--arc", {"required": False, "help": "arc file (order header plus assignments)"}),
+        ("--arc-text", {"help": "inline arc text"}),
+    ), _arc_from_args),
+    "m": Field(lambda value, ring: as_integer(value, "m"), (("--m", {"type": int}),)),
+    "class": Field(_presentation_class, (("--class", {"choices": PRESENTATION_CLASSES}),)),
+    "strata": Field(
+        lambda value, ring: Stratification.from_json(value),
+        (("--strata", {"help": "JSON array of {label, chi, dim, how}"}),),
+        lambda args: json.loads(_read_text(args.strata)),
+    ),
+    "function": Field(
+        lambda value, ring: ConstructibleFunction(value),
+        (("--function", {"help": "JSON object label -> integer"}),),
+        lambda args: json.loads(_read_text(args.function)),
+    ),
+    "primes": Field(_primes, (("--primes", {"help": "comma-separated primes, each <= 16"}),)),
+    "n_max": Field(lambda value, ring: as_integer(value, "n_max"), (("--n-max", {"type": int}),)),
 }
+
+
+class Command(NamedTuple):
+    """A job kind.  ``fields`` names the job fields in reading order; an entry
+    that is a tuple of field groups reads the first group whose fields the
+    job holds.  ``optional`` fields may be absent or null."""
+
+    help: str
+    handler: Callable
+    fields: tuple
+    optional: tuple = ()
+
+
+COMMANDS = {
+    "milnor": Command("Milnor number of f at a point", _handle_milnor, ("ring", "f", "point")),
+    "behrend": Command("nu at a point (Milnor or smooth route)", _handle_behrend,
+                       ("ring", (("critical_locus",), ("ideal",)), "point")),
+    "almost-closed": Command("test d(omega) in I*Omega^2", _handle_almost_closed, ("ring", "form")),
+    "arc-check": Command("vanishing order and obstruction along an arc", _handle_arc_check,
+                         ("ring", "form", "arc", "m"), optional=("m",)),
+    "normal-cone": Command("normal cone ideal via Rees elimination", _handle_normal_cone,
+                           ("ring", "ideal")),
+    "cycle": Command("distinguished cycle of a presentation", _handle_cycle,
+                     ("ring", "class", "ideal")),
+    "nu": Command("nu via the cycle route", _handle_nu,
+                  ("ring", "point", (("critical_locus",), ("class", "ideal")))),
+    "weighted-euler": Command("weighted Euler characteristic from files", _handle_weighted_euler,
+                              ("strata", "function")),
+    "chi-oracle": Command("heuristic chi from finite-field point counts", _handle_chi_oracle,
+                          ("ring", "ideal", "primes")),
+    "hilb-demo": Command("Hilbert scheme fixed points vs MacMahon", _handle_hilb_demo, ("n_max",)),
+}
+
+
+def _fields_of(command: Command):
+    """(field, always) for every field a command can read, in order; always
+    when every field list of the command holds it."""
+    for entry in command.fields:
+        always = isinstance(entry, str) and entry not in command.optional
+        for field in (entry,) if isinstance(entry, str) else sum(entry, ()):
+            yield field, always
+
+
+# ----------------------------------------------------------- normalization
+
+def normalize_spec(raw: dict) -> dict:
+    """Validate a raw job dict and parse every input once.
+
+    The spec keeps the parsed objects: the ``Ring``, ``Polynomial``s, the
+    point as a tuple of ``Fraction``s, the ``ArcSeries``, the
+    ``Stratification`` and the ``ConstructibleFunction``.  Any malformed
+    field raises ``InputError``.
+    """
+    if "command" not in raw:
+        raise InputError("job is missing the command field")
+    name = raw["command"]
+    if not isinstance(name, str) or name not in COMMANDS:  # a list or dict cannot be hashed
+        raise InputError(f"unknown command {name!r}")
+    command = COMMANDS[name]
+    spec: dict = {"command": name}
+    ring = None
+    for entry in command.fields:
+        for field in (entry,) if isinstance(entry, str) else _chosen(raw, name, entry):
+            if field == "ring":
+                ring = spec["ring"] = _ring(raw)
+            elif field not in command.optional or raw.get(field) is not None:
+                spec[field] = FIELDS[field].read(_require(raw, field), ring)
+    return spec
+
+
+def _chosen(raw: dict, name: str, groups: tuple) -> tuple:
+    for group in groups:
+        if all(field in raw for field in group):
+            return group
+    sep = ", or " if any(len(group) > 1 for group in groups) else " or "
+    raise InputError(f"{name} needs " + sep.join(" plus ".join(group) for group in groups))
+
+
+def _require(raw: dict, field: str):
+    if raw.get(field) is None:
+        raise InputError(f"command {raw.get('command')} requires {field!r}")
+    return raw[field]
+
+
+def execute_spec(spec: dict):
+    """Run a normalized spec; returns (payload, provenance notes)."""
+    return COMMANDS[spec["command"]].handler(spec)
 
 
 # ------------------------------------------------------------------- cache
@@ -388,6 +445,10 @@ def _canonical(obj):
             "params": list(obj.param_ring.variables),
             "components": [str(s) for s in obj.components],
         }
+    if isinstance(obj, Stratification):
+        return [dataclasses.asdict(s) for s in obj.strata]
+    if isinstance(obj, ConstructibleFunction):
+        return obj.as_dict()
     raise TypeError(f"no canonical JSON form for {type(obj).__name__}")
 
 
@@ -509,6 +570,7 @@ def _pretty_tables(envelope: dict) -> None:
 
 
 # ----------------------------------------------------------------- argparse
+# ----------------------------------------------------------------- argparse
 
 class _Parser(argparse.ArgumentParser):
     """Malformed arguments exit 1, as other malformed input does: argparse's
@@ -518,11 +580,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _add_ring_arguments(p):
-    p.add_argument("--ring", required=True, help="comma-separated variable names")
-    p.add_argument("--char", type=int, default=0, help="0 for Q, or a prime p for F_p")
 
 
 def _add_global_arguments(p, top: bool):
@@ -543,94 +600,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", help="batch mode: JSON file with an array of job specs")
     _add_global_arguments(parser, top=True)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("milnor", help="Milnor number of f at a point")
-    _add_ring_arguments(p)
-    p.add_argument("--f", required=True)
-    p.add_argument("--point", required=True)
-    _add_global_arguments(p, top=False)
-
-    p = sub.add_parser("behrend", help="nu at a point (Milnor or smooth route)")
-    _add_ring_arguments(p)
-    p.add_argument("--critical-locus", dest="critical_locus")
-    p.add_argument("--ideal", nargs="+")
-    p.add_argument("--point", required=True)
-    _add_global_arguments(p, top=False)
-
-    p = sub.add_parser("almost-closed", help="test d(omega) in I*Omega^2")
-    _add_ring_arguments(p)
-    p.add_argument("--form", nargs="+", required=True, help="components f_1 .. f_n")
-    _add_global_arguments(p, top=False)
-
-    p = sub.add_parser("arc-check", help="vanishing order and obstruction along an arc")
-    _add_ring_arguments(p)
-    p.add_argument("--form", nargs="+", required=True)
-    p.add_argument("--arc", help="arc file (order header plus assignments)")
-    p.add_argument("--arc-text", dest="arc_text", help="inline arc text")
-    p.add_argument("--m", type=int, default=None)
-    _add_global_arguments(p, top=False)
-
-    p = sub.add_parser("normal-cone", help="normal cone ideal via Rees elimination")
-    _add_ring_arguments(p)
-    p.add_argument("--ideal", nargs="+", required=True)
-    _add_global_arguments(p, top=False)
-
-    p = sub.add_parser("cycle", help="distinguished cycle of a presentation")
-    _add_ring_arguments(p)
-    p.add_argument("--class", dest="pres_class", required=True,
-                   choices=[SMOOTH, REGULAR_SEQUENCE, MONOMIAL])
-    p.add_argument("--ideal", nargs="+", required=True)
-    _add_global_arguments(p, top=False)
-
-    p = sub.add_parser("nu", help="nu via the cycle route")
-    _add_ring_arguments(p)
-    p.add_argument("--point", required=True)
-    p.add_argument("--critical-locus", dest="critical_locus")
-    p.add_argument("--class", dest="pres_class",
-                   choices=[SMOOTH, REGULAR_SEQUENCE, MONOMIAL])
-    p.add_argument("--ideal", nargs="+")
-    _add_global_arguments(p, top=False)
-
-    p = sub.add_parser("weighted-euler", help="weighted Euler characteristic from files")
-    p.add_argument("--strata", required=True, help="JSON array of {label, chi, dim, how}")
-    p.add_argument("--function", required=True, help="JSON object label -> integer")
-    _add_global_arguments(p, top=False)
-
-    p = sub.add_parser("chi-oracle", help="heuristic chi from finite-field point counts")
-    _add_ring_arguments(p)
-    p.add_argument("--ideal", nargs="+", required=True)
-    p.add_argument("--primes", required=True, help="comma-separated primes, each <= 16")
-    _add_global_arguments(p, top=False)
-
-    p = sub.add_parser("hilb-demo", help="Hilbert scheme fixed points vs MacMahon")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    _add_global_arguments(p, top=False)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for field, always in _fields_of(command):
+            for i, (flag, options) in enumerate(FIELDS[field].flags):
+                p.add_argument(flag, **{"required": always and i == 0, **options})
+        _add_global_arguments(p, top=False)
     return parser
 
 
 def _raw_spec_from_args(args) -> dict:
     raw: dict = {"command": args.command}
-    if hasattr(args, "ring") and args.ring is not None:
-        raw["ring"] = {"vars": [v.strip() for v in args.ring.split(",") if v.strip()],
-                       "char": args.char}
-    for field in ("f", "point", "critical_locus", "ideal", "form", "m", "primes"):
-        value = getattr(args, field, None)
+    for field, _ in _fields_of(COMMANDS[args.command]):
+        from_args = FIELDS[field].from_args
+        value = from_args(args) if from_args else getattr(args, field)
         if value is not None:
             raw[field] = value
-    if getattr(args, "pres_class", None):
-        raw["class"] = args.pres_class
-    if args.command == "arc-check":
-        if getattr(args, "arc_text", None):
-            raw["arc"] = args.arc_text
-        elif getattr(args, "arc", None):
-            raw["arc"] = Path(args.arc).read_text(encoding="utf-8")
-        else:
-            raise InputError("arc-check needs --arc FILE or --arc-text TEXT")
-    if args.command == "weighted-euler":
-        raw["strata"] = json.loads(Path(args.strata).read_text(encoding="utf-8"))
-        raw["function"] = json.loads(Path(args.function).read_text(encoding="utf-8"))
-    if args.command == "hilb-demo":
-        raw["n_max"] = args.n_max
     return raw
 
 
@@ -694,10 +679,7 @@ def main(argv=None) -> int:
     except Refusal as exc:
         _emit(_refusal_envelope(args.command, exc), args.pretty)
         return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -153,12 +153,16 @@ class PointCountResult:
 def point_count_chi(equations: Ideal, primes: Sequence[int]) -> PointCountResult:
     """Heuristic chi via exhaustive F_q point counts.
 
-    Requires arity <= 4 and every q <= 16 and prime; the caller asserts the
-    variety is polynomial-count.  Counts are interpolated by an integer
-    polynomial N(q) (degree < number of primes); a non-integral fit refuses
-    with NoPolynomialFit.  The value is N(1), flagged heuristic.
+    Requires a ring over Q (the equations are reduced mod each q, which a
+    prime field's residues do not survive), arity <= 4 and every q <= 16 and
+    prime; the caller asserts the variety is polynomial-count.  Counts are
+    interpolated by an integer polynomial N(q) (degree < number of primes); a
+    non-integral fit refuses with NoPolynomialFit.  The value is N(1),
+    flagged heuristic.
     """
     ring = equations.ring
+    if ring.domain.char:
+        raise InputError("point counting needs characteristic 0")
     if ring.arity > 4:
         raise TooLarge(f"point counting supports arity <= 4, got {ring.arity}")
     primes = list(primes)

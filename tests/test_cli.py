@@ -8,8 +8,10 @@ import pytest
 
 import nuchi.arcs as arcs
 import nuchi.cli as cli
+import nuchi.euler as euler
 import nuchi.poly as poly
 from nuchi.cli import canonical_spec_json, cache_key, main, normalize_spec, run_job
+from nuchi.errors import InputError
 
 
 def payload_bytes(envelope):
@@ -755,3 +757,114 @@ def test_batch_determinism_across_runs(tmp_path, capsys):
         envelopes = json.loads(out)
         outputs.append([payload_bytes(e) for e in envelopes])
     assert outputs[0] == outputs[1]
+
+
+def test_weighted_euler_parses_its_inputs_once(monkeypatch):
+    calls = []
+    from_json = euler.Stratification.from_json
+    init = euler.ConstructibleFunction.__init__
+
+    def counting_from_json(data):
+        calls.append("strata")
+        return from_json(data)
+
+    def counting_init(self, values):
+        calls.append("function")
+        init(self, values)
+
+    monkeypatch.setattr(euler.Stratification, "from_json", staticmethod(counting_from_json))
+    monkeypatch.setattr(euler.ConstructibleFunction, "__init__", counting_init)
+    raw = {"command": "weighted-euler", "strata": [{"label": "pt", "chi": 1}],
+           "function": {"pt": 2}}
+    assert run_job(raw, use_cache=False)["payload"]["weighted_euler"] == 2
+    assert sorted(calls) == ["function", "strata"]
+
+
+def test_chi_oracle_on_a_prime_field_is_an_input_error(capsys):
+    # reducing GF(7) residues mod q counts another polynomial: x^2 - 1 is
+    # stored as x^2 + 6, which over F_3 is x^2
+    job = {"command": "chi-oracle", "ring": {"vars": ["x"], "char": 7},
+           "ideal": ["x^2-1"], "primes": "2,3,5"}
+    with pytest.raises(InputError, match="characteristic 0"):
+        run_job(job, use_cache=False)
+    args = ["chi-oracle", "--ring", "x", "--char", "7", "--ideal", "x^2-1", "--primes", "2,3,5"]
+    code, out, err = run_cli(args + ["--no-cache"], capsys)
+    assert code == 1 and out == "" and "characteristic 0" in err
+
+
+# Each command's job as command-line flags, as (flag, values) pairs, and as
+# JSON; the flags a command cannot run without are marked required.
+ARC_TEXT = "order: 4\nx = u\ny = v*t"
+STRATA = [{"label": "pt", "chi": 1, "how": "heuristic fit"}, {"label": "line", "chi": -1, "dim": 1}]
+FUNCTION = {"pt": 2, "line": 3}
+CLI_JOBS = [
+    ("milnor", [("--ring", ["x,y"]), ("--f", ["x^2 + y^3"]), ("--point", ["0,0"])],
+     {"ring": RING, "f": "x^2 + y^3", "point": "0,0"}, {"--ring", "--f", "--point"}),
+    ("behrend", [("--ring", ["x,y"]), ("--critical-locus", ["x^3+y^3"]), ("--point", ["0,0"])],
+     {"ring": RING, "critical_locus": "x^3+y^3", "point": "0,0"}, {"--ring", "--point"}),
+    ("behrend", [("--ring", ["x,y"]), ("--ideal", ["x", "y^2"]), ("--point", ["0,0"])],
+     {"ring": RING, "ideal": ["x", "y^2"], "point": "0,0"}, {"--ring", "--point"}),
+    ("almost-closed", [("--ring", ["x,y"]), ("--form", ["y", "x - x*y"])],
+     {"ring": RING, "form": ["y", "x - x*y"]}, {"--ring", "--form"}),
+    ("arc-check", [("--ring", ["x,y"]), ("--form", ["y", "0"]), ("--arc-text", [ARC_TEXT]),
+                   ("--m", ["1"])],
+     {"ring": RING, "form": ["y", "0"], "arc": ARC_TEXT, "m": 1}, {"--ring", "--form"}),
+    ("normal-cone", [("--ring", ["x,y"]), ("--char", ["7"]), ("--ideal", ["x*y", "x^2"])],
+     {"ring": {"vars": ["x", "y"], "char": 7}, "ideal": ["x*y", "x^2"]}, {"--ring", "--ideal"}),
+    ("cycle", [("--ring", ["x,y"]), ("--class", ["monomial"]), ("--ideal", ["x*y", "x^2"])],
+     {"ring": RING, "class": "monomial", "ideal": ["x*y", "x^2"]},
+     {"--ring", "--class", "--ideal"}),
+    ("nu", [("--ring", ["x,y"]), ("--point", ["0,0"]), ("--critical-locus", ["x^2+y^2"])],
+     {"ring": RING, "point": "0,0", "critical_locus": "x^2+y^2"}, {"--ring", "--point"}),
+    ("nu", [("--ring", ["x,y"]), ("--point", ["0,0"]), ("--class", ["regular-sequence"]),
+            ("--ideal", ["x", "y"])],
+     {"ring": RING, "point": "0,0", "class": "regular-sequence", "ideal": ["x", "y"]},
+     {"--ring", "--point"}),
+    ("weighted-euler", [("--strata", ["strata.json"]), ("--function", ["function.json"])],
+     {"strata": STRATA, "function": FUNCTION}, {"--strata", "--function"}),
+    ("chi-oracle", [("--ring", ["x,y"]), ("--ideal", ["x*y - 1"]), ("--primes", ["2,3,5"])],
+     {"ring": RING, "ideal": ["x*y - 1"], "primes": "2,3,5"},
+     {"--ring", "--ideal", "--primes"}),
+    ("hilb-demo", [("--n-max", ["3"])], {"n_max": 3}, {"--n-max"}),
+]
+CLI_JOB_IDS = [f"{c}-{i}" for i, (c, *_) in enumerate(CLI_JOBS)]
+
+
+def test_cli_jobs_cover_every_command():
+    assert sorted({c for c, *_ in CLI_JOBS}) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command, flags, job, required", CLI_JOBS, ids=CLI_JOB_IDS)
+def test_command_line_and_json_give_the_same_spec(command, flags, job, required, tmp_path,
+                                                  monkeypatch):
+    (tmp_path / "strata.json").write_text(json.dumps(STRATA))
+    (tmp_path / "function.json").write_text(json.dumps(FUNCTION))
+    monkeypatch.chdir(tmp_path)
+    argv = [command] + [word for flag, values in flags for word in (flag, *values)]
+    from_flags = cli._raw_spec_from_args(cli.build_parser().parse_args(argv))
+    from_json = dict(job, command=command)
+    assert canonical_spec_json(normalize_spec(from_flags)) == \
+        canonical_spec_json(normalize_spec(from_json))
+
+
+@pytest.mark.parametrize("command, flags, job, required", CLI_JOBS, ids=CLI_JOB_IDS)
+def test_required_flags_stay_required(command, flags, job, required, capsys):
+    # dropping a required flag is an argparse error (exit 1); any other flag
+    # may be left out
+    parser = cli.build_parser()
+    for k, (dropped, _) in enumerate(flags):
+        rest = flags[:k] + flags[k + 1:]
+        argv = [command] + [word for flag, values in rest for word in (flag, *values)]
+        if dropped in required:
+            with pytest.raises(SystemExit) as exited:
+                parser.parse_args(argv)
+            assert exited.value.code == 1
+            assert f"the following arguments are required: {dropped}" in capsys.readouterr().err
+        else:
+            assert parser.parse_args(argv).command == command
+
+
+@pytest.mark.parametrize("command", ["bogus", ["milnor"], {"milnor": 1}, 5])
+def test_unknown_commands_are_input_errors(command):
+    with pytest.raises(InputError, match="unknown command"):
+        normalize_spec({"command": command, "ring": RING})

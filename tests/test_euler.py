@@ -4,7 +4,7 @@ import pytest
 
 from nuchi.errors import BoundExceeded, InputError, MissingValue, NoPolynomialFit, TooLarge
 from nuchi.groebner import Ideal
-from nuchi.poly import Ring
+from nuchi.poly import GF, Ring
 from nuchi.singular import behrend_at
 from nuchi.euler import (
     ConstructibleFunction,
@@ -232,3 +232,12 @@ def test_hilbert_demo_negative_size():
 def test_macmahon_independent_of_enumeration():
     # sanity: the expansion is computed from the product, not the counts
     assert macmahon_coefficients(6) == [1, 1, 3, 6, 13, 24, 48]
+
+
+def test_point_count_needs_characteristic_zero():
+    # over GF(7), x^2 - 1 is stored as x^2 + 6; reduced mod 3 that would count
+    # x^2 (one point) and fit no polynomial, a refusal nothing verified
+    F7 = Ring(("x",), GF(7))
+    with pytest.raises(InputError, match="characteristic 0"):
+        point_count_chi(Ideal.from_strings(F7, ["x^2 - 1"]), [2, 3, 5])
+    assert point_count_chi(Ideal.from_strings(R1, ["x^2 - 1"]), [3, 5, 7]).chi == 2
