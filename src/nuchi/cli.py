@@ -405,25 +405,22 @@ def normalize_spec(raw: dict) -> dict:
     ring = None
     for entry in command.fields:
         for field in (entry,) if isinstance(entry, str) else _chosen(raw, name, entry):
+            value = raw.get(field)
             if field == "ring":
                 ring = spec["ring"] = _ring(raw)
-            elif field not in command.optional or raw.get(field) is not None:
-                spec[field] = FIELDS[field].read(_require(raw, field), ring)
+            elif value is not None:
+                spec[field] = FIELDS[field].read(value, ring)
+            elif field not in command.optional:
+                raise InputError(f"command {name} requires {field!r}")
     return spec
 
 
 def _chosen(raw: dict, name: str, groups: tuple) -> tuple:
     for group in groups:
-        if all(field in raw for field in group):
+        if all(map(raw.__contains__, group)):
             return group
     sep = ", or " if any(len(group) > 1 for group in groups) else " or "
     raise InputError(f"{name} needs " + sep.join(" plus ".join(group) for group in groups))
-
-
-def _require(raw: dict, field: str):
-    if raw.get(field) is None:
-        raise InputError(f"command {raw.get('command')} requires {field!r}")
-    return raw[field]
 
 
 def execute_spec(spec: dict):

@@ -868,3 +868,15 @@ def test_required_flags_stay_required(command, flags, job, required, capsys):
 def test_unknown_commands_are_input_errors(command):
     with pytest.raises(InputError, match="unknown command"):
         normalize_spec({"command": command, "ring": RING})
+
+
+@pytest.mark.parametrize("job, field", [
+    ({"command": "behrend", "critical_locus": None, "point": "0,0"}, "critical_locus"),
+    ({"command": "nu", "critical_locus": None, "point": "0,0"}, "critical_locus"),
+    ({"command": "nu", "class": None, "ideal": ["x"], "point": "0,0"}, "class"),
+])
+def test_a_null_alternative_is_a_missing_field(job, field):
+    # the field names the alternative, so its null value is reported like any
+    # other missing required field
+    with pytest.raises(InputError, match=f"command {job['command']} requires '{field}'"):
+        normalize_spec(dict(job, ring=RING))
