@@ -25,7 +25,6 @@ equivalent spellings share cache entries.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -443,7 +442,7 @@ def _canonical(obj):
             "components": [str(s) for s in obj.components],
         }
     if isinstance(obj, Stratification):
-        return [dataclasses.asdict(s) for s in obj.strata]
+        return [vars(s) for s in obj.strata]  # each Stratum's fields
     if isinstance(obj, ConstructibleFunction):
         return obj.as_dict()
     raise TypeError(f"no canonical JSON form for {type(obj).__name__}")
