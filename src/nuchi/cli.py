@@ -566,7 +566,6 @@ def _pretty_tables(envelope: dict) -> None:
 
 
 # ----------------------------------------------------------------- argparse
-# ----------------------------------------------------------------- argparse
 
 class _Parser(argparse.ArgumentParser):
     """Malformed arguments exit 1, as other malformed input does: argparse's

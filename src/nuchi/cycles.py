@@ -23,7 +23,9 @@ Supported presentation classes for the distinguished cycle:
 
 External mathematical import: the local Euler obstruction of a curve at a
 point equals its Hilbert-Samuel multiplicity there.  It is used only for
-curve-kind cycle descriptors and is flagged in CLI provenance.
+curve-kind cycle descriptors, which only library cycles built by hand
+hold: :func:`distinguished_cycle` never yields a curve component, so no CLI
+envelope cites it.
 
 Splitting a zero-dimensional ideal into points needs one degrevlex basis,
 and no basis polynomial and no Fraction is built before the roots: the
@@ -687,13 +689,15 @@ def euler_obstruction(c: Cycle, point) -> int:
 
     Linear in the cycle; 1 on smooth descriptors through the point, the
     Hilbert-Samuel multiplicity on curves (classical import), 0 away from
-    the support.  The point is converted once, in the ring of the first
-    descriptor: a cycle lives in one ambient ring.
+    the support.  The point is coerced once into the domain of the first
+    descriptor's ring, a cycle living in one ambient ring, so over F_p
+    coordinates compare as residues and a coordinate whose denominator p
+    divides raises InputError.
     """
     total, P = 0, None
     for coeff, d in c.terms:
         if P is None:
-            P = as_point(point, d.ring)
+            P = tuple(map(d.ring.domain.coerce, as_point(point, d.ring)))
         total += coeff * _eu_descriptor(d, P)
     return total
 

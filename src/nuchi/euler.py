@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceeded, InputError, MissingValue, NoPolynomialFit, TooLarge
 from .groebner import Ideal
-from .poly import GF, Ring, _is_prime
+from .poly import GF, Polynomial, Ring, _is_prime
 
 
 # ------------------------------------------------------------ stratifications
@@ -62,9 +62,6 @@ class Stratification:
         if len(set(labels)) != len(labels):
             raise InputError("stratum labels must be unique")
         object.__setattr__(self, "strata", strata)
-
-    def labels(self):
-        return [s.label for s in self.strata]
 
     @staticmethod
     def from_json(data) -> "Stratification":
@@ -155,10 +152,11 @@ def point_count_chi(equations: Ideal, primes: Sequence[int]) -> PointCountResult
 
     Requires a ring over Q (the equations are reduced mod each q, which a
     prime field's residues do not survive), arity <= 4 and every q <= 16 and
-    prime; the caller asserts the variety is polynomial-count.  Counts are
-    interpolated by an integer polynomial N(q) (degree < number of primes); a
-    non-integral fit refuses with NoPolynomialFit.  The value is N(1),
-    flagged heuristic.
+    prime; the caller asserts the variety is polynomial-count.  A coefficient
+    whose denominator q divides has no reduction mod q and raises
+    InputError.  Counts are interpolated by an integer polynomial N(q)
+    (degree < number of primes); a non-integral fit refuses with
+    NoPolynomialFit.  The value is N(1), flagged heuristic.
     """
     ring = equations.ring
     if ring.domain.char:
@@ -177,7 +175,7 @@ def point_count_chi(equations: Ideal, primes: Sequence[int]) -> PointCountResult
         if not _is_prime(q):  # GF(0) would be Q, with no points to count
             raise InputError(f"q = {q} is not a prime")
         field_ring = Ring(ring.variables, GF(q))
-        gens = [g.change_domain(field_ring) for g in equations.generators]
+        gens = [Polynomial(field_ring, g.terms()) for g in equations.generators]
         count = 0
         for point in itertools.product(range(q), repeat=ring.arity):
             if all(g.evaluate(point) == 0 for g in gens):

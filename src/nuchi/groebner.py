@@ -38,7 +38,9 @@ one local-basis core, and both reduced global bases from ``_reduced``, the
 driver followed by the one global finish.  A :class:`StandardBasis` keeps
 the entries, and no other module reads the packing: the basis reads the
 Hilbert invariants of its leading-term ideal off the packed leads
-(:meth:`StandardBasis.invariants`, the one ``_hilbert``), and
+(:meth:`StandardBasis.invariants`, the one ``_hilbert``) and, under the
+local order, the Jacobian rank at the origin as its number of leads of
+degree 1 (:meth:`StandardBasis.linear_leads`), and
 :func:`eliminant` reads primitive integer eliminants off the entries.  So
 the Milnor route (``singular``) and the cycle route (``cycles``) build no
 basis Polynomial but the cycle route's elements in more than one variable
@@ -143,7 +145,8 @@ class StandardBasis:
     ``StandardBasis(order, ring, entries)``: a basis holds the driver's
     integer entries (see ``_entry``), whose leading monomials are the minimal
     generators of the leading-term ideal.  :meth:`invariants` reads that
-    ideal's Hilbert invariants off the packed leads, and the monic
+    ideal's Hilbert invariants off the packed leads, :meth:`linear_leads`
+    counts its generators of degree 1, and the monic
     ``elements`` are built from the entries on first access.  A basis is
     immutable.
     """
@@ -202,6 +205,22 @@ class StandardBasis:
         """
         pk = _packing(self.ring.arity)
         return _hilbert([g[1] for g in self.entries], pk)
+
+    def linear_leads(self) -> int:
+        """The number of leading monomials of degree 1.
+
+        Under the local order, for generators that vanish at the origin, it
+        is the rank of their Jacobian matrix there, over the ring's field
+        (the tangent-cone reading of a standard basis; Greuel and Pfister,
+        "A Singular Introduction to Commutative Algebra", 1.7).  An element
+        of the localized ideal sum u_i*g_i has linear part
+        sum u_i(0)*lin(g_i), so the linear parts of its elements of order 1
+        are the span of the lin(g_i), and a space of linear forms has as
+        many distinct leads as its dimension.  Each is a minimal generator
+        of the leading-term ideal, so it leads exactly one basis element.
+        """
+        shift = _packing(self.ring.arity).shift
+        return sum(1 for g in self.entries if g[1] >> shift == 1)
 
 
 # -------------------------------------------------------- packed monomials

@@ -645,12 +645,6 @@ class Polynomial:
             out.append((tuple(exps), c))
         return Polynomial(target, out)
 
-    def change_domain(self, target: Ring) -> "Polynomial":
-        """Same variables, new coefficient domain (e.g. reduce Q -> F_p)."""
-        if target.variables != self.ring.variables:
-            raise RingMismatch("change_domain requires identical variable lists")
-        return Polynomial(target, [(m, target.domain.coerce(c)) for m, c in self._terms])
-
     # ------------------------------------------------------------- identity
 
     def __eq__(self, other):

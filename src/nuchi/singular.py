@@ -7,6 +7,14 @@ of the shifted Jacobian ideal (:func:`~nuchi.groebner.jacobian_basis`, on
 integer terms) and reads mu and the local dimension off its invariants, so
 no Polynomial is differentiated and no basis Polynomial is built.
 
+Smoothness is read off the same kind of basis: the local standard basis of
+an ideal shifted to the origin gives the local dimension, and its number of
+leading monomials of degree 1 is the rank of the generators' Jacobian
+matrix at the point (:meth:`~nuchi.groebner.StandardBasis.linear_leads`),
+taken over the ring's own field: over F_p it is the rank mod p.  On a
+critical locus the Jacobian basis built for mu serves, and its degree-1
+leads count the rank of the Hessian.
+
 External mathematical import, used here and documented in the README: for an
 isolated critical point of f in n variables, the Euler characteristic of the
 Milnor fibre is chi(F) = 1 + (-1)^(n-1) * mu, with mu the Milnor number.
@@ -111,45 +119,11 @@ def jacobian_ideal(f: Polynomial) -> Ideal:
     return Ideal(f.ring, [f.derivative(i) for i in range(f.ring.arity)])
 
 
-def gradient_at(f: Polynomial, point: Point) -> tuple:
-    return tuple(f.derivative(i).evaluate(point) for i in range(f.ring.arity))
-
-
 # --------------------------------------------------------------- smoothness
-
-def _rational_matrix_rank(rows) -> int:
-    m = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pr = m[rank]
-        inv = 1 / pr[col]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], pr)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
 
 def shift_ideal(I: Ideal, point: Point) -> Ideal:
     """Translate the point to the origin in every generator."""
     return Ideal(I.ring, [g.shift(point) for g in I.generators])
-
-
-def local_dimension(I: Ideal, point: Point) -> int:
-    """Dimension of the localization of ring/I at a rational point.
-
-    Read combinatorially off the local leading-term ideal of a standard
-    basis after shifting the point to the origin.
-    """
-    return standard_basis(shift_ideal(I, point), LOCAL_DEGREVLEX).invariants()[1]
 
 
 @dataclass(frozen=True)
@@ -159,25 +133,26 @@ class Smoothness:
 
 
 def is_smooth_at(I: Ideal, point: Sequence) -> Smoothness:
-    """Jacobian criterion at a rational point of Z(I).
+    """Jacobian criterion at a rational point of Z(I), over the ring's field.
 
-    Smooth iff the rank of the Jacobian matrix of the generators equals
-    arity minus the local dimension; the local dimension is reported when
-    smooth.  Raises when the point is not on the variety.
+    One local standard basis of the ideal shifted to the origin gives both
+    sides: the local dimension is one of its invariants, and the rank of the
+    generators' Jacobian matrix at the point is its number of leading
+    monomials of degree 1 (:meth:`~nuchi.groebner.StandardBasis.linear_leads`).
+    Smooth iff the rank is arity minus the local dimension; the local
+    dimension is reported when smooth.  Raises when the point is not on the
+    variety.
     """
     point = as_point(point, I.ring)
     for g in I.generators:
         if g.evaluate(point) != 0:
             raise PointNotOnVariety(f"generator {g} does not vanish at {format_point(point)}")
-    dim = local_dimension(I, point)
-    if dim == -1:
-        raise PointNotOnVariety("ideal is the unit ideal near the point")
-    return _jacobian_criterion(I, point, dim)
+    basis = standard_basis(shift_ideal(I, point), LOCAL_DEGREVLEX)
+    return _smoothness(I.ring.arity, basis.invariants()[1], basis.linear_leads())
 
 
-def _jacobian_criterion(I: Ideal, point: Point, dim: int) -> Smoothness:
-    rank = _rational_matrix_rank([gradient_at(g, point) for g in I.generators])
-    smooth = rank == I.ring.arity - dim
+def _smoothness(n: int, dim: int, rank: int) -> Smoothness:
+    smooth = rank == n - dim
     return Smoothness(smooth, dim if smooth else None)
 
 
@@ -194,9 +169,10 @@ def milnor_number(f: Polynomial, point: Sequence):
 
 
 def _milnor(f: Polynomial, point: Point):
-    """(mu, dim): milnor_number and the local dimension of Crit(f) at the
-    point (dim is None when df does not vanish there), both read off the
-    invariants of the local basis of the shifted Jacobian ideal.
+    """(mu, dim, rank): milnor_number, the local dimension of Crit(f) at the
+    point and the rank of the Hessian of f there, all read off the local
+    basis of the shifted Jacobian ideal (dim and rank are None when df does
+    not vanish there).
 
     f is shifted once, since d_i(f(x + P)) = (d_i f)(x + P), and
     :func:`~nuchi.groebner.jacobian_basis` differentiates it on packed
@@ -204,9 +180,9 @@ def _milnor(f: Polynomial, point: Point):
     """
     basis = jacobian_basis(f.shift(point))
     if basis is None:
-        return NOT_CRITICAL, None
+        return NOT_CRITICAL, None, None
     mu, dim, _ = basis.invariants()
-    return mu, dim
+    return mu, dim, basis.linear_leads()
 
 
 def _fibre_euler(mu: int, n: int) -> int:
@@ -251,14 +227,14 @@ def behrend_report(presentation: Union[Polynomial, Ideal], point: Sequence) -> N
     if isinstance(presentation, Polynomial):
         f = presentation
         point = as_point(point, f.ring)
-        mu, dim = _milnor(f, point)  # one basis gives mu and the local dimension
+        mu, dim, rank = _milnor(f, point)  # one basis gives mu, dim and the Hessian rank
         if mu is NOT_CRITICAL:
             raise PointNotOnVariety(f"{format_point(point)} is not on the critical locus of {f}")
         n = f.ring.arity
         if not isinstance(mu, Infinite):
             nu = (-1) ** n * (1 - _fibre_euler(mu, n))
             return NuReport(nu=nu, route="milnor", mu=mu)
-        check = _jacobian_criterion(jacobian_ideal(f), point, dim)
+        check = _smoothness(n, dim, rank)
         if check.smooth:
             return NuReport(nu=(-1) ** check.local_dim, route="smooth", local_dim=check.local_dim)
         raise Unsupported(

@@ -1,15 +1,17 @@
 """Independent reference implementations used to cross-check the engine.
 
 Colengths come from exact linear algebra on Macaulay-style multiplication
-matrices, and monomial-ideal counts from direct lattice enumeration.  The one
-exception is :func:`lazard_colength_local`, which reaches the local colength
-through the global Buchberger driver, so it shares no code with Mora's
-normal form.  :func:`assert_spolys_vanish` rechecks a finished basis on its
-output polynomials, and :func:`dict_merged_terms` is the dict merge that
-``Cycle`` replaced by a sort.  The arc obstruction and the pulled-back d(omega)
-coefficient each have a second evaluation here, and the conormal
-correspondence L / pi lives here as a tag layer over cycle descriptors,
-which no command builds.  The oracles are intentionally slow and simple.
+matrices, monomial-ideal counts from direct lattice enumeration, and
+Jacobian ranks from partials evaluated at the point and row-reduced over the
+ring's field.  The one exception is :func:`lazard_colength_local`, which
+reaches the local colength through the global Buchberger driver, so it
+shares no code with Mora's normal form.  :func:`assert_spolys_vanish`
+rechecks a finished basis on its output polynomials, and
+:func:`dict_merged_terms` is the dict merge that ``Cycle`` replaced by a
+sort.  The arc obstruction and the pulled-back d(omega) coefficient each
+have a second evaluation here, and the conormal correspondence L / pi lives
+here as a tag layer over cycle descriptors, which no command builds.  The
+oracles are intentionally slow and simple.
 """
 
 import itertools
@@ -216,6 +218,29 @@ def monomial_subset_dimension(gens, arity):
             if all(not sup <= set(S) for sup in supports):
                 return size
     return 0
+
+
+def jacobian_rank(I: Ideal, point):
+    """Rank of the Jacobian matrix of the generators of I at a point, over
+    the ring's field: each partial is differentiated and evaluated there,
+    and the rows are row-reduced as Fractions over Q and as residues mod p
+    over F_p."""
+    n, p = I.ring.arity, I.ring.domain.char
+    rows = [[g.derivative(i).evaluate(point) for i in range(n)] for g in I.generators]
+    rank = 0
+    for col in range(n):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = pow(top[col], -1, p) if p else 1 / top[col]
+        for k in range(rank + 1, len(rows)):
+            f = rows[k][col] * inv
+            if f:
+                rows[k] = [(a - f * b) % p if p else a - f * b for a, b in zip(rows[k], top)]
+        rank += 1
+    return rank
 
 
 def kouchnirenko_mu(a, b, c, d):

@@ -595,6 +595,34 @@ def test_prime_field_point_splitting_is_an_input_error(tmp_path, capsys):
         assert "characteristic 0" in envelope["error"]["message"]
 
 
+def test_smoothness_over_a_prime_field_is_decided_in_that_field(capsys):
+    # x + 2*y and 3*x + y cut out the line x + 2*y = 0 in F_5^2: their
+    # Jacobian has rank 1 over F_5 (its determinant is -5), rank 2 over Q
+    F5 = ["--ring", "x,y", "--char", "5", "--point", "0,0", "--no-cache"]
+    smooth = {"dim": 1, "nu": -1, "route": "smooth"}
+    code, out, _ = run_cli(["behrend", "--ideal", "x+2*y", "3*x+y"] + F5, capsys)
+    assert code == 0 and json.loads(out)["payload"] == smooth
+    code, out, _ = run_cli(["nu", "--class", "smooth", "--ideal", "x+2*y", "3*x+y"] + F5, capsys)
+    assert code == 0 and json.loads(out)["payload"]["nu"] == smooth["nu"]
+    # (x + 2*y)^2 is critical along the same line, with Hessian rank 1 over F_5
+    code, out, _ = run_cli(["behrend", "--critical-locus", "x^2+4*x*y+4*y^2"] + F5, capsys)
+    assert code == 0 and json.loads(out)["payload"] == smooth
+
+
+def test_cycle_route_points_over_a_prime_field_are_residues(capsys):
+    # 5 is 0 in F_5, and 1/5 is not an element of F_5
+    def nu(point):
+        return run_cli(["nu", "--ring", "x,y", "--char", "5", "--class", "monomial",
+                        "--ideal", "x*y", "--point", point, "--no-cache"], capsys)
+
+    code, at_origin, _ = nu("0,0")
+    assert code == 0 and json.loads(at_origin)["payload"]["nu"] == -2
+    code, out, _ = nu("5,0")
+    assert code == 0 and json.loads(out)["payload"] == json.loads(at_origin)["payload"]
+    code, out, err = nu("1/5,0")
+    assert code == 1 and out == "" and "divisible by p = 5" in err
+
+
 def test_milnor_non_isolated_refusal(tmp_path, capsys):
     code, out, _ = run_cli(
         ["milnor", "--ring", "x,y", "--f", "x^2", "--point", "0,0",
@@ -790,6 +818,13 @@ def test_chi_oracle_on_a_prime_field_is_an_input_error(capsys):
     args = ["chi-oracle", "--ring", "x", "--char", "7", "--ideal", "x^2-1", "--primes", "2,3,5"]
     code, out, err = run_cli(args + ["--no-cache"], capsys)
     assert code == 1 and out == "" and "characteristic 0" in err
+
+
+def test_chi_oracle_coefficient_without_a_reduction_is_an_input_error(capsys):
+    # -1/2 has no residue mod 2, so x - 1/2 cannot be counted over F_2
+    args = ["chi-oracle", "--ring", "x", "--ideal", "x - 1/2", "--primes", "2,3", "--no-cache"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == "" and "divisible by p = 2" in err
 
 
 # Each command's job as command-line flags, as (flag, values) pairs, and as

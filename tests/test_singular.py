@@ -24,7 +24,7 @@ from nuchi.singular import (
     shift_ideal,
 )
 
-from .oracles import kouchnirenko_mu
+from .oracles import jacobian_rank, kouchnirenko_mu
 
 R1 = Ring(("x",))
 R2 = Ring(("x", "y"))
@@ -61,6 +61,45 @@ def test_smoothness_examples():
 def test_smoothness_point_must_lie_on_variety():
     with pytest.raises(PointNotOnVariety):
         is_smooth_at(Ideal.from_strings(R2, ["y - x^2"]), (1, 0))
+
+
+@st.composite
+def ideals_through_a_point(draw):
+    """(I, P): 0-3 generators in 1-3 variables over Q or F_5, each vanishing
+    at the rational point P: g(x) = h(x - P) with h a linear form plus a few
+    terms of degree 2 or 3 and no constant term."""
+    n = draw(st.integers(1, 3))
+    char = draw(st.sampled_from([0, 5]))
+    ring = Ring(("x", "y", "z")[:n], GF(char))
+    P = tuple(Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3]))) for _ in range(n))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    higher = st.lists(st.integers(0, n - 1), min_size=2, max_size=3).map(
+        lambda vs: tuple(vs.count(i) for i in range(n))
+    )
+
+    def generator():
+        linear = [(m, draw(st.integers(-2, 2))) for m in units]
+        terms = draw(st.lists(st.tuples(higher, st.integers(-3, 3)), max_size=2))
+        return Polynomial(ring, linear + terms).shift(tuple(-c for c in P))
+
+    gens = [generator() for _ in range(draw(st.integers(0, 3)))]
+    return Ideal(ring, gens), P
+
+
+@settings(max_examples=120, deadline=None)
+@given(ideals_through_a_point())
+@example((Ideal.from_strings(Ring(("x", "y"), GF(5)), ["x + 2*y", "3*x + y"]), (0, 0)))
+def test_is_smooth_at_matches_the_jacobian_rank_oracle(case):
+    # the rank read off the local basis's degree-1 leads against partials
+    # evaluated at P and row-reduced over the ring's own field
+    I, P = case
+    rank = jacobian_rank(I, P)
+    basis = groebner.standard_basis(shift_ideal(I, P))
+    assert basis.linear_leads() == rank
+    dim = basis.invariants()[1]
+    check = is_smooth_at(I, P)
+    assert check.smooth == (rank == I.ring.arity - dim)
+    assert check.local_dim == (dim if check.smooth else None)
 
 
 # ------------------------------------------------------------- Milnor numbers
@@ -211,7 +250,7 @@ def test_local_dimension_agrees_with_the_polynomial_route(case):
     n = f.ring.arity
     leads = groebner.standard_basis(shift_ideal(jacobian_ideal(f), P)).leading_monomials()
     expected = monomial_ideal_dimension(leads, n)
-    mu, dim = singular._milnor(f, P)
+    mu, dim, _ = singular._milnor(f, P)
     assert dim == expected and isinstance(mu, Infinite) == (expected > 0)
     try:
         report = behrend_report(f, P)
@@ -219,6 +258,15 @@ def test_local_dimension_agrees_with_the_polynomial_route(case):
         return
     if report.route == "smooth":
         assert report.local_dim == expected
+
+
+@settings(max_examples=80)
+@given(critical_cases(isolated=False))
+def test_hessian_rank_matches_the_jacobian_rank_oracle(case):
+    # the Jacobian basis's degree-1 leads count the rank of the Hessian at P
+    f, P, _ = case
+    _, _, rank = singular._milnor(f, P)
+    assert rank == jacobian_rank(jacobian_ideal(f), P)
 
 
 def test_milnor_non_isolated():
