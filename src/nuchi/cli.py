@@ -72,6 +72,7 @@ from .singular import (
     NOT_CRITICAL,
     OneForm,
     behrend_report,
+    coerce_point,
     format_point,
     is_almost_closed,
     milnor_number,
@@ -249,8 +250,9 @@ def _handle_cycle(spec):
 
 
 def _handle_nu(spec):
+    point = coerce_point(spec["point"], spec["ring"])  # checked even if the cycle is empty
     cycle = distinguished_cycle(_presentation(spec))
-    value = euler_obstruction(cycle, spec["point"])
+    value = euler_obstruction(cycle, point)
     return {"nu": value, "route": "cycle", "cycle": cycle.to_payload()}, []
 
 

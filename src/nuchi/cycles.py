@@ -1,6 +1,11 @@
 """Cycle-level constructions: normal cones, the distinguished cycle and the
 local Euler obstruction.
 
+The distinguished cycle is an integer combination of points, declared smooth
+varieties and coordinate subspaces, so the Euler obstruction of each
+component is 1 on it and 0 off it, and the cycle route imports no theorem
+beyond the definition of nu.
+
 The normal cone of Z(I) in affine space is presented by an ideal in a
 doubled ring: fiber variables are adjoined, the Rees kernel of y_i -> t*g_i
 is computed by eliminating t from the graph ideal, and the cone ideal is the
@@ -20,12 +25,6 @@ Supported presentation classes for the distinguished cycle:
   variables to 1).  The zero ideal has no fiber variables and one
   component, the empty cover of multiplicity 1: its cone is the whole
   space, so nu = (-1)^n, as for the smooth class.
-
-External mathematical import: the local Euler obstruction of a curve at a
-point equals its Hilbert-Samuel multiplicity there.  It is used only for
-curve-kind cycle descriptors, which only library cycles built by hand
-hold: :func:`distinguished_cycle` never yields a curve component, so no CLI
-envelope cites it.
 
 Splitting a zero-dimensional ideal into points needs one degrevlex basis,
 and no basis polynomial and no Fraction is built before the roots: the
@@ -78,14 +77,13 @@ from .groebner import (
     eliminant,
     eliminate,
     groebner_basis,
-    hs_multiplicity,
     jacobian_groebner_basis,
     krull_dimension,
     partial_term_counts,
     staircase_count,
 )
 from .poly import Polynomial, Ring
-from .singular import as_point, jacobian_ideal, shift_ideal
+from .singular import as_point, coerce_point, jacobian_ideal, shift_ideal
 
 # ------------------------------------------------------------- descriptors
 
@@ -134,27 +132,6 @@ class SmoothVarietyCycle:
 
 
 @dataclass(frozen=True)
-class CurveCycle:
-    ideal: Ideal
-
-    @property
-    def ring(self) -> Ring:
-        return self.ideal.ring
-
-    def dimension(self) -> int:
-        return 1
-
-    def sort_key(self):
-        return (2, str([str(g) for g in self.ideal.generators]))
-
-    def to_payload(self):
-        return {
-            "kind": "curve",
-            "data": {"generators": [str(g) for g in self.ideal.generators]},
-        }
-
-
-@dataclass(frozen=True)
 class CoordinateSubspaceCycle:
     """The subspace cut out by the variables in ``zero_vars``."""
 
@@ -172,7 +149,7 @@ class CoordinateSubspaceCycle:
         return {"kind": "coordinate-subspace", "data": {"zero_variables": names}}
 
 
-Descriptor = Union[PointCycle, SmoothVarietyCycle, CurveCycle, CoordinateSubspaceCycle]
+Descriptor = Union[PointCycle, SmoothVarietyCycle, CoordinateSubspaceCycle]
 
 
 # ------------------------------------------------------------------- cycles
@@ -687,17 +664,19 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
 def euler_obstruction(c: Cycle, point) -> int:
     """MacPherson's local Euler obstruction of a supported cycle at a point.
 
-    Linear in the cycle; 1 on smooth descriptors through the point, the
-    Hilbert-Samuel multiplicity on curves (classical import), 0 away from
-    the support.  The point is coerced once into the domain of the first
-    descriptor's ring, a cycle living in one ambient ring, so over F_p
-    coordinates compare as residues and a coordinate whose denominator p
-    divides raises InputError.
+    Linear in the cycle.  Every descriptor kind is smooth (a point, a
+    declared smooth variety, a coordinate subspace), so each contributes 1
+    through the point and 0 away from it.  The point is coerced once into
+    the domain of the first descriptor's ring, a cycle living in one ambient
+    ring, so over F_p coordinates compare as residues and a coordinate whose
+    denominator p divides raises InputError.  An empty cycle has no ring to
+    check the point in; :func:`nu_from_cycle` checks it against the
+    presentation's ring first.
     """
     total, P = 0, None
     for coeff, d in c.terms:
         if P is None:
-            P = tuple(map(d.ring.domain.coerce, as_point(point, d.ring)))
+            P = coerce_point(point, d.ring)
         total += coeff * _eu_descriptor(d, P)
     return total
 
@@ -709,13 +688,13 @@ def _eu_descriptor(d: Descriptor, P: tuple) -> int:
         return 1 if all(P[i] == 0 for i in d.zero_vars) else 0
     if isinstance(d, SmoothVarietyCycle):
         return 1 if all(g.evaluate(P) == 0 for g in d.ideal.generators) else 0
-    if isinstance(d, CurveCycle):
-        if any(g.evaluate(P) != 0 for g in d.ideal.generators):
-            return 0
-        return hs_multiplicity(shift_ideal(d.ideal, P))
     raise UnsupportedCycleKind(f"Euler obstruction undefined for {d!r}")
 
 
 def nu_from_cycle(presentation: Presentation, point) -> int:
-    """nu via the cycle route: Euler obstruction of the distinguished cycle."""
+    """nu via the cycle route: Euler obstruction of the distinguished cycle.
+
+    The point is coerced into the presentation's ring before the cycle is
+    built, so a bad point raises InputError even when the cycle is empty."""
+    point = coerce_point(point, presentation.ring)
     return euler_obstruction(distinguished_cycle(presentation), point)

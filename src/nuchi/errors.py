@@ -64,10 +64,6 @@ class ExponentOverflow(InputError):
     """An exponent left the supported 32-bit range."""
 
 
-class ZeroPolynomial(InputError):
-    """Operation undefined for the zero polynomial (e.g. leading term)."""
-
-
 class MissingValue(InputError):
     """A constructible function has no value on some stratum."""
 
@@ -104,10 +100,6 @@ class UnsupportedPresentation(Refusal):
 
 class UnsupportedCycleKind(Refusal):
     code = "UNSUPPORTED_CYCLE_KIND"
-
-
-class KindMismatch(Refusal):
-    code = "KIND_MISMATCH"
 
 
 class PointNotOnVariety(Refusal):

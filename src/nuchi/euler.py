@@ -181,35 +181,25 @@ def point_count_chi(equations: Ideal, primes: Sequence[int]) -> PointCountResult
             if all(g.evaluate(point) == 0 for g in gens):
                 count += 1
         counts.append((q, count))
-    # Lagrange interpolation through all (q, count) pairs, exact arithmetic
-    xs = [Fraction(q) for q, _ in counts]
-    ys = [Fraction(c) for _, c in counts]
-    coeffs = [Fraction(0)] * len(xs)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            denom *= xi - xj
-            # multiply the basis polynomial by (x - xj)
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k] -= b * xj
-                new[k + 1] += b
-            basis = new
-        scale = yi / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += b * scale
-    trimmed = coeffs[:]
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-    if any(c.denominator != 1 for c in trimmed):
+    # Newton divided differences through all (q, count) pairs, exact arithmetic
+    xs = [q for q, _ in counts]
+    dd = [Fraction(c) for _, c in counts]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    # expand by Horner's rule: N = dd[0] + (q - xs[0]) * (dd[1] + (q - xs[1]) * ...)
+    coeffs = [dd[-1]]
+    for x, d in zip(xs[-2::-1], dd[-2::-1]):
+        coeffs = [a - x * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += d
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if any(c.denominator != 1 for c in coeffs):
         raise NoPolynomialFit(
             "point counts do not fit an integer polynomial in q: "
             + ", ".join(f"N({q})={c}" for q, c in counts)
         )
-    fit = tuple(int(c) for c in trimmed)
+    fit = tuple(int(c) for c in coeffs)
     chi = sum(fit)
     return PointCountResult(chi=chi, flag="heuristic", counts=tuple(counts), fit=fit)
 

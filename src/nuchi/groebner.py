@@ -954,16 +954,6 @@ def staircase_count(lead_monos: Sequence[tuple], arity: int):
     return _hilbert(_minimal_packed(map(pk.pack, lead_monos), pk.guard), pk)[0]
 
 
-def monomial_ideal_dimension(lead_monos: Sequence[tuple], arity: int) -> int:
-    """Krull dimension of R / (monomial ideal); -1 for the unit ideal.
-
-    It is the pole order of the Hilbert series at t = 1: arity minus the
-    number of (1-t) factors of the K-polynomial (see ``_hilbert``).
-    """
-    pk = _packing(arity)
-    return _hilbert(_minimal_packed(map(pk.pack, lead_monos), pk.guard), pk)[1]
-
-
 # -------------------------------------------------------------- measurements
 
 def colength(I: Ideal, order: MonomialOrder = DEGREVLEX):

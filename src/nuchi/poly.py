@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -50,7 +50,6 @@ from .errors import (
     PolynomialSyntaxError,
     RingMismatch,
     UnknownVariable,
-    ZeroPolynomial,
 )
 
 MAX_EXPONENT = 2**31 - 1
@@ -65,20 +64,13 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(operator.add, a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when x^a divides x^b."""
-    return all(map(operator.le, a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
 # ----------------------------------------------------------- monomial orders
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order used for leading terms and division.
+    """A monomial order tag, (kind, block).  Monomials are compared only in
+    groebner's packing, whose ``key(order)`` is the one implementation of
+    each order.
 
     kinds:
       * ``lex``             global, 1 smallest
@@ -91,8 +83,6 @@ class MonomialOrder:
 
     kind: str
     block: frozenset = frozenset()
-    # elim: arity -> (block indices, other indices), each in descending order
-    _split: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lex", "degrevlex", "local_degrevlex", "elim"):
@@ -105,26 +95,6 @@ class MonomialOrder:
     @property
     def is_local(self) -> bool:
         return self.kind == "local_degrevlex"
-
-    def key(self, m: Monomial):
-        """Sort key: larger key means larger monomial under the order."""
-        if self.kind == "lex":
-            return m
-        if self.kind == "degrevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
-        if self.kind == "local_degrevlex":
-            return (-sum(m), tuple(-e for e in reversed(m)))
-        # elim: compare the dropped block by degrevlex first, then the rest
-        split = self._split.get(len(m))
-        if split is None:
-            down = range(len(m) - 1, -1, -1)
-            split = self._split[len(m)] = (
-                tuple(i for i in down if i in self.block),
-                tuple(i for i in down if i not in self.block),
-            )
-        inb = tuple(-m[i] for i in split[0])
-        out = tuple(-m[i] for i in split[1])
-        return (-sum(inb), inb, -sum(out), out)
 
 
 LEX = MonomialOrder("lex")
@@ -367,23 +337,6 @@ class Polynomial:
         if not self._terms:
             return -1
         return sum(self._terms[0][0])  # storage is degree-descending
-
-    def leading_term(self, order: MonomialOrder = DEGREVLEX):
-        """The order-maximal (monomial, coefficient) pair."""
-        terms = self._terms
-        if not terms:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        if order.kind == "degrevlex":
-            return terms[0]
-        if order.kind == "local_degrevlex":
-            # the first term of the lowest-degree block of the storage order
-            i = len(terms) - 1
-            low = sum(terms[i][0])
-            while i and sum(terms[i - 1][0]) == low:
-                i -= 1
-            return terms[i]
-        key = order.key
-        return max(terms, key=lambda mc: key(mc[0]))
 
     def degree_in(self, i: int) -> int:
         if not self._terms:

@@ -70,6 +70,13 @@ def as_point(coords: Sequence, ring: Ring) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
+def coerce_point(coords: Sequence, ring: Ring) -> tuple:
+    """:func:`as_point` with every coordinate in the ring's domain: residues
+    over F_p, where a coordinate whose denominator p divides raises
+    InputError."""
+    return tuple(map(ring.domain.coerce, as_point(coords, ring)))
+
+
 def format_point(point: Sequence) -> str:
     """Rational coordinates as text for messages, e.g. ``(1/2, 1)``."""
     return "(" + ", ".join(str(Fraction(c)) for c in point) + ")"

@@ -10,11 +10,14 @@ rechecks a finished basis on its output polynomials, and
 :func:`dict_merged_terms` is the dict merge that ``Cycle`` replaced by a
 sort.  The arc obstruction and the pulled-back d(omega) coefficient each
 have a second evaluation here, and the conormal correspondence L / pi lives
-here as a tag layer over cycle descriptors, which no command builds.  The
-oracles are intentionally slow and simple.
+here as a tag layer over cycle descriptors, which no command builds, with
+its own refusal :class:`KindMismatch`.  Divisibility, lcm and every monomial
+order's sort key on exponent tuples are the references for groebner's packed
+monomials.  The oracles are intentionally slow and simple.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -28,7 +31,7 @@ from nuchi.arcs import (
     zero_form,
 )
 from nuchi.cycles import ConeIdealReport, Cycle
-from nuchi.errors import InputError, KindMismatch
+from nuchi.errors import InputError, Refusal
 from nuchi.groebner import (
     Ideal,
     StandardBasis,
@@ -40,8 +43,35 @@ from nuchi.groebner import (
     groebner_basis,
     staircase_count,
 )
-from nuchi.poly import Polynomial, Ring, elimination_order, mono_divides
+from nuchi.poly import MonomialOrder, Polynomial, Ring, elimination_order
 from nuchi.singular import OneForm
+
+
+# ------------------------------------------------------ monomials as tuples
+
+def mono_divides(a, b) -> bool:
+    """True when x^a divides x^b."""
+    return all(map(operator.le, a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def order_key(order: MonomialOrder, m):
+    """Sort key of an exponent tuple under an order, as tuples: a larger
+    key is a larger monomial.  The reference for groebner's packed keys."""
+    rev = tuple(-e for e in reversed(m))
+    if order.kind == "lex":
+        return m
+    if order.kind == "degrevlex":
+        return (sum(m), rev)
+    if order.kind == "local_degrevlex":
+        return (-sum(m), rev)
+    # elim: degrevlex on the block first, then degrevlex on the rest
+    inb = tuple(-m[i] for i in reversed(range(len(m))) if i in order.block)
+    out = tuple(-m[i] for i in reversed(range(len(m))) if i not in order.block)
+    return (-sum(inb), inb, -sum(out), out)
 
 
 def sparse_pivots(rows):
@@ -407,6 +437,10 @@ def dict_merged_terms(terms) -> tuple:
 
 
 # ------------------------------------------------- conormal correspondence
+
+class KindMismatch(Refusal):
+    code = "KIND_MISMATCH"
+
 
 @dataclass(frozen=True)
 class ConormalCycle:

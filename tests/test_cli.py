@@ -1,13 +1,16 @@
+import ast
 import json
 import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import nuchi.arcs as arcs
 import nuchi.cli as cli
+import nuchi.errors as errors
 import nuchi.euler as euler
 import nuchi.poly as poly
 from nuchi.cli import canonical_spec_json, cache_key, main, normalize_spec, run_job
@@ -90,6 +93,23 @@ def test_input_error_exit_code(tmp_path, capsys):
     )
     assert code == 1
     assert "z" in err
+
+
+def test_every_error_class_is_raised():
+    # a class no raise names is dead: nothing can give its exit code or refusal code
+    raised = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    classes = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and value.__module__ == errors.__name__
+    }
+    bases = {"NuchiError", "InputError", "Refusal"}
+    assert classes > bases
+    assert sorted(classes - bases - raised) == []
 
 
 @pytest.mark.parametrize("args", [
@@ -621,6 +641,21 @@ def test_cycle_route_points_over_a_prime_field_are_residues(capsys):
     assert code == 0 and json.loads(out)["payload"] == json.loads(at_origin)["payload"]
     code, out, err = nu("1/5,0")
     assert code == 1 and out == "" and "divisible by p = 5" in err
+
+
+def test_empty_cycle_still_checks_the_point(capsys):
+    # the unit ideal's cycle is empty, so no descriptor's ring checks the point
+    def nu(point):
+        return run_cli(["nu", "--ring", "x,y", "--char", "5", "--class", "regular-sequence",
+                        "--ideal", "1", "x", "--point", point, "--no-cache"], capsys)
+
+    code, out, _ = nu("0,0")
+    assert code == 0 and json.loads(out)["payload"] == {"cycle": [], "nu": 0, "route": "cycle"}
+    code, out, err = nu("1/5,0")
+    assert code == 1 and out == "" and "divisible by p = 5" in err
+    code, _, err = run_cli(["milnor", "--ring", "x,y", "--char", "5", "--f", "x",
+                            "--point", "1/5,0", "--no-cache"], capsys)
+    assert code == 1 and "divisible by p = 5" in err
 
 
 def test_milnor_non_isolated_refusal(tmp_path, capsys):

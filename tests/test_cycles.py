@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuchi.errors import (
+    ArityMismatch,
     InputError,
     IrrationalPoint,
-    KindMismatch,
     UnitIdeal,
     UnsupportedPresentation,
 )
@@ -25,7 +25,6 @@ from nuchi.singular import behrend_at, jacobian_ideal, milnor_number
 from nuchi.cycles import (
     _rational_roots,
     CoordinateSubspaceCycle,
-    CurveCycle,
     Cycle,
     PointCycle,
     SmoothVarietyCycle,
@@ -42,6 +41,7 @@ from nuchi.cycles import (
 )
 
 from .oracles import (
+    KindMismatch,
     component_conormal_check,
     conormal_L,
     dict_merged_terms,
@@ -209,7 +209,6 @@ _descriptors = st.one_of(
     st.builds(CoordinateSubspaceCycle, st.sampled_from([R2, UV]),
               st.frozensets(st.integers(0, 1))),
     st.builds(SmoothVarietyCycle, st.sampled_from([ideal("y - x^2"), ideal("x", "y")])),
-    st.builds(CurveCycle, st.sampled_from([ideal("y^2 - x^3"), ideal("x*y")])),
 )
 
 
@@ -236,12 +235,6 @@ def test_euler_obstruction_smooth_curve():
     assert euler_obstruction(c, (1, 2)) == 0
 
 
-def test_euler_obstruction_cuspidal_curve():
-    c = Cycle([(1, CurveCycle(ideal("y^2 - x^3")))])
-    assert euler_obstruction(c, (0, 0)) == 2  # multiplicity of the cusp
-    assert euler_obstruction(c, (1, 1)) == 1  # smooth elsewhere
-
-
 def test_euler_obstruction_linearity():
     c = Cycle(
         [
@@ -251,6 +244,19 @@ def test_euler_obstruction_linearity():
     )
     assert euler_obstruction(c, (0, 0)) == 2
     assert euler_obstruction(c, (0, 5)) == -1
+
+
+def test_empty_cycle_still_checks_the_point():
+    # the unit ideal has the empty cycle, which has no ring of its own
+    unit = regular_sequence_presentation(ideal("1", "x"))
+    assert distinguished_cycle(unit).is_zero()
+    assert nu_from_cycle(unit, (0, 0)) == 0
+    with pytest.raises(ArityMismatch):
+        nu_from_cycle(unit, (0,))
+    F5 = Ring(("x", "y"), GF(5))
+    unit_p = regular_sequence_presentation(Ideal.from_strings(F5, ["1", "x"]))
+    with pytest.raises(InputError, match="divisible by p = 5"):
+        nu_from_cycle(unit_p, (Fraction(1, 5), 0))
 
 
 # --------------------------------------------------------- route equivalence
@@ -312,7 +318,6 @@ def test_conormal_round_trips_randomized():
         PointCycle(R2, (Fraction(0), Fraction(0))),
         PointCycle(R2, (Fraction(1), Fraction(-2))),
         SmoothVarietyCycle(ideal("y - x^2")),
-        CurveCycle(ideal("y^2 - x^3")),
         CoordinateSubspaceCycle(R2, frozenset({0})),
         CoordinateSubspaceCycle(R2, frozenset({0, 1})),
     ]

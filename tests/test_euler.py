@@ -179,6 +179,18 @@ def test_point_count_two_lines():
     assert result.chi == 1 and result.fit == (-1, 2)
 
 
+def test_point_count_affine_plane_has_the_degree_2_fit():
+    result = point_count_chi(Ideal(R2, []), [2, 3, 5])
+    assert result.counts == ((2, 4), (3, 9), (5, 25))
+    assert result.chi == 1 and result.fit == (0, 0, 1)
+
+
+def test_point_count_origin_trims_the_zero_coefficients():
+    result = point_count_chi(Ideal.from_strings(R2, ["x", "y"]), [2, 3, 5])
+    assert result.counts == ((2, 1), (3, 1), (5, 1))
+    assert result.chi == 1 and result.fit == (1,)
+
+
 def test_point_count_no_polynomial_fit():
     with pytest.raises(NoPolynomialFit):
         point_count_chi(Ideal.from_strings(R2, ["y^2 - x^3 + x"]), [3, 5, 7])
