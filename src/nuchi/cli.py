@@ -418,7 +418,10 @@ def normalize_spec(raw: dict) -> dict:
 
 def _chosen(raw: dict, name: str, groups: tuple) -> tuple:
     for group in groups:
-        if all(map(raw.__contains__, group)):
+        for field in group:
+            if field not in raw:
+                break
+        else:
             return group
     sep = ", or " if any(len(group) > 1 for group in groups) else " or "
     raise InputError(f"{name} needs " + sep.join(" plus ".join(group) for group in groups))

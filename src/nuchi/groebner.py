@@ -10,11 +10,13 @@ with Mora's tangent-cone normal form; elements generate the ideal in the
 localization at the origin, and full tail reduction is not attempted (it does
 not terminate in polynomial arithmetic when a reducer has a unit cofactor).
 Basis elements that are a monomial times a local unit are normalized to the
-bare monomial, which is an equality of localized ideals.
+bare monomial, which is an equality of localized ideals.  A local basis is
+read for invariants only: Mora's remainder is not unique, so
+:func:`normal_form` takes a global basis only.
 
-Coefficients.  The one Buchberger driver and both normal forms (``_division``
-for global orders, ``_mora_nf`` for local ones) work on plain
-{monomial: coefficient} dicts, never on :class:`Polynomial`.  Over Q the
+Coefficients.  The one Buchberger driver and its two reductions
+(``_division`` for global orders, ``_mora_nf`` for the local one) work on
+plain {monomial: coefficient} dicts, never on :class:`Polynomial`.  Over Q the
 coefficients are integers: each basis element is kept primitive (content 1,
 positive leading coefficient), an S-polynomial is
 (gc/d)*x^(l-fm)*f - (fc/d)*x^(l-gm)*g with d = gcd(fc, gc), and a reduction
@@ -475,19 +477,18 @@ def _division(h: dict, reducers: Sequence[tuple], pk: _Packing, order: MonomialO
     return rem, scale
 
 
-def _mora_nf(h: dict, basis: Sequence[tuple], pk: _Packing, p: int):
-    """Mora's weak normal form of the term dict h for the local order:
-    returns (h', s) with s*h - h' in the ideal up to a local unit.
+def _mora_nf(h: dict, basis: Sequence[tuple], pk: _Packing, p: int) -> dict:
+    """Mora's weak normal form h' of the term dict h for the local order:
+    u*h - h' is in the ideal for a local unit u, which takes in the scalar a
+    of each step h := a*h - b*x^q*g.
 
     Reduces the leading term only, selecting a reducer of minimal ecart and
     allowing previously produced partial remainders as reducers; this is the
     standard termination device for local orders.  The leading monomial of
-    h' is not divisible by any basis leading monomial.  A step is
-    h := a*h - b*x^q*g and multiplies s by a.
+    h' is not divisible by any basis leading monomial.
     """
     shift, guard = pk.shift, pk.guard
     pool = [(g, gm, gc, deg - (gm >> shift)) for g, gm, gc, deg in basis]
-    scale = 1
     while h:
         hm = min(h)  # the local leading monomial
         hg = hm | guard
@@ -504,55 +505,31 @@ def _mora_nf(h: dict, basis: Sequence[tuple], pk: _Packing, p: int):
             h = dict(h)  # the pool keeps this partial remainder
         a, b = _cofactors(hc, gc, p)
         if a != 1:
-            scale *= a
             for t in h:
                 h[t] *= a
         _sub_multiple(h, b, hm - gm, g, p)
         if eg + hdeg > MAX_EXPONENT:  # the degree bound of x^q * g
             pk.check(h)
-    return h, scale
-
-
-def _tail_clean_local(h: dict, basis: Sequence[tuple], pk: _Packing) -> dict:
-    """Remove tail terms divisible by a *monomial* basis element.
-
-    Sound (subtracts ideal members) and terminating (monomial reducers add no
-    new terms); non-monomial reducers are left alone.
-    """
-    mono_leads = [gm for g, gm, _, _ in basis if len(g) == 1]
-    if not mono_leads or not h:
-        return h
-    guard = pk.guard
-    lead = min(h)
-    return {
-        m: c
-        for m, c in h.items()
-        if m == lead or not any(((m | guard) - g) & guard == guard for g in mono_leads)
-    }
+    return h
 
 
 def normal_form(f: Polynomial, basis: StandardBasis) -> Polynomial:
-    """Remainder of f modulo the basis.
-
-    Global order: the unique fully reduced normal form (no term divisible by
-    a basis leading term).  Local order: Mora weak normal form, followed by
-    removal of tail terms under monomial basis elements.  Both are idempotent
-    and satisfy f - normal_form(f) in the (localized) ideal, up to a local
-    unit in the local case.  The reduction runs on integer terms; the scalar
-    it multiplied f by is divided out once at the end.
+    """Remainder of f modulo a basis under a global order: the unique fully
+    reduced normal form (no term divisible by a basis leading term), so it
+    is idempotent and f - normal_form(f) lies in the ideal.  The reduction
+    runs on integer terms; the scalar it multiplied f by is divided out once
+    at the end.  A local basis, read for invariants only, raises InputError.
     """
     if f.ring != basis.ring:
         raise RingMismatch("polynomial and basis rings differ")
+    if not basis.order.is_global:
+        raise InputError("normal_form requires a basis under a global order")
     if f.is_zero() or not basis.entries:
         return f
-    order, p = basis.order, f.ring.domain.char
+    p = f.ring.domain.char
     pk = _packing(f.ring.arity)
     h, den = _integer_terms(f, pk.pack)
-    if order.is_global:
-        h, scale = _division(h, basis.entries, pk, order, p)
-    else:
-        h, scale = _mora_nf(h, basis.entries, pk, p)
-        h = _tail_clean_local(h, basis.entries, pk)
+    h, scale = _division(h, basis.entries, pk, basis.order, p)
     unpack = pk.unpack
     if p:
         h = {unpack(m): c for m, c in h.items()}
@@ -649,7 +626,7 @@ def _pair_key(i: int, j: int, leads, pk: _Packing, key):
 
 
 def _buchberger_loop(basis: list, pk: _Packing, order: MonomialOrder, p: int) -> list:
-    """Shared Buchberger driver on a nonempty list of entries, which it
+    """Shared Buchberger driver on a list of entries, which it
     extends and returns; the normal form is Mora for local orders.
 
     Pair selection follows the normal strategy (minimal lcm degree first)
@@ -692,7 +669,7 @@ def _buchberger_loop(basis: list, pk: _Packing, order: MonomialOrder, p: int) ->
             r, _ = _division(s, basis, pk, order, p)
             lm = next(iter(r), None)
         else:
-            r, _ = _mora_nf(s, basis, pk, p)
+            r = _mora_nf(s, basis, pk, p)
             lm = None
         if r:
             g = _entry(r, pk, order, p, lm)
@@ -757,19 +734,15 @@ def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX) -> StandardBasis:
     return _reduced(_to_entries(I.generators, _packing(I.ring.arity), order), I.ring, order)
 
 
-def standard_basis(I: Ideal, order: MonomialOrder = LOCAL_DEGREVLEX) -> StandardBasis:
-    """A minimal monic standard basis of I under a local order.
+def standard_basis(I: Ideal) -> StandardBasis:
+    """A minimal monic standard basis of I under ``LOCAL_DEGREVLEX``.
 
     Uses Mora's normal form with ecart-minimizing reducer selection; the
     leading-term ideal equals that of I in the localization at the origin.
     """
-    if not order.is_local:
-        raise InputError("standard_basis requires a local order")
-    if not I.generators:
-        return StandardBasis(order, I.ring, ())
     pk = _packing(I.ring.arity)
-    entries = _local_basis(_to_entries(I.generators, pk, order), pk, I.ring.domain.char)
-    return StandardBasis(order, I.ring, entries)
+    entries = _to_entries(I.generators, pk, LOCAL_DEGREVLEX)
+    return StandardBasis(LOCAL_DEGREVLEX, I.ring, _local_basis(entries, pk, I.ring.domain.char))
 
 
 def _partials(f: Polynomial) -> tuple:
@@ -813,12 +786,12 @@ def jacobian_basis(f: Polynomial):
     if any(0 in d for d in partials):
         return None
     entries = [_entry(d, pk, LOCAL_DEGREVLEX, p) for d in partials]
-    return StandardBasis(LOCAL_DEGREVLEX, f.ring, _local_basis(entries, pk, p) if entries else ())
+    return StandardBasis(LOCAL_DEGREVLEX, f.ring, _local_basis(entries, pk, p))
 
 
 def _local_basis(entries: list, pk: _Packing, p: int) -> tuple:
-    """The entries of the minimal local standard basis of a nonempty list of
-    entries, sorted by ascending local order.
+    """The entries of the minimal local standard basis of a list of entries,
+    sorted by ascending local order.
 
     Its leading monomials are the minimal generators of the local
     leading-term ideal.  This is the one local-basis core: behind
@@ -965,7 +938,7 @@ def colength(I: Ideal, order: MonomialOrder = DEGREVLEX):
     local order measures the localization at the origin, a global one the
     full quotient ring.
     """
-    basis = groebner_basis(I, order) if order.is_global else standard_basis(I, order)
+    basis = groebner_basis(I, order) if order.is_global else standard_basis(I)
     return basis.invariants()[0]
 
 
@@ -988,7 +961,7 @@ def hs_multiplicity(I: Ideal) -> int:
     for g in I.generators:
         if g.constant_term() != 0:
             raise OriginNotOnVariety(f"generator {g} does not vanish at the origin")
-    _, _, e = standard_basis(I, LOCAL_DEGREVLEX).invariants()
+    _, _, e = standard_basis(I).invariants()
     if e <= 0:
         raise AssertionError("Hilbert-Samuel multiplicity must be positive")
     return e

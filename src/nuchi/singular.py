@@ -41,7 +41,6 @@ from .errors import (
 from .groebner import (
     Ideal,
     Infinite,
-    LOCAL_DEGREVLEX,
     groebner_basis,
     jacobian_basis,
     normal_form,
@@ -67,7 +66,7 @@ NOT_CRITICAL = _NotCritical()
 def as_point(coords: Sequence, ring: Ring) -> Point:
     if len(coords) != ring.arity:
         raise ArityMismatch(f"point has {len(coords)} coordinates, expected {ring.arity}")
-    return tuple(Fraction(c) for c in coords)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def coerce_point(coords: Sequence, ring: Ring) -> tuple:
@@ -154,7 +153,7 @@ def is_smooth_at(I: Ideal, point: Sequence) -> Smoothness:
     for g in I.generators:
         if g.evaluate(point) != 0:
             raise PointNotOnVariety(f"generator {g} does not vanish at {format_point(point)}")
-    basis = standard_basis(shift_ideal(I, point), LOCAL_DEGREVLEX)
+    basis = standard_basis(shift_ideal(I, point))
     return _smoothness(I.ring.arity, basis.invariants()[1], basis.linear_leads())
 
 

@@ -297,7 +297,7 @@ def assert_spolys_vanish(basis: StandardBasis) -> None:
             if order.is_global:
                 rem, _ = _division(s, elems, pk, order, p)
             else:
-                rem, _ = _mora_nf(s, elems, pk, p)
+                rem = _mora_nf(s, elems, pk, p)
             if rem:
                 raise AssertionError(
                     f"S-polynomial of elements {j},{i} does not reduce to zero"

@@ -181,12 +181,11 @@ def test_normal_form_idempotent_global(f):
     assert ideal_membership(f - r, ideal("x^2 - y", "y^2 - 1"))
 
 
-@settings(max_examples=40)
-@given(f=polynomials(RING_XY, max_terms=4))
-def test_normal_form_idempotent_local(f):
+def test_normal_form_refuses_a_local_basis():
+    # a local basis is read for invariants only: Mora's remainder is not unique
     B = standard_basis(ideal("x^2 + x^3", "y^3"))
-    r = normal_form(f, B)
-    assert normal_form(r, B) == r
+    with pytest.raises(InputError):
+        normal_form(R2.parse("x^2 + y"), B)
 
 
 # --------------------------------------------------------------- membership
@@ -467,7 +466,6 @@ PINNED_ORDERS = {
     "lex": LEX,
     "degrevlex": DEGREVLEX,
     "elim": elimination_order({0}),
-    "local": LOCAL_DEGREVLEX,
 }
 
 # (variables, characteristic, generators, order, str of each basis element)
@@ -592,20 +590,14 @@ PINNED_BASES = [
 PINNED_NORMAL_FORMS = [
     (6, "x^3*y - 1/2*x*y^2 + 7*y^3 + 2/3*x", "-294329/17956*y^2 + 214957/26934*x"),
     (9, "x^3*y + 4*x*y^2 + 5", "5*x + 5"),
-    (12, "x^3 + 1/2*x*y + y^3 - 2/5*y", "x^3 - 2/5*y"),
-    (14, "x^2*y + 3/7*y^4 + x^3 - x*y", "3/7*y^4 + x^3 + x^2*y - x*y"),
-    (17, "x^2 + 4*x*y + y^3 + 1", "y^3 + x^2 + 4*x*y + 1"),
-    (15, "x*y*z + 2*z - x^3 + 1/2*y^4", "1/2*y^4 - x^3 + x*y*z - x*y"),
-    (16, "y^2 - 2/3*x^3 + x^2*y + 1/5*x^6", "-1/3*x^4 + 1/3*x^3"),
-    (13, "y^2 + 5*x^2 - x^3 + 3/2*x*y", "0"),
 ]
 
 
 def pinned_basis(case):
     names, char, order, gens, _ = case
     ring = Ring(tuple(names.split(",")), GF(char) if char else QQ)
-    compute = standard_basis if order == "local" else groebner_basis
-    return checked(compute(Ideal.from_strings(ring, gens), PINNED_ORDERS[order]))
+    I = Ideal.from_strings(ring, gens)
+    return checked(standard_basis(I) if order == "local" else groebner_basis(I, PINNED_ORDERS[order]))
 
 
 @pytest.mark.parametrize("case", PINNED_BASES)

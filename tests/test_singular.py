@@ -6,13 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nuchi import groebner, singular
-from nuchi.errors import NonIsolatedCriticalPoint, NotCriticalPoint, PointNotOnVariety, Unsupported
+from nuchi.errors import (
+    ArityMismatch,
+    NonIsolatedCriticalPoint,
+    NotCriticalPoint,
+    PointNotOnVariety,
+    Unsupported,
+)
 from nuchi.groebner import LOCAL_DEGREVLEX, Ideal, Infinite, colength
 from nuchi.poly import GF, Polynomial, Ring
 from nuchi.singular import (
     NOT_CRITICAL,
     NuReport,
     OneForm,
+    as_point,
     behrend_at,
     behrend_report,
     differential,
@@ -46,6 +53,20 @@ def test_jacobian_examples():
     assert [str(g) for g in gens] == ["3*x^2", "3*y^2"]
     assert [str(g) for g in jacobian_ideal(R2.parse("x*y")).generators] == ["y", "x"]
     assert jacobian_ideal(R2.parse("5")).generators == ()
+
+
+# -------------------------------------------------------------------- points
+
+def test_as_point_keeps_its_fractions():
+    # a Fraction coordinate comes back as the same object, not a copy
+    half = Fraction(1, 2)
+    point = as_point((half, 3), R2)
+    assert point[0] is half
+    converted = as_point((3, "-2/5"), R2)
+    assert converted == (Fraction(3), Fraction(-2, 5))
+    assert all(type(c) is Fraction for c in point + converted)
+    with pytest.raises(ArityMismatch):
+        as_point((half,), R2)
 
 
 # ---------------------------------------------------------------- smoothness
