@@ -78,7 +78,7 @@ class TruncatedSeries:
     def coefficient(self, p: int) -> Polynomial:
         """The coefficient of t^p, a Polynomial in the parameters."""
         part = {m[:-1]: c for m, c in self.terms.items() if m[-1] == p}
-        return Polynomial(self.param_ring, part, _merged=True)
+        return Polynomial(self.param_ring, part)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -92,7 +92,7 @@ class TruncatedSeries:
         for m, c in self.terms.items():
             parts.setdefault(m[-1], {})[m[:-1]] = c
         return " + ".join(
-            f"({Polynomial(self.param_ring, parts[p], _merged=True)})*t^{p}" for p in sorted(parts)
+            f"({Polynomial(self.param_ring, parts[p])})*t^{p}" for p in sorted(parts)
         ) or "0"
 
 

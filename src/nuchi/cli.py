@@ -67,7 +67,7 @@ from .euler import (
     weighted_euler,
 )
 from .groebner import Ideal, Infinite
-from .poly import GF, QQ, Polynomial, Ring, parse_point
+from .poly import GF, QQ, Polynomial, Ring, parse_point, parse_polynomial
 from .singular import (
     NOT_CRITICAL,
     OneForm,
@@ -98,10 +98,14 @@ def _ring(raw: dict) -> Ring:
     return Ring(tuple(ring["vars"]), domain)
 
 
+def _polynomial(value, ring: Ring) -> Polynomial:
+    return parse_polynomial(value, ring)
+
+
 def _polynomials(value, ring: Ring, field: str = "ideal") -> list:
     if not isinstance(value, (list, tuple)):
         raise InputError(f"{field!r} must be an array of polynomials")
-    return [ring.parse(e) for e in value]
+    return [parse_polynomial(e, ring) for e in value]
 
 
 def _form(value, ring: Ring) -> list:
@@ -318,9 +322,9 @@ FIELDS = {
         ("--char", {"type": int, "default": 0, "help": "0 for Q, or a prime p for F_p"}),
     ), lambda args: {"vars": [v.strip() for v in args.ring.split(",") if v.strip()],
                      "char": args.char}),
-    "f": Field(lambda value, ring: ring.parse(value), (("--f", {}),)),
+    "f": Field(_polynomial, (("--f", {}),)),
     "point": Field(_point, (("--point", {}),)),
-    "critical_locus": Field(lambda value, ring: ring.parse(value), (("--critical-locus", {}),)),
+    "critical_locus": Field(_polynomial, (("--critical-locus", {}),)),
     "ideal": Field(_polynomials, (("--ideal", {"nargs": "+"}),)),
     "form": Field(_form, (("--form", {"nargs": "+", "help": "components f_1 .. f_n"}),)),
     "arc": Field(_arc, (

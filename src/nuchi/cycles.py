@@ -476,7 +476,7 @@ def normal_cone_ideal(I: Ideal) -> ConeIdealReport:
 def _fiber_homogeneous(elements, fiber_indices) -> bool:
     fibers = set(fiber_indices)
     for g in elements:
-        degrees = {sum(m[i] for i in fibers) for m, _ in g.terms()}
+        degrees = {sum(m[i] for i in fibers) for m in g.monomials()}
         if len(degrees) > 1:
             return False
     return True
@@ -490,7 +490,7 @@ def _monomial_components(basis: StandardBasis, ring: Ring):
     variables to 1 and counts the staircase of what remains.  The leads of
     a reduced basis are the minimal generators.
     """
-    if any(len(g.terms()) != 1 for g in basis.elements):
+    if any(len(g.monomials()) != 1 for g in basis.elements):
         return None
     gens = basis.leading_monomials()
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in gens]
@@ -585,7 +585,7 @@ def presentation_from_critical_locus(f: Polynomial) -> Presentation:
     arity_many = all(counts)
     if all(count <= 1 for count in counts):
         I = jacobian_ideal(f)
-        monos = [g.terms()[0][0] for g in I.generators]
+        monos = [g.monomials()[0] for g in I.generators]
         finite = not isinstance(staircase_count(monos, f.ring.arity), Infinite)
         return Presentation(REGULAR_SEQUENCE if arity_many and finite else MONOMIAL, I)
     if arity_many:
@@ -642,7 +642,7 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
     # monomial class
     I = presentation.ideal
     for g in I.generators:
-        if len(g.terms()) != 1:
+        if len(g.monomials()) != 1:
             raise UnsupportedPresentation(f"generator {g} is not a monomial")
     report = normal_cone_ideal(I)
     if report.components is None:

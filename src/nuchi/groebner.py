@@ -24,11 +24,14 @@ step is a*h - b*x^q*g with a, b the same cofactors of the two leading
 coefficients, so no Fraction is built.  Over F_p the coefficients are
 residues and basis elements are kept monic.  Every step only multiplies the
 field computation by a nonzero scalar, so leading monomials, zero tests and
-reducer choices are those of the monic algorithm.  Fractions appear at
-output only: one monic Polynomial per basis element, and :func:`normal_form`
-divides out the scalar its remainder was multiplied by, which gives exactly
-the monic algorithm's remainder.  This is the one Buchberger driver: every
-basis, membership test, eliminant and colength comes from it.
+reducer choices are those of the monic algorithm.  A Polynomial over Q
+stores integers over one denominator (:meth:`~nuchi.poly.Polynomial.numerators`),
+so the way in packs them as they are (``_integer_terms``) and the way out
+builds no Fraction either: a monic basis element is its entry's integers
+over the leading coefficient, and :func:`normal_form` puts its remainder
+over the scalar it multiplied f by, which gives exactly the monic
+algorithm's remainder.  This is the one Buchberger driver: every basis,
+membership test, eliminant and colength comes from it.
 
 Entries.  ``_buchberger_loop`` takes a list of entries (see ``_entry``), not
 polynomials: :func:`groebner_basis` and :func:`standard_basis` convert their
@@ -79,7 +82,6 @@ import math
 import operator
 import struct
 from dataclasses import FrozenInstanceError, dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -184,14 +186,13 @@ class StandardBasis:
         these Polynomials are built."""
         ring = self.ring
         pk = _packing(ring.arity)
-        coerce = int if ring.domain.char else Fraction
         out = []
         for terms, _, _, _ in self.entries:
             support = 0
             for m in terms:
                 support |= m
             if sum(1 for s in range(0, pk.shift, _W) if (support >> s) & _FIELD) > 1:
-                terms = {pk.unpack(m): coerce(c) for m, c in terms.items()}
+                terms = {pk.unpack(m): c for m, c in terms.items()}
                 out.append(Polynomial(ring, terms, _merged=True))
         return tuple(out)
 
@@ -330,11 +331,11 @@ def _packing(n: int) -> _Packing:
 # with lc = 1.
 
 def _integer_terms(f: Polynomial, pack):
-    """(terms, L): L*f as a packed dict of integer coefficients, L = 1 over F_p."""
-    if f.ring.domain.char:
-        return {pack(m): c for m, c in f.terms()}, 1
-    den = math.lcm(*(c.denominator for _, c in f.terms()))
-    return {pack(m): c.numerator * (den // c.denominator) for m, c in f.terms()}, den
+    """(terms, L): L*f as a packed dict of integer coefficients, for L the
+    one denominator f stores (1 over F_p), so its integers are packed as
+    they are (see :meth:`~nuchi.poly.Polynomial.numerators`)."""
+    terms, den = f.numerators()
+    return {pack(m): c for m, c in terms}, den
 
 
 def _partial(terms: dict, i: int, pk: _Packing, p: int) -> dict:
@@ -383,15 +384,10 @@ def _to_entries(gens: Iterable[Polynomial], pk: _Packing, order: MonomialOrder) 
 
 
 def _output(ring: Ring, unpack, entry) -> Polynomial:
-    """The monic polynomial of an entry."""
+    """The monic polynomial of an entry: its integers over its leading
+    coefficient, which is positive (1 over F_p)."""
     terms, _, lc, _ = entry
-    if lc != 1:
-        terms = {unpack(m): Fraction(c, lc) for m, c in terms.items()}
-    elif not ring.domain.char:
-        terms = {unpack(m): Fraction(c) for m, c in terms.items()}
-    else:
-        terms = {unpack(m): c for m, c in terms.items()}
-    return Polynomial(ring, terms, _merged=True)
+    return Polynomial(ring, {unpack(m): c for m, c in terms.items()}, _den=lc, _merged=True)
 
 
 def _cofactors(hc: int, gc: int, p: int):
@@ -530,13 +526,8 @@ def normal_form(f: Polynomial, basis: StandardBasis) -> Polynomial:
     pk = _packing(f.ring.arity)
     h, den = _integer_terms(f, pk.pack)
     h, scale = _division(h, basis.entries, pk, basis.order, p)
-    unpack = pk.unpack
-    if p:
-        h = {unpack(m): c for m, c in h.items()}
-    else:
-        scale *= den
-        h = {unpack(m): Fraction(c, scale) for m, c in h.items()}
-    return Polynomial(f.ring, h, _merged=True)
+    unpack = pk.unpack  # the remainder of scale*den*f, with scale > 0 (1 over F_p)
+    return Polynomial(f.ring, {unpack(m): c for m, c in h.items()}, _den=scale * den, _merged=True)
 
 
 def eliminant(basis: StandardBasis, var: int) -> dict:
@@ -760,10 +751,8 @@ def partial_term_counts(f: Polynomial) -> tuple:
     """The number of terms of each partial derivative of f, in variable
     order, read off f's exponents by ``_partial``'s rule: a term c*x^m of f
     gives a term of d_i f exactly when m_i is nonzero in the field."""
-    p = f.ring.domain.char
-    return tuple(
-        sum(1 for m, _ in f.terms() if (m[i] % p if p else m[i])) for i in range(f.ring.arity)
-    )
+    p, monos = f.ring.domain.char, f.monomials()
+    return tuple(sum(1 for m in monos if (m[i] % p if p else m[i])) for i in range(f.ring.arity))
 
 
 def jacobian_groebner_basis(f: Polynomial) -> StandardBasis:
@@ -837,7 +826,7 @@ def eliminate(I: Ideal, drop: Iterable[int]) -> Ideal:
     kept = [
         g
         for g in basis.elements
-        if all(all(m[i] == 0 for i in drop) for m, _ in g.terms())
+        if all(all(m[i] == 0 for i in drop) for m in g.monomials())
     ]
     return Ideal(I.ring, kept)
 

@@ -1,10 +1,18 @@
 """Exact sparse multivariate polynomial arithmetic.
 
-Coefficients are exact rationals (``fractions.Fraction``) or elements of a
-prime field F_p with p < 2^31, tagged by the ring's :class:`Domain`.  A
-:class:`Polynomial` is immutable: terms are stored as a tuple of
-(exponent tuple, coefficient) pairs sorted in descending degrevlex order, so
-iteration, printing and hashing are deterministic.  All operations are pure
+Coefficients are exact rationals or elements of a prime field F_p with
+p < 2^31, tagged by the ring's :class:`Domain`.  A :class:`Polynomial` is
+immutable: terms are stored as a tuple of (exponent tuple, integer) pairs
+sorted in descending degrevlex order, over one positive denominator.  Over Q
+the integers are numerators and the denominator is their least common one
+(no factor divides it and every numerator), so the stored form is unique
+and equality, hashing and printing are canonical; over F_p the integers are
+residues in [0, p) and the denominator is 1.  Arithmetic, the calculus,
+:meth:`~Polynomial.shift`, :meth:`~Polynomial.evaluate` and the parser run
+on these integers and build no Fraction per term; groebner packs them as
+they are (:meth:`~Polynomial.numerators`).  The public
+:meth:`~Polynomial.terms` yields the coefficients as domain scalars,
+Fractions over Q, built on its first call.  All operations are pure
 functions and values can be shared freely across threads.
 
 Monomials are plain exponent tuples; variables are positionally indexed and
@@ -25,12 +33,14 @@ Names and digits are ASCII, whitespace is insignificant and multiplication
 is always explicit (``2*x``, never ``2x``).  The parser reads the tokens
 once, keeping open parentheses on an explicit stack, so nesting depth is not
 bounded by recursion.  A term of numbers and powers of variables is one
-exponent list and one coefficient, updated in place and merged into one
-{monomial: coefficient} dict; only parenthesized groups go through
+exponent list and one integer numerator and denominator, updated in place
+and merged into one {monomial: integer} dict over the expression's running
+common denominator; only parenthesized groups go through
 :class:`Polynomial` arithmetic, and the result is built once at the end.
 Over Q no numerator or denominator may pass MAX_DIGITS digits: a power of a
 number or of a one-term group is checked from bit lengths before it is
-taken, and the parsed coefficients are checked once at the end.
+taken, and the parsed coefficients, in lowest terms, are checked once at
+the end.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -151,14 +161,8 @@ class Domain:
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return (a + b) % self.char if self.char else a + b
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.char if self.char else a - b
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return (a * b) % self.char if self.char else a * b
-
-    def neg(self, a: Scalar) -> Scalar:
-        return -a % self.char if self.char else -a
 
     def pow(self, a: Scalar, e: int) -> Scalar:
         return pow(a, e, self.char) if self.char else a**e
@@ -174,10 +178,11 @@ def GF(p: int) -> Domain:
 # -------------------------------------------------------------------- rings
 
 _IDENT = "[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)
 
 
 def _valid_ident(name: str) -> bool:
-    return isinstance(name, str) and re.fullmatch(_IDENT, name) is not None
+    return isinstance(name, str) and _IDENT_RE.fullmatch(name) is not None
 
 
 @dataclass(frozen=True)
@@ -212,13 +217,14 @@ class Ring:
         return self.constant(1)
 
     def constant(self, value) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.arity: self.domain.coerce(value)}, _merged=True)
+        c = self.domain.coerce(value)  # a residue is its own numerator, over 1
+        return Polynomial(self, {(0,) * self.arity: c.numerator}, _den=c.denominator, _merged=True)
 
     def variable(self, i: int) -> "Polynomial":
         if not 0 <= i < self.arity:
             raise IndexError(f"variable index {i} out of range")
         exps = tuple(int(j == i) for j in range(self.arity))
-        return Polynomial(self, {exps: self.domain.coerce(1)}, _merged=True)
+        return Polynomial(self, {exps: 1}, _merged=True)
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
@@ -240,8 +246,9 @@ def _degrevlex_descending(term):
     return (-sum(m), m[::-1])
 
 
-def _validated_terms(ring: Ring, terms) -> list:
-    """Merge outside input into nonzero (monomial, scalar) pairs.
+def _validated_terms(ring: Ring, terms) -> tuple:
+    """(pairs, den): outside input merged into nonzero (monomial, integer)
+    pairs over one denominator, the least one.
 
     Every exponent is checked and every coefficient coerced into the domain.
     """
@@ -264,7 +271,9 @@ def _validated_terms(ring: Ring, terms) -> list:
             merged[mono] = add(merged[mono], c)
         else:
             merged[mono] = c
-    return [(m, c) for m, c in merged.items() if c != 0]
+    nonzero = [(m, c) for m, c in merged.items() if c != 0]
+    den = lcm(*(c.denominator for _, c in nonzero))  # a residue is its own numerator, over 1
+    return [(m, c.numerator * (den // c.denominator)) for m, c in nonzero], den
 
 
 def _check_exponents(monos) -> None:
@@ -277,36 +286,47 @@ class Polynomial:
     """Immutable sparse polynomial over a :class:`Ring`.
 
     Terms are merged, zero coefficients dropped, and storage is sorted in
-    descending degrevlex order, which makes printing canonical.
+    descending degrevlex order, which makes printing canonical.  Each term's
+    coefficient is an integer over the one denominator ``_den``: over Q the
+    integers and den share no factor, so den is the least common
+    denominator and the form is unique; over F_p they are residues and den
+    is 1.  :meth:`numerators` reads this form, :meth:`terms` the
+    coefficients as domain scalars.
 
     ``Polynomial(ring, terms)`` validates its input: exponents are checked
     and coefficients coerced into the domain.  Arithmetic, and the ring's
-    constants and variables, build their results with ``_merged=True`` from
-    a dict they have merged themselves, which skips that validation, and
-    :meth:`derivative` with ``_sorted=True`` from a list already in storage
-    order, which also skips the sort; operations that can raise exponents
-    check for overflow themselves.
-    ``_hash`` is a lazy cache of a value that depends only on the terms.
+    constants and variables, build their results from integers over ``_den``
+    with ``_merged=True``, from a dict of distinct monomials they have merged
+    themselves, which skips that validation, and :meth:`derivative` and
+    negation with ``_sorted=True``, from a list of nonzero terms already in
+    storage order, which also skips the sort; either way a common factor of
+    den and the integers is divided out.  Operations that can raise
+    exponents check for overflow themselves.  ``_hash`` and ``_scalars``
+    (what :meth:`terms` returns) are set on first use.
     """
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms", "_den", "_scalars", "_hash")
 
-    def __init__(self, ring: Ring, terms, *, _merged: bool = False, _sorted: bool = False):
+    def __init__(self, ring: Ring, terms, *, _den: int = 1, _merged: bool = False,
+                 _sorted: bool = False):
         if _sorted:
-            # a list of nonzero terms with distinct monomials, validated and
-            # already in storage order
+            # nonzero integers with distinct monomials, already in storage order
             cleaned = terms
         else:
             if _merged:
-                # arithmetic results: a dict of distinct monomials to domain
-                # scalars, already validated; only zeros and order are left
-                cleaned = [(m, c) for m, c in terms.items() if c != 0]
+                # a dict of distinct monomials to integers; zeros and order are left
+                cleaned = [(m, c) for m, c in terms.items() if c]
             else:
-                cleaned = _validated_terms(ring, terms)
+                cleaned, _den = _validated_terms(ring, terms)
             cleaned.sort(key=_degrevlex_descending)
+        if _den != 1:
+            content = gcd(_den, *(c for _, c in cleaned))
+            if content != 1:
+                cleaned = [(m, c // content) for m, c in cleaned]
+                _den //= content
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", tuple(cleaned))
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_den", _den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -314,8 +334,34 @@ class Polynomial:
     # ---------------------------------------------------------- inspection
 
     def terms(self):
-        """Terms as (monomial, coefficient) pairs, descending degrevlex."""
-        return self._terms
+        """Terms as (monomial, coefficient) pairs, descending degrevlex.
+
+        Over Q each coefficient is a Fraction; they are built on the first
+        call and kept.  Over F_p they are residues.
+        """
+        scalars = getattr(self, "_scalars", None)
+        if scalars is None:
+            den = self._den
+            if self.ring.domain.char:
+                scalars = self._terms
+            elif den == 1:
+                scalars = tuple((m, Fraction(c)) for m, c in self._terms)
+            else:
+                scalars = tuple((m, Fraction(c, den)) for m, c in self._terms)
+            object.__setattr__(self, "_scalars", scalars)
+        return scalars
+
+    def numerators(self) -> tuple:
+        """(terms, den): the stored (monomial, integer) pairs, descending
+        degrevlex, and their one positive denominator.  Over Q a term's
+        coefficient is its integer over den, and den is the least common
+        denominator; over F_p the integers are residues and den is 1.  No
+        Fraction is built."""
+        return self._terms, self._den
+
+    def monomials(self) -> tuple:
+        """The monomials of the terms, descending degrevlex."""
+        return tuple(m for m, _ in self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -326,7 +372,7 @@ class Polynomial:
     def coefficient(self, mono: Monomial) -> Scalar:
         for m, c in self._terms:
             if m == mono:
-                return c
+                return c if self.ring.domain.char else Fraction(c, self._den)
         return self.ring.domain.coerce(0)
 
     def constant_term(self) -> Scalar:
@@ -357,32 +403,37 @@ class Polynomial:
             return self.ring.constant(other)
         return NotImplemented
 
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign*other for sign 1 or -1, over the least common
+        denominator of the two."""
+        p = self.ring.domain.char
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        a, b = den // d1, sign * (den // d2)
+        out = dict(self._terms) if a == 1 else {m: c * a for m, c in self._terms}
+        for m, c in other._terms:
+            v = out[m] + b * c if m in out else b * c
+            out[m] = v % p if p else v
+        return Polynomial(self.ring, out, _den=den, _merged=True)
+
     def __add__(self, other):
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        add = self.ring.domain.add
-        for m, c in other._terms:
-            out[m] = add(out[m], c) if m in out else c
-        return Polynomial(self.ring, out, _merged=True)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.ring.domain.neg
-        return Polynomial(self.ring, {m: neg(c) for m, c in self._terms}, _merged=True)
+        p = self.ring.domain.char
+        out = [(m, -c % p if p else -c) for m, c in self._terms]
+        return Polynomial(self.ring, out, _den=self._den, _sorted=True)
 
     def __sub__(self, other):
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        dom = self.ring.domain
-        sub, neg = dom.sub, dom.neg
-        for m, c in other._terms:
-            out[m] = sub(out[m], c) if m in out else neg(c)
-        return Polynomial(self.ring, out, _merged=True)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -391,32 +442,39 @@ class Polynomial:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        dom = self.ring.domain
         out: dict = {}
         for m1, c1 in self._terms:
             for m2, c2 in other._terms:
                 m = mono_mul(m1, m2)
-                c = dom.mul(c1, c2)
-                out[m] = dom.add(out[m], c) if m in out else c
+                c = c1 * c2
+                out[m] = out[m] + c if m in out else c
+        p = self.ring.domain.char
+        if p:
+            out = {m: c % p for m, c in out.items()}
         if self.total_degree() + other.total_degree() > MAX_EXPONENT:
             _check_exponents(out)
-        return Polynomial(self.ring, out, _merged=True)
+        return Polynomial(self.ring, out, _den=self._den * other._den, _merged=True)
 
     __rmul__ = __mul__
 
     def mul_term(self, mono: Monomial, coeff: Scalar) -> "Polynomial":
-        """Multiply by a single term, the workhorse of division loops."""
+        """Multiply by a single term."""
         ring = self.ring
         if len(mono) != ring.arity:
             raise ArityMismatch(f"monomial {mono} has wrong length for {ring!r}")
         if min(mono, default=0) < 0:
             raise InputError(f"negative exponent in monomial {mono}")
         coeff = ring.domain.coerce(coeff)
-        mul = ring.domain.mul
-        out = {mono_mul(m, mono): mul(c, coeff) for m, c in self._terms}
+        return self._mul_term(mono, coeff.numerator, coeff.denominator)
+
+    def _mul_term(self, mono: Monomial, num: int, den: int) -> "Polynomial":
+        """self * (num/den) * x^mono, for an integer num (a residue over
+        F_p, where den is 1) and a positive den."""
+        p = self.ring.domain.char
+        out = {mono_mul(m, mono): c * num % p if p else c * num for m, c in self._terms}
         if self.total_degree() + sum(mono) > MAX_EXPONENT:
             _check_exponents(out)
-        return Polynomial(ring, out, _merged=True)
+        return Polynomial(self.ring, out, _den=self._den * den, _merged=True)
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -425,15 +483,17 @@ class Polynomial:
             m, c = self._terms[0]
             mono = tuple(x * e for x in m)
             _check_exponents((mono,))
-            return Polynomial(self.ring, {mono: self.ring.domain.pow(c, e)}, _merged=True)
-        result = self.ring.one()
-        base = self
+            p = self.ring.domain.char
+            c = pow(c, e, p) if p else c**e
+            return Polynomial(self.ring, {mono: c}, _den=self._den**e, _merged=True)
+        if not e:
+            return self.ring.one()
+        result, base = None, self
         while e:
             if e & 1:
-                result = result * base
-            base_needed = e > 1
+                result = base if result is None else result * base
             e >>= 1
-            if base_needed and e:
+            if e:
                 base = base * base
         return result
 
@@ -455,7 +515,7 @@ class Polynomial:
                 c = c * e % p if p else c * e
                 if c:  # e may be a multiple of p
                     out.append((m[:i] + (e - 1,) + m[i + 1 :], c))
-        return Polynomial(self.ring, out, _sorted=True)
+        return Polynomial(self.ring, out, _den=self._den, _sorted=True)
 
     # ----------------------------------------------------------- evaluation
 
@@ -463,9 +523,9 @@ class Polynomial:
         """Exact value at a point with scalar coordinates.
 
         Over Q the sum runs in integers, as in :meth:`shift`: with
-        x_i = a_i/d_i and D_i the largest exponent of x_i, a term c*x^m adds
-        c * prod_i a_i^m_i d_i^(D_i - m_i) over the common denominator
-        lcm(den c) * prod_i d_i^D_i, so the only Fraction built is the value.
+        x_i = a_i/d_i and D_i the largest exponent of x_i, a term (c/den)*x^m
+        adds c * prod_i a_i^m_i d_i^(D_i - m_i) over the common denominator
+        den * prod_i d_i^D_i, so the only Fraction built is the value.
         """
         if len(point) != self.ring.arity:
             raise ArityMismatch(
@@ -488,16 +548,16 @@ class Polynomial:
         nums = [x.numerator for x in coords]
         dens = [x.denominator for x in coords]
         tops = [max(col) for col in zip(*(m for m, _ in terms))]
-        common = lcm(*(c.denominator for _, c in terms))
         total = 0
         for m, c in terms:
-            v = c.numerator * (common // c.denominator)
+            v = c
             for a, d, top, e in zip(nums, dens, tops, m):
                 if e:
                     v *= a**e
                 if d != 1 and e != top:
                     v *= d ** (top - e)
             total += v
+        common = self._den
         for d, top in zip(dens, tops):
             common *= d**top
         return Fraction(total, common)
@@ -521,8 +581,8 @@ class Polynomial:
             return powers[(i, e)]
 
         acc = target.zero()
-        for m, c in self._terms:
-            part = target.constant(c if self.ring.domain.char == 0 else int(c))
+        for m, c in self.terms():
+            part = target.constant(c)
             for i, e in enumerate(m):
                 if e:
                     part = part * power(i, e)
@@ -535,9 +595,11 @@ class Polynomial:
         One pass over the terms: each expands by the binomial theorem,
         prod_i (x_i + P_i)^e_i = sum_k prod_i C(e_i, k_i) P_i^(e_i - k_i) x^k,
         into one dict, so the only polynomial built is the result.  Over Q
-        the expansion runs in integers: with P_i = a_i/d_i, a term c*x^e is
-        c / prod_i d_i^e_i times sum_k prod_i C(e_i, k_i) a_i^(e_i-k_i) d_i^k_i,
-        and every term is brought to one common denominator.
+        the expansion runs on the stored integers: with P_i = a_i/d_i, a term
+        (c/den)*x^e is c / (den * prod_i d_i^e_i) times
+        sum_k prod_i C(e_i, k_i) a_i^(e_i-k_i) d_i^k_i, so every term is
+        brought to the one denominator den * lcm_e prod_i d_i^e_i and no
+        Fraction is built.
 
         With a ``box`` only the terms x^k with every k_i < box[i] are kept,
         which is the shifted polynomial modulo (x_i^box[i])_i; the expansion
@@ -563,16 +625,14 @@ class Polynomial:
                 rows[(i, e)] = [(k, b % char) for k, b in r if b % char] if char else r
             return rows[(i, e)]
 
-        terms = []  # (monomial, integer numerator, denominator)
-        for m, c in self._terms:
-            den = 1 if char else c.denominator
-            for d, e in zip(dens, m):
-                den *= d**e
-            terms.append((m, c if char else c.numerator, den))
-        common = lcm(*(den for _, _, den in terms))
+        terms, common = self._terms, 1
+        if any(d != 1 for d in dens):  # over Q, a term's own denominator is prod_i d_i^e_i
+            own = [prod(d**e for d, e in zip(dens, m)) for m, _ in terms]
+            common = lcm(*own)
+            terms = [(m, c * (common // q)) for (m, c), q in zip(terms, own)]
         out: dict = {}
-        for m, top, den in terms:
-            partial = [((), top * (common // den))]  # expansions of leading variables
+        for m, top in terms:
+            partial = [((), top)]  # expansions of leading variables
             for i, e in enumerate(m):
                 if e == 0 or nums[i] == 0:
                     partial = [(mono + (e,), v) for mono, v in partial] if e < bound[i] else []
@@ -583,14 +643,12 @@ class Polynomial:
                 out[mono] = out.get(mono, 0) + v
         if char:
             out = {mono: v % char for mono, v in out.items()}
-        else:
-            out = {mono: Fraction(v, common) for mono, v in out.items()}
-        return Polynomial(ring, out, _merged=True)
+        return Polynomial(ring, out, _den=common * self._den, _merged=True)
 
     def transport(self, target: Ring, index_map: Sequence[int]) -> "Polynomial":
         """Re-home into ``target``, sending old variable i to index_map[i]."""
         out = []
-        for m, c in self._terms:
+        for m, c in self.terms():
             exps = [0] * target.arity
             for i, e in enumerate(m):
                 if e:
@@ -605,12 +663,14 @@ class Polynomial:
             if isinstance(other, (int, Fraction)):
                 return self == self.ring.constant(other)
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return self.ring == other.ring and self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ring, self._terms)))
-        return self._hash
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.ring, self._terms, self._den))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -------------------------------------------------------------- display
 
@@ -619,26 +679,27 @@ class Polynomial:
             return "0"
         names = self.ring.variables
         rational = self.ring.domain.char == 0
+        den = self._den
         pieces = []
         for k, (m, c) in enumerate(self._terms):
             if rational and c < 0:
                 sign = "-" if k == 0 else " - "
-                mag = -c
+                c = -c
             else:
                 sign = "" if k == 0 else " + "
-                mag = c
+            g = gcd(c, den)  # c/den in lowest terms, printed as a Fraction prints
+            num, d = c // g, den // g
             factors = []
             for name, e in zip(names, m):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
+            if factors and num == 1 and d == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                mag = str(num) if d == 1 else f"{num}/{d}"
+                body = "*".join([mag] + factors)
             pieces.append(sign + body)
         return "".join(pieces)
 
@@ -685,8 +746,7 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     if not isinstance(text, str):
         raise InputError(f"a polynomial must be given as text, got {text!r}")
     tokens = _tokenize(text)
-    arity, dom = ring.arity, ring.domain
-    p, add = dom.char, dom.add
+    arity, p = ring.arity, ring.domain.char
 
     def fail(message: str, k: int):
         raise PolynomialSyntaxError(message, _token_offset(text, k))
@@ -705,13 +765,21 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
                 return value
         fail(f"power has more than {MAX_DIGITS} digits", k)
 
+    def residue(value: int, d: int) -> int:
+        g = gcd(value, d)
+        value, d = value // g, d // g
+        if d % p == 0:
+            raise InputError(f"denominator of {value}/{d} is divisible by p = {p}")
+        return value * pow(d, -1, p) % p
+
     # The open term is (-1)^neg * num/den * x^exps * group, where group is the
     # product of its parenthesized factors (None when it has none); over F_p,
-    # num is a residue and den is 1.  Finished terms are merged into ``terms``.
+    # num is a residue and den is 1.  Finished terms are merged into
+    # ``terms``, integers over the denominator ``tden`` of the expression.
     # Each open parenthesis pushes the enclosing expression's state.
     stack = []
     terms: dict = {}
-    num, den, exps, group, neg = 1, 1, [0] * arity, None, False
+    tden, num, den, exps, group, neg = 1, 1, 1, [0] * arity, None, False
     k = 0
     while True:
         tok = tokens[k]
@@ -720,8 +788,8 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
             k += 1
             tok = tokens[k]
         if tok == "(":
-            stack.append((terms, num, den, exps, group, neg))
-            terms, num, den, exps, group, neg = {}, 1, 1, [0] * arity, None, False
+            stack.append((terms, tden, num, den, exps, group, neg))
+            terms, tden, num, den, exps, group, neg = {}, 1, 1, 1, [0] * arity, None, False
             k += 1
             continue
         if tok.isdigit():
@@ -735,7 +803,7 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
                     fail("zero denominator", k + 1)
                 k += 2
             if p:
-                value, d = dom.coerce(Fraction(value, d) if d != 1 else value), 1
+                value, d = residue(value, d), 1
         elif tok.isidentifier():
             try:
                 kind, value = "v", ring.index(tok)
@@ -770,51 +838,66 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
                     num, den = num * power(value, e, k - 1), den * power(d, e, k - 1)
             else:
                 if e != 1:
-                    if not p and len(value.terms()) == 1:  # the power of its coefficient
-                        c = value.terms()[0][1]
-                        power(c.numerator, e, k - 1)
-                        power(c.denominator, e, k - 1)
+                    if not p and len(value._terms) == 1:  # its coefficient's power
+                        power(value._terms[0][1], e, k - 1)  # in lowest terms
+                        power(value._den, e, k - 1)
                     value = value**e
                 group = value if group is None else group * value
             tok = tokens[k]
             if tok == "*":
                 k += 1
                 break
-            # the term ends
+            # the term ends: it adds integers over d to terms
             if neg:
                 num = -num % p if p else -num
-            c = num if p else Fraction(num, den) if den != 1 else Fraction(num)
             m = tuple(exps)
             if group is None:
-                terms[m] = add(terms[m], c) if m in terms else c
+                items, d = ((m, num),), den
             else:
-                for m, c in group.mul_term(m, c).terms():
-                    terms[m] = add(terms[m], c) if m in terms else c
+                items, d = group._mul_term(m, num, den).numerators()
+            if d != tden:  # bring both to the least common denominator
+                common = lcm(tden, d)
+                if common != tden:
+                    for t in terms:
+                        terms[t] *= common // tden
+                    tden = common
+                if d != tden:
+                    items = [(t, c * (tden // d)) for t, c in items]
+            for t, c in items:
+                v = terms[t] + c if t in terms else c
+                terms[t] = v % p if p else v
             if tok == "+" or tok == "-":
                 num, den, exps, group, neg = 1, 1, [0] * arity, None, tok == "-"
                 k += 1
                 break
             # the expression ends
-            value = Polynomial(ring, terms, _merged=True)
+            value = Polynomial(ring, terms, _den=tden, _merged=True)
             if not stack:
                 if tok:
                     fail(f"unexpected {tok!r}", k)
                 if not p:
-                    for _, c in value.terms():
-                        if abs(c.numerator) >= _TOO_LONG or c.denominator >= _TOO_LONG:
-                            fail(f"a coefficient has more than {MAX_DIGITS} digits", 0)
+                    d = value._den
+                    for _, c in value._terms:
+                        if abs(c) >= _TOO_LONG or d >= _TOO_LONG:
+                            g = gcd(c, d)  # the coefficient in lowest terms
+                            if abs(c) // g >= _TOO_LONG or d // g >= _TOO_LONG:
+                                fail(f"a coefficient has more than {MAX_DIGITS} digits", 0)
                 return value
             if tok != ")":
                 fail("expected ')'", k)
             k += 1
             kind = "g"
-            terms, num, den, exps, group, neg = stack.pop()
+            terms, tden, num, den, exps, group, neg = stack.pop()
 
 
 def parse_point(text: str, arity: int):
-    """Parse comma-separated rational coordinates, e.g. ``0,1/2,-3``.
+    """Parse comma-separated rational coordinates, e.g. ``0,1/2,-3``, into
+    Fractions.
 
-    Decimals such as ``0.5`` are exact; exponent notation is refused, since
+    An integer or a/b in ASCII digits, with an optional leading minus, is
+    read with ``int()``; any other spelling goes to ``Fraction(text)``, so
+    decimals such as ``0.5`` are exact and signs and underscores are
+    accepted as Fraction accepts them.  Exponent notation is refused, since
     ``1e1000000`` would build a million-digit integer.
     """
     parts = [p.strip() for p in text.split(",")]
@@ -824,8 +907,18 @@ def parse_point(text: str, arity: int):
     for p in parts:
         if "e" in p or "E" in p:
             raise InputError(f"bad coordinate {p!r}: exponent notation is not accepted")
+        num, slash, den = p.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        plain = digits.isascii() and digits.isdigit() and (
+            not slash or den.isascii() and den.isdigit()
+        )
         try:
-            coords.append(Fraction(p))
+            if not plain:
+                coords.append(Fraction(p))
+            elif slash:
+                coords.append(Fraction(int(num), int(den)))
+            else:
+                coords.append(Fraction(int(num)))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad coordinate {p!r}: {exc}") from None
     return tuple(coords)

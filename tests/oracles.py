@@ -6,9 +6,10 @@ Jacobian ranks from partials evaluated at the point and row-reduced over the
 ring's field.  The one exception is :func:`lazard_colength_local`, which
 reaches the local colength through the global Buchberger driver, so it
 shares no code with Mora's normal form.  :func:`assert_spolys_vanish`
-rechecks a finished basis on its output polynomials, and
+rechecks a finished basis on its output polynomials,
 :func:`dict_merged_terms` is the dict merge that ``Cycle`` replaced by a
-sort.  The arc obstruction and the pulled-back d(omega) coefficient each
+sort, and :func:`point_coordinate` reads a point coordinate with Fraction
+alone, as ``parse_point`` did before it read plain integers with int().  The arc obstruction and the pulled-back d(omega) coefficient each
 have a second evaluation here, and the conormal correspondence L / pi lives
 here as a tag layer over cycle descriptors, which no command builds, with
 its own refusal :class:`KindMismatch`.  Divisibility, lcm and every monomial
@@ -434,6 +435,16 @@ def dict_merged_terms(terms) -> tuple:
     return tuple(
         sorted(((c, d) for d, c in merged.items() if c != 0), key=lambda cd: cd[1].sort_key())
     )
+
+
+# ---------------------------------------------------------- point coordinates
+
+def point_coordinate(text: str) -> Fraction:
+    """One coordinate of ``parse_point`` by the first reading: Fraction(text)
+    for every spelling, with exponent notation refused (ValueError)."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in {text!r}")
+    return Fraction(text)
 
 
 # ------------------------------------------------- conormal correspondence

@@ -340,7 +340,7 @@ def test_each_job_parses_its_polynomials_once(raw, parses, monkeypatch):
         calls.append(text)
         return parse(text, ring)
 
-    for module in (poly, arcs):
+    for module in (poly, arcs, cli):  # every module that calls it by name
         monkeypatch.setattr(module, "parse_polynomial", counting_parse)
     run_job(raw, use_cache=False)
     assert len(calls) == parses

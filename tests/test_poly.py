@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nuchi.errors import (
@@ -13,7 +13,8 @@ from nuchi.errors import (
     RingMismatch,
     UnknownVariable,
 )
-from nuchi.groebner import _packing
+from nuchi import poly
+from nuchi.groebner import Ideal, _packing, groebner_basis, normal_form, standard_basis
 from nuchi.poly import (
     DEGREVLEX,
     GF,
@@ -27,7 +28,7 @@ from nuchi.poly import (
     parse_polynomial,
 )
 
-from .oracles import order_key
+from .oracles import order_key, point_coordinate
 from .strategies import RING_X, RING_XY, RING_XYZ, nonzero_polynomials, polynomials, rational_points
 
 
@@ -494,3 +495,121 @@ def test_parse_point():
     for text in ("1e1000000", "0,2E3", "1.5e-2,0"):
         with pytest.raises(InputError, match="exponent"):
             parse_point(text, len(text.split(",")))
+
+
+@given(st.text(st.sampled_from("0123456789-+/._ eE\u0663\t\u00a0"), max_size=8))
+@example("+3")
+@example("1_000")
+@example("\u0663")  # ARABIC-INDIC DIGIT THREE
+@example(" 3 ")
+@example("3.")
+@example(".5")
+@example("1/-2")
+@example("1 /2")
+@example("1/0")
+@example("")
+@example("1e5")
+def test_parse_point_matches_the_fraction_oracle(text):
+    # plain integers and a/b are read with int(), every other spelling by
+    # Fraction: either way the value, or the refusal, is Fraction(text)'s
+    try:
+        expected = point_coordinate(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError):
+            parse_point(text, 1)
+        return
+    (got,) = parse_point(text, 1)
+    assert type(got) is Fraction and got == expected
+
+
+# -------------------------------------------------------------- stored form
+
+def _built_along_every_path(ring):
+    """(path, polynomial) for each way the package builds a Polynomial."""
+    x, y = ring.variable(0), ring.variable(1)
+    f = ring.parse("1/2*x^2 - 2/3*x*y + 3*y - 1/5")
+    I = Ideal(ring, [ring.parse("x^2 - 1/2*y"), ring.parse("x*y^2 - 1/3*x - y")])
+    basis = groebner_basis(I)
+    built = [
+        ("parse", f),
+        ("parse with groups", ring.parse("(1/2*x - y)^2*(x + 1/3)")),
+        ("constant", ring.constant(Fraction(3, 4))),
+        ("integer constant", ring.constant(2)),
+        ("variable", x),
+        ("+", f + x),
+        ("-", f - 2 * y),
+        ("*", f * (x - Fraction(1, 3))),
+        ("**", f**3),
+        ("derivative", f.derivative(0)),
+        ("shift", f.shift((Fraction(1, 2), -1))),
+        ("normal_form", normal_form(x**3 * y, basis)),
+    ]
+    built += [("elements", g) for g in basis.elements]
+    built += [("local elements", g) for g in standard_basis(Ideal(ring, [f - 3 * y + Fraction(1, 5), y - x**2])).elements]
+    multivariate = basis.multivariate_elements()
+    assert multivariate
+    built += [("multivariate_elements", g) for g in multivariate]
+    return built
+
+
+def test_terms_yield_fractions_over_q():
+    for path, f in _built_along_every_path(RING_XY):
+        assert f.terms(), path
+        assert all(type(c) is Fraction for _, c in f.terms()), path
+        # the stored integers over one denominator are the same coefficients
+        stored, den = f.numerators()
+        assert den > 0 and [Fraction(c, den) for _, c in stored] == [c for _, c in f.terms()], path
+
+
+def test_terms_yield_residues_over_a_prime_field():
+    for path, f in _built_along_every_path(Ring(("x", "y"), GF(7))):
+        assert f.terms(), path
+        assert all(type(c) is int and 0 <= c < 7 for _, c in f.terms()), path
+        assert f.numerators() == (f.terms(), 1), path
+
+
+def test_equal_polynomials_have_one_stored_form():
+    x, y = RING_XY.variable(0), RING_XY.variable(1)
+    basis = groebner_basis(Ideal(RING_XY, [RING_XY.parse("2*x^2 - y")]))
+    groups = [
+        [x, RING_XY.parse("1/2*x + 1/2*x"), RING_XY.parse("2/4*x*2"), RING_XY.parse("1/2*x^2").derivative(0),
+         (x + Fraction(1, 2)) * 2 - 1 - x, Polynomial(RING_XY, {(1, 0): Fraction(6, 6)})],
+        [RING_XY.parse("1/6*x - 1/6*y"), RING_XY.parse("1/2*x - 1/3*x - 1/6*y"), (x - y) * Fraction(1, 6)],
+        [RING_XY.constant(0), x - x, RING_XY.parse("1/3 - 1/3"), RING_XY.parse("y").derivative(0)],
+        [normal_form(x**2, basis), RING_XY.parse("1/2*y"), y * Fraction(1, 2)],
+        [RING_XY.parse("(x + 1/2)^2").shift((Fraction(-1, 2), 0)), x**2],
+    ]
+    for group in groups:
+        first = group[0]
+        for f in group[1:]:
+            assert f == first and hash(f) == hash(first) and str(f) == str(first)
+            assert f.numerators() == first.numerators()
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(RING_XY, max_terms=4), polynomials(RING_XY, max_terms=4))
+def test_arithmetic_results_are_in_stored_form(f, g):
+    # the validated constructor finds the least denominator itself; results
+    # built from merged integers must land on the same stored form
+    for h in (f + g, f - g, f * g, f**2, f.derivative(1), f.shift((Fraction(1, 2), Fraction(-2, 3)))):
+        again = Polynomial(RING_XY, h.terms())
+        assert h.numerators() == again.numerators() and hash(h) == hash(again)
+        assert RING_XY.parse(str(h)).numerators() == h.numerators()
+
+
+def test_parser_builds_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the parser built a Fraction")
+
+    texts = [
+        (RING_XY, "1/2*x^2 - (2/3*x + 1/5)^3*y + 7/4", "-8/27*x^3*y - 4/15*x^2*y + 1/2*x^2 - 2/25*x*y - 1/125*y + 7/4"),
+        (RING_XY, "(1/2)^3*x + 2/4*(x*y)^2", "1/2*x^2*y^2 + 1/8*x"),
+        (Ring(("x", "y"), GF(7)), "1/2*x - (3/5*y + 1)^2", "3*y^2 + 4*x + 3*y + 6"),
+    ]
+    parsed = []
+    with monkeypatch.context() as m:
+        m.setattr(poly, "Fraction", refuse)
+        for ring, text, _ in texts:
+            parsed.append(parse_polynomial(text, ring))
+    for f, (_, _, expected) in zip(parsed, texts):
+        assert str(f) == expected
