@@ -25,8 +25,9 @@ coefficients, so no Fraction is built.  Over F_p the coefficients are
 residues and basis elements are kept monic.  Every step only multiplies the
 field computation by a nonzero scalar, so leading monomials, zero tests and
 reducer choices are those of the monic algorithm.  A Polynomial over Q
-stores integers over one denominator (:meth:`~nuchi.poly.Polynomial.numerators`),
-so the way in packs them as they are (``_integer_terms``) and the way out
+stores integers over one denominator
+(:meth:`~nuchi.poly.Polynomial.numerators`), so the way in packs them as
+they are (``_integer_terms``) and the way out
 builds no Fraction either: a monic basis element is its entry's integers
 over the leading coefficient, and :func:`normal_form` puts its remainder
 over the scalar it multiplied f by, which gives exactly the monic

@@ -457,16 +457,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def mul_term(self, mono: Monomial, coeff: Scalar) -> "Polynomial":
-        """Multiply by a single term."""
-        ring = self.ring
-        if len(mono) != ring.arity:
-            raise ArityMismatch(f"monomial {mono} has wrong length for {ring!r}")
-        if min(mono, default=0) < 0:
-            raise InputError(f"negative exponent in monomial {mono}")
-        coeff = ring.domain.coerce(coeff)
-        return self._mul_term(mono, coeff.numerator, coeff.denominator)
-
     def _mul_term(self, mono: Monomial, num: int, den: int) -> "Polynomial":
         """self * (num/den) * x^mono, for an integer num (a residue over
         F_p, where den is 1) and a positive den."""

@@ -9,10 +9,11 @@ shares no code with Mora's normal form.  :func:`assert_spolys_vanish`
 rechecks a finished basis on its output polynomials,
 :func:`dict_merged_terms` is the dict merge that ``Cycle`` replaced by a
 sort, and :func:`point_coordinate` reads a point coordinate with Fraction
-alone, as ``parse_point`` did before it read plain integers with int().  The arc obstruction and the pulled-back d(omega) coefficient each
-have a second evaluation here, and the conormal correspondence L / pi lives
-here as a tag layer over cycle descriptors, which no command builds, with
-its own refusal :class:`KindMismatch`.  Divisibility, lcm and every monomial
+alone, where ``parse_point`` reads plain integers with int().  The arc
+obstruction and the pulled-back d(omega) coefficient each have a second
+evaluation here, and the conormal correspondence L / pi lives here as a tag
+layer over cycle descriptors, which no command builds, with its own refusal
+:class:`KindMismatch`.  Divisibility, lcm and every monomial
 order's sort key on exponent tuples are the references for groebner's packed
 monomials.  The oracles are intentionally slow and simple.
 """
