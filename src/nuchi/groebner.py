@@ -9,6 +9,9 @@ basis.  Under a local order we return a minimal monic standard basis computed
 with Mora's tangent-cone normal form; elements generate the ideal in the
 localization at the origin, and full tail reduction is not attempted (it does
 not terminate in polynomial arithmetic when a reducer has a unit cofactor).
+Once the leads hold a pure power of every variable, the local driver works
+below the highest corner, modulo a power of the maximal ideal that lies in
+the localized ideal (see ``_buchberger_loop``).
 Basis elements that are a monomial times a local unit are normalized to the
 bare monomial, which is an equality of localized ideals.  A local basis is
 read for invariants only: Mora's remainder is not unique, so
@@ -474,7 +477,7 @@ def _division(h: dict, reducers: Sequence[tuple], pk: _Packing, order: MonomialO
     return rem, scale
 
 
-def _mora_nf(h: dict, basis: Sequence[tuple], pk: _Packing, p: int) -> dict:
+def _mora_nf(h: dict, basis: Sequence[tuple], pk: _Packing, p: int, corner=None) -> dict:
     """Mora's weak normal form h' of the term dict h for the local order:
     u*h - h' is in the ideal for a local unit u, which takes in the scalar a
     of each step h := a*h - b*x^q*g.
@@ -482,7 +485,10 @@ def _mora_nf(h: dict, basis: Sequence[tuple], pk: _Packing, p: int) -> dict:
     Reduces the leading term only, selecting a reducer of minimal ecart and
     allowing previously produced partial remainders as reducers; this is the
     standard termination device for local orders.  The leading monomial of
-    h' is not divisible by any basis leading monomial.
+    h' is not divisible by any basis leading monomial.  With a ``corner`` D
+    such that m^D lies in the localized ideal (see ``_buchberger_loop``),
+    terms of degree D or more are dropped before each step, which changes h
+    only by an ideal member.
     """
     shift, guard = pk.shift, pk.guard
     pool = [(g, gm, gc, deg - (gm >> shift)) for g, gm, gc, deg in basis]
@@ -492,11 +498,18 @@ def _mora_nf(h: dict, basis: Sequence[tuple], pk: _Packing, p: int) -> dict:
         candidates = [entry for entry in pool if (hg - entry[1]) & guard == guard]
         if not candidates:
             break
+        top = max(h) >> shift
+        if corner is not None and top >= corner:
+            # the lead stays unless every term has degree corner or more
+            h = {m: c for m, c in h.items() if m >> shift < corner}
+            if not h:
+                break
+            top = max(h) >> shift
         # least ecart, then the least order key, which is the largest packed lead
         g, gm, gc, eg = min(candidates, key=lambda entry: (entry[3], -entry[1]))
         hc = h[hm]
         hdeg = hm >> shift
-        eh = (max(h) >> shift) - hdeg
+        eh = top - hdeg
         if eg > eh:
             pool.append((h, hm, hc, eh))
             h = dict(h)  # the pool keeps this partial remainder
@@ -617,28 +630,54 @@ def _pair_key(i: int, j: int, leads, pk: _Packing, key):
     return (lcm >> pk.shift, key(lcm), i, j, lcm)
 
 
+def _sugar_pair_key(i: int, j: int, leads, pk: _Packing, key, *, sugar):
+    """``_pair_key`` with the pair's sugar degree for the degree: the lcm's
+    raised by the larger excess of an entry's sugar over its lead's degree."""
+    lcm, shift = pk.lcm(leads[i], leads[j]), pk.shift
+    excess = max(sugar[i] - (leads[i] >> shift), sugar[j] - (leads[j] >> shift))
+    return ((lcm >> shift) + excess, key(lcm), i, j, lcm)
+
+
 def _buchberger_loop(basis: list, pk: _Packing, order: MonomialOrder, p: int) -> list:
     """Shared Buchberger driver on a list of entries, which it
     extends and returns; the normal form is Mora for local orders.
 
     Pair selection follows the normal strategy (minimal lcm degree first)
-    with the product and chain criteria for pair elimination.  An entry
-    whose lead is the constant monomial (packed 0) generates (1) under either
-    kind of order, so the first such entry is returned alone.
+    under the degree orders, and the sugar strategy (Giovini, Mora, Niesi,
+    Robbiano and Traverso, ISSAC 1991) under ``lex`` and ``elim``, where the
+    normal strategy lets coefficients swell: an entry's sugar is its degree,
+    or that of the pair it came from, whichever is larger.  The product and
+    chain criteria eliminate pairs.  An entry whose lead is the constant
+    monomial (packed 0) generates (1) under either kind of order, so the
+    first such entry is returned alone.
+
+    Under the local order, once the leads hold a pure power x_i^a_i of
+    every variable the leading-term ideal contains every monomial of degree
+    D = sum(a_i - 1) + 1, so the ideal's tangent cone contains m^D and, by
+    Nakayama, m^D lies in the localized ideal.  From then on the normal
+    forms drop terms of degree D or more, and the pairs whose lcm has
+    degree D or more are dropped: their S-polynomials lie in m^D.  This is
+    exact; the leading-term ideal is unchanged.  The leads are first read
+    for pure powers at the first Mora step, so a run that needs none pays
+    nothing.
     """
     for g in basis:
         if g[1] == 0:
             return [g]
-    key, guard = pk.key(order), pk.guard
+    key, guard, shift = pk.key(order), pk.guard, pk.shift
     leads = [g[1] for g in basis]
-    queue = [
-        _pair_key(i, j, leads, pk, key) for j in range(len(basis)) for i in range(j)
-    ]
+    sugar, pair_key = None, _pair_key
+    if order.kind in ("lex", "elim"):
+        sugar = [g[3] for g in basis]
+        pair_key = functools.partial(_sugar_pair_key, sugar=sugar)
+    least = None  # local: field offset -> least pure power, from the first Mora step
+    corner = None
+    queue = [pair_key(i, j, leads, pk, key) for j in range(len(basis)) for i in range(j)]
     heapq.heapify(queue)
     done: set = set()
 
     while queue:
-        _, _, i, j, lcm = heapq.heappop(queue)
+        deg, _, i, j, lcm = heapq.heappop(queue)
         done.add((i, j))
         if lcm == leads[i] + leads[j]:
             continue  # product criterion
@@ -656,12 +695,16 @@ def _buchberger_loop(basis: list, pk: _Packing, order: MonomialOrder, p: int) ->
                 break
         if chain:
             continue
-        s = _s_poly(basis[i], basis[j], pk, p)
         if order.is_global:
-            r, _ = _division(s, basis, pk, order, p)
+            r, _ = _division(_s_poly(basis[i], basis[j], pk, p), basis, pk, order, p)
             lm = next(iter(r), None)
         else:
-            r = _mora_nf(s, basis, pk, p)
+            if least is None:
+                least = {}
+                corner = _note_powers(least, leads, pk)
+            if corner is not None and lcm >> shift >= corner:
+                break  # the queue's least lcm degree: no pair left is below the corner
+            r = _mora_nf(_s_poly(basis[i], basis[j], pk, p), basis, pk, p, corner)
             lm = None
         if r:
             g = _entry(r, pk, order, p, lm)
@@ -669,10 +712,30 @@ def _buchberger_loop(basis: list, pk: _Packing, order: MonomialOrder, p: int) ->
                 return [g]
             basis.append(g)
             leads.append(g[1])
+            if sugar is not None:
+                sugar.append(max(deg, g[3]))
+            elif least is not None:
+                corner = _note_powers(least, (g[1],), pk)
             new = len(basis) - 1
             for k in range(new):
-                heapq.heappush(queue, _pair_key(k, new, leads, pk, key))
+                heapq.heappush(queue, pair_key(k, new, leads, pk, key))
     return basis
+
+
+def _note_powers(least: dict, leads, pk: _Packing):
+    """Record in ``least`` (field offset -> a) the least power x_i^a among
+    the packed leads that are pure powers, and return the corner
+    sum(a_i - 1) + 1 once every variable has one, else None."""
+    fields = pk.fields
+    for lm in leads:
+        f = lm & fields
+        if f:
+            s = (f.bit_length() - 1) // _W * _W  # the highest nonzero field
+            if not f & ((1 << s) - 1) and f >> s < least.get(s, f + 1):
+                least[s] = f >> s
+    if len(least) < pk.n:
+        return None
+    return sum(least.values()) - pk.n + 1
 
 
 def _minimalize(basis: Sequence[tuple], pk: _Packing) -> list:

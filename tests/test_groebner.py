@@ -306,6 +306,10 @@ def local_ideals(draw):
 @example(ideal("y^2 - x^3", "x^2*y"))
 @example(ideal("x^2 + y^3", "x*y"))
 @example(ideal("3*x^2 - y^2", "-2*x*y"))  # Jacobian of the D4 singularity
+# the highest corner: with the pure-power leads x and y^3 every monomial of
+# degree 3 lies in the ideal, and the pairs of lcm degree 2 still give y^2
+@example(ideal("x^2", "y^3", "x - y"))
+@example(ideal("x^3 + 3*x*y^3", "y^4", "3*x^2 - 3*x^3*y^3 - 3*x^3"))
 def test_local_colength_matches_macaulay_oracle(I):
     assert colength(I, LOCAL_DEGREVLEX) == macaulay_colength_local(I) == lazard_colength_local(I)
 

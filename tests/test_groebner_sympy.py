@@ -55,11 +55,23 @@ TIE = (
     [[((1, 0, 1), 1), ((0, 2, 0), 1), ((0, 0, 0), 1)], [((2, 0, 0), 1), ((0, 1, 0), -1)]],
 )
 
+# three generators whose lex basis took minutes under the normal strategy,
+# from coefficient swell; the sugar strategy takes milliseconds
+SWELL = (
+    ("x", "y", "z"),
+    [
+        [((1, 0, 2), 1), ((0, 2, 1), Fraction(5, 2)), ((1, 1, 1), Fraction(5, 4)), ((1, 0, 1), 1)],
+        [((2, 0, 1), Fraction(3, 2)), ((0, 3, 0), Fraction(-5, 3)), ((1, 0, 1), Fraction(1, 2))],
+        [((0, 0, 2), Fraction(5, 2)), ((3, 0, 0), Fraction(-4, 3))],
+    ],
+)
+
 
 @settings(max_examples=60, deadline=None)
 @given(case=ideals(), char=st.sampled_from([0, 7]), order=st.sampled_from(sorted(ORDERS)))
 @example(case=TIE, char=0, order="grevlex")
 @example(case=TIE, char=7, order="lex")
+@example(case=SWELL, char=0, order="lex")
 def test_reduced_basis_matches_sympy(case, char, order):
     names, gens = case
     ring = Ring(names, GF(char) if char else QQ)

@@ -237,6 +237,16 @@ def critical_cases(draw, isolated):
     (0, 0, 0),
     (Fraction(-5, 3), Fraction(1, 6), Fraction(-5, 3)),
 ))
+@example((  # mu 6: Mora's pool ran for minutes before the corner cut it
+    R2.parse(
+        "-2*x^7 - 6*x^6*y - 6*x^5*y^2 - 2*x^4*y^3 + 40*x^6 + 96*x^5*y + 72*x^4*y^2"
+        " + 16*x^3*y^3 - 338*x^5 - 626*x^4*y - 336*x^3*y^2 - 48*x^2*y^3 + 1561*x^4"
+        " + 2128*x^3*y + 768*x^2*y^2 + 64*x*y^3 - 4247*x^3 - 3981*x^2*y - 861*x*y^2"
+        " - 31*y^3 + 6796*x^2 + 3880*x*y + 372*y^2 - 5904*x - 1520*y + 2128"
+    ),
+    (2, 2),
+    (2, 2),
+))
 def test_milnor_agrees_with_the_polynomial_route(case):
     # the packed route (shift f once, differentiate in the packing, read the
     # lowest term) against the public one: differentiate, shift every
