@@ -35,7 +35,10 @@ builds no Fraction either: a monic basis element is its entry's integers
 over the leading coefficient, and :func:`normal_form` puts its remainder
 over the scalar it multiplied f by, which gives exactly the monic
 algorithm's remainder.  This is the one Buchberger driver: every basis,
-membership test, eliminant and colength comes from it.
+membership test, eliminant and colength comes from it.  It forms each pair
+once, as its later entry is inserted, with a bitmask of taken pairs per
+entry; under the local order it keeps Mora's pool and reads pure-power
+leads at insertion.
 
 Entries.  ``_buchberger_loop`` takes a list of entries (see ``_entry``), not
 polynomials: :func:`groebner_basis` and :func:`standard_basis` convert their
@@ -477,26 +480,33 @@ def _division(h: dict, reducers: Sequence[tuple], pk: _Packing, order: MonomialO
     return rem, scale
 
 
-def _mora_nf(h: dict, basis: Sequence[tuple], pk: _Packing, p: int, corner=None) -> dict:
+def _mora_nf(h: dict, pool: Sequence[tuple], pk: _Packing, p: int, corner) -> dict:
     """Mora's weak normal form h' of the term dict h for the local order:
     u*h - h' is in the ideal for a local unit u, which takes in the scalar a
     of each step h := a*h - b*x^q*g.
 
     Reduces the leading term only, selecting a reducer of minimal ecart and
     allowing previously produced partial remainders as reducers; this is the
-    standard termination device for local orders.  The leading monomial of
-    h' is not divisible by any basis leading monomial.  With a ``corner`` D
-    such that m^D lies in the localized ideal (see ``_buchberger_loop``),
-    terms of degree D or more are dropped before each step, which changes h
-    only by an ideal member.
+    standard termination device for local orders.  ``pool`` holds the
+    reducers with their ecarts, (terms, lm, lc, ecart), as the driver keeps
+    them; it is copied, never changed.  The leading monomial of h' is not
+    divisible by any basis leading monomial.  With a ``corner`` D such that
+    m^D lies in the localized ideal (see ``_buchberger_loop``), terms of
+    degree D or more are dropped before each step, which changes h only by
+    an ideal member; with None nothing is dropped.
     """
     shift, guard = pk.shift, pk.guard
-    pool = [(g, gm, gc, deg - (gm >> shift)) for g, gm, gc, deg in basis]
+    pool = list(pool)
     while h:
         hm = min(h)  # the local leading monomial
         hg = hm | guard
-        candidates = [entry for entry in pool if (hg - entry[1]) & guard == guard]
-        if not candidates:
+        best = None  # least ecart, then the least order key, which is the largest packed lead
+        for entry in pool:
+            if (hg - entry[1]) & guard == guard and (
+                best is None or entry[3] < best[3] or entry[3] == best[3] and entry[1] > best[1]
+            ):
+                best = entry
+        if best is None:
             break
         top = max(h) >> shift
         if corner is not None and top >= corner:
@@ -505,8 +515,7 @@ def _mora_nf(h: dict, basis: Sequence[tuple], pk: _Packing, p: int, corner=None)
             if not h:
                 break
             top = max(h) >> shift
-        # least ecart, then the least order key, which is the largest packed lead
-        g, gm, gc, eg = min(candidates, key=lambda entry: (entry[3], -entry[1]))
+        g, gm, gc, eg = best
         hc = h[hm]
         hdeg = hm >> shift
         eh = top - hdeg
@@ -624,118 +633,94 @@ def _s_poly(f: tuple, g: tuple, pk: _Packing, p: int) -> dict:
     return s
 
 
-def _pair_key(i: int, j: int, leads, pk: _Packing, key):
-    """(degree, order key, i, j, lcm) of a pair's lcm, for the pair queue."""
-    lcm = pk.lcm(leads[i], leads[j])
-    return (lcm >> pk.shift, key(lcm), i, j, lcm)
-
-
-def _sugar_pair_key(i: int, j: int, leads, pk: _Packing, key, *, sugar):
-    """``_pair_key`` with the pair's sugar degree for the degree: the lcm's
-    raised by the larger excess of an entry's sugar over its lead's degree."""
-    lcm, shift = pk.lcm(leads[i], leads[j]), pk.shift
-    excess = max(sugar[i] - (leads[i] >> shift), sugar[j] - (leads[j] >> shift))
-    return ((lcm >> shift) + excess, key(lcm), i, j, lcm)
-
-
 def _buchberger_loop(basis: list, pk: _Packing, order: MonomialOrder, p: int) -> list:
-    """Shared Buchberger driver on a list of entries, which it
-    extends and returns; the normal form is Mora for local orders.
+    """The one Buchberger driver: returns the entries followed by the new
+    ones.  The normal form is Mora's under the local order.
 
-    Pair selection follows the normal strategy (minimal lcm degree first)
-    under the degree orders, and the sugar strategy (Giovini, Mora, Niesi,
-    Robbiano and Traverso, ISSAC 1991) under ``lex`` and ``elim``, where the
-    normal strategy lets coefficients swell: an entry's sugar is its degree,
-    or that of the pair it came from, whichever is larger.  The product and
-    chain criteria eliminate pairs.  An entry whose lead is the constant
+    Each pair is formed once, when its later entry is inserted (Gebauer and
+    Moeller, JSC 6, 1988).  A pair of coprime leads is taken at once and
+    never queued: the product criterion.  Each entry keeps an int bitmask of
+    its taken partners, so the chain criterion tests the pair's lcm against
+    the leads of the entries in both masks only.  Pair selection follows
+    the normal strategy (minimal lcm degree first) under the degree orders,
+    and the sugar strategy (Giovini, Mora, Niesi, Robbiano and Traverso,
+    ISSAC 1991) under ``lex`` and ``elim``, where the normal strategy lets
+    coefficients swell: an entry's sugar is its degree, or that of the pair
+    it came from, whichever is larger.  An entry whose lead is the constant
     monomial (packed 0) generates (1) under either kind of order, so the
     first such entry is returned alone.
 
-    Under the local order, once the leads hold a pure power x_i^a_i of
+    Under the local order the driver keeps Mora's pool, its entries with
+    their ecarts, which ``_mora_nf`` copies, and reads each lead for a pure
+    power as it is inserted.  Once the leads hold a pure power x_i^a_i of
     every variable the leading-term ideal contains every monomial of degree
     D = sum(a_i - 1) + 1, so the ideal's tangent cone contains m^D and, by
     Nakayama, m^D lies in the localized ideal.  From then on the normal
     forms drop terms of degree D or more, and the pairs whose lcm has
     degree D or more are dropped: their S-polynomials lie in m^D.  This is
-    exact; the leading-term ideal is unchanged.  The leads are first read
-    for pure powers at the first Mora step, so a run that needs none pays
-    nothing.
+    exact; the leading-term ideal is unchanged.
     """
-    for g in basis:
-        if g[1] == 0:
-            return [g]
-    key, guard, shift = pk.key(order), pk.guard, pk.shift
-    leads = [g[1] for g in basis]
-    sugar, pair_key = None, _pair_key
-    if order.kind in ("lex", "elim"):
-        sugar = [g[3] for g in basis]
-        pair_key = functools.partial(_sugar_pair_key, sugar=sugar)
-    least = None  # local: field offset -> least pure power, from the first Mora step
-    corner = None
-    queue = [pair_key(i, j, leads, pk, key) for j in range(len(basis)) for i in range(j)]
-    heapq.heapify(queue)
-    done: set = set()
-
-    while queue:
-        deg, _, i, j, lcm = heapq.heappop(queue)
-        done.add((i, j))
-        if lcm == leads[i] + leads[j]:
-            continue  # product criterion
-        lg = lcm | guard
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (
-                (lg - leads[k]) & guard == guard
-                and (min(i, k), max(i, k)) in done
-                and (min(j, k), max(j, k)) in done
-            ):
-                chain = True
-                break
-        if chain:
-            continue
-        if order.is_global:
-            r, _ = _division(_s_poly(basis[i], basis[j], pk, p), basis, pk, order, p)
-            lm = next(iter(r), None)
-        else:
-            if least is None:
-                least = {}
-                corner = _note_powers(least, leads, pk)
-            if corner is not None and lcm >> shift >= corner:
-                break  # the queue's least lcm degree: no pair left is below the corner
-            r = _mora_nf(_s_poly(basis[i], basis[j], pk, p), basis, pk, p, corner)
-            lm = None
-        if r:
-            g = _entry(r, pk, order, p, lm)
-            if g[1] == 0:
+    key, guard, shift, fields, n = pk.key(order), pk.guard, pk.shift, pk.fields, pk.n
+    low = guard - pk.ones  # adding it to a field sets its bit 63 iff the field is nonzero
+    local, lexical = not order.is_global, order.kind in ("lex", "elim")
+    leads, supports, excess, done, queue = [], [], [], [], []
+    pool, least, corner = [], {}, None  # local only: support bit -> least pure power
+    todo, basis = [(g, g[3]) for g in basis], []  # entries to insert, with their sugar
+    while todo:
+        for g, sugar in todo:
+            lm = g[1]
+            if lm == 0:
                 return [g]
+            j = len(basis)
+            support = ((lm & fields) + low) & guard  # bit 63 of each nonzero field
+            ex = sugar - (lm >> shift)
+            mask = 0
+            for k in range(j):
+                if not support & supports[k]:  # coprime leads: the product criterion
+                    mask |= 1 << k
+                    done[k] |= 1 << j
+                    continue
+                lcm = pk.lcm(leads[k], lm)
+                deg = lcm >> shift
+                if lexical:
+                    deg += max(excess[k], ex)
+                heapq.heappush(queue, (deg, key(lcm), k, j, lcm))
             basis.append(g)
-            leads.append(g[1])
-            if sugar is not None:
-                sugar.append(max(deg, g[3]))
-            elif least is not None:
-                corner = _note_powers(least, (g[1],), pk)
-            new = len(basis) - 1
-            for k in range(new):
-                heapq.heappush(queue, pair_key(k, new, leads, pk, key))
+            leads.append(lm)
+            supports.append(support)
+            excess.append(ex)
+            done.append(mask)
+            if local:
+                pool.append((g[0], lm, g[2], g[3] - (lm >> shift)))
+                # a pure power: one nonzero field, and so one bit of support
+                if support.bit_count() == 1 and lm < least.get(support, lm + 1):
+                    least[support] = lm
+                    if len(least) == n:  # distinct fields: the sum's degree is sum(a_i)
+                        corner = (sum(least.values()) >> shift) - n + 1
+        todo = []
+        while queue:
+            deg, _, i, j, lcm = heapq.heappop(queue)
+            if corner is not None and lcm >> shift >= corner:
+                return basis  # the queue's least lcm degree: no pair left is below the corner
+            done[i] |= 1 << j
+            done[j] |= 1 << i
+            common, lg = done[i] & done[j], lcm | guard
+            while common:  # the chain criterion
+                bit = common & -common
+                if (lg - leads[bit.bit_length() - 1]) & guard == guard:
+                    break
+                common ^= bit
+            if common:
+                continue
+            if local:
+                r = _mora_nf(_s_poly(basis[i], basis[j], pk, p), pool, pk, p, corner)
+            else:
+                r, _ = _division(_s_poly(basis[i], basis[j], pk, p), basis, pk, order, p)
+            if r:  # a division remainder's first key is its lead
+                g = _entry(r, pk, order, p, None if local else next(iter(r)))
+                todo.append((g, max(deg, g[3])))
+                break
     return basis
-
-
-def _note_powers(least: dict, leads, pk: _Packing):
-    """Record in ``least`` (field offset -> a) the least power x_i^a among
-    the packed leads that are pure powers, and return the corner
-    sum(a_i - 1) + 1 once every variable has one, else None."""
-    fields = pk.fields
-    for lm in leads:
-        f = lm & fields
-        if f:
-            s = (f.bit_length() - 1) // _W * _W  # the highest nonzero field
-            if not f & ((1 << s) - 1) and f >> s < least.get(s, f + 1):
-                least[s] = f >> s
-    if len(least) < pk.n:
-        return None
-    return sum(least.values()) - pk.n + 1
 
 
 def _minimalize(basis: Sequence[tuple], pk: _Packing) -> list:
@@ -932,25 +917,38 @@ def _lowest_term(gens: list, pk: _Packing):
     shift, guard = pk.shift, pk.guard
     if gens and gens[0] >> shift == 0:
         return None
-    if len(gens) > 1:
-        # SWAR count: adding 2^63 - 1 to a field sets its bit 63 iff it is nonzero
-        low, fields = guard - pk.ones, pk.fields
-        packed = sum((((g & fields) + low) & guard) >> (_W - 1) for g in gens)
-        counts = [(packed >> s) & _FIELD for s in range(0, shift, _W)]
-        most = max(counts)
-    if len(gens) < 2 or most < 2:  # pairwise coprime
-        return len(gens), math.prod(g >> shift for g in gens)
-    s = _W * counts.index(most)  # the first variable of the most generators
-    exps = sorted(e for e in ((g >> s) & _FIELD for g in gens) if e)
+    # SWAR count: adding 2^63 - 1 to a field sets its bit 63 iff it is nonzero
+    low, fields, packed = guard - pk.ones, pk.fields, 0
+    for g in gens:
+        packed += (((g & fields) + low) & guard) >> (_W - 1)
+    most = s = 0  # the first variable of the most generators
+    for t in range(0, shift, _W):
+        count = (packed >> t) & _FIELD
+        if count > most:
+            most, s = count, t
+    if most < 2:  # pairwise coprime
+        c = 1
+        for g in gens:
+            c *= g >> shift
+        return len(gens), c
+    exps = []
+    for g in gens:
+        e = (g >> s) & _FIELD
+        if e:
+            exps.append(e)
+    exps.sort()
     e = exps[(len(exps) - 1) // 2]
     # no generator divides the pivot: only a power x^a could, and a minimal
     # x^a alone has the largest exponent of x, above the median
-    pivot = (e << s) | (e << shift)
-    plus = [pivot] + [g for g in gens if ((g | guard) - pivot) & guard != guard]
-    colon = []
+    unit = (1 << s) | (1 << shift)
+    plus, colon = [e * unit], []
     for g in gens:
-        d = min((g >> s) & _FIELD, e)
-        colon.append(g - (d << s) - (d << shift))
+        d = (g >> s) & _FIELD
+        if d < e:  # the pivot x^e does not divide g
+            plus.append(g)
+            colon.append(g - d * unit)
+        else:
+            colon.append(g - e * unit)
     (k, c), (kc, cc) = _lowest_term(plus, pk), _lowest_term(_minimal_packed(colon, guard), pk)
     if k != kc:
         return min((k, c), (kc, cc))

@@ -1,11 +1,12 @@
 """Independent reference implementations used to cross-check the engine.
 
 Colengths come from exact linear algebra on Macaulay-style multiplication
-matrices, monomial-ideal counts from direct lattice enumeration, and
-Jacobian ranks from partials evaluated at the point and row-reduced over the
-ring's field.  The one exception is :func:`lazard_colength_local`, which
-reaches the local colength through the global Buchberger driver, so it
-shares no code with Mora's normal form.  :func:`assert_spolys_vanish`
+matrices, monomial-ideal counts from direct lattice enumeration and their
+degrees from the associativity formula, and Jacobian ranks from partials
+evaluated at the point and row-reduced over the ring's field.  The one
+exception is :func:`lazard_colength_local`, which reaches the local
+colength through the global Buchberger driver, so it shares no code with
+Mora's normal form.  :func:`assert_spolys_vanish`
 rechecks a finished basis on its output polynomials,
 :func:`dict_merged_terms` is the dict merge that ``Cycle`` replaced by a
 sort, and :func:`point_coordinate` reads a point coordinate with Fraction
@@ -252,6 +253,30 @@ def monomial_subset_dimension(gens, arity):
     return 0
 
 
+def monomial_degree(gens, arity):
+    """Degree (multiplicity) of R/(monomial ideal) by the associativity
+    formula, 0 for the unit ideal.
+
+    The minimal primes of largest dimension are (x_i : i in S) for the
+    covers S of least size, those that meet the support of every generator.
+    Each has degree 1, and the length of R/I localized at it is the box
+    count of the generators with the variables outside S set to 1.
+    """
+    if any(not any(g) for g in gens):
+        return 0
+    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
+    for size in range(arity + 1):
+        covers = [
+            S for S in itertools.combinations(range(arity), size)
+            if all(sup & set(S) for sup in supports)
+        ]
+        if covers:
+            return sum(
+                monomial_lattice_colength([tuple(g[i] for i in S) for g in gens], size)
+                for S in covers
+            )
+
+
 def jacobian_rank(I: Ideal, point):
     """Rank of the Jacobian matrix of the generators of I at a point, over
     the ring's field: each partial is differentiated and evaluated there,
@@ -293,13 +318,14 @@ def assert_spolys_vanish(basis: StandardBasis) -> None:
     order, p = basis.order, basis.ring.domain.char
     pk = _packing(basis.ring.arity)
     elems = _to_entries(basis.elements, pk, order)
+    pool = [(g, gm, gc, deg - (gm >> pk.shift)) for g, gm, gc, deg in elems]  # as the driver keeps it
     for i in range(len(elems)):
         for j in range(i):
             s = _s_poly(elems[i], elems[j], pk, p)
             if order.is_global:
                 rem, _ = _division(s, elems, pk, order, p)
             else:
-                rem = _mora_nf(s, elems, pk, p)
+                rem = _mora_nf(s, pool, pk, p, None)
             if rem:
                 raise AssertionError(
                     f"S-polynomial of elements {j},{i} does not reduce to zero"

@@ -19,14 +19,18 @@ from nuchi.groebner import (
     groebner_basis,
     hs_multiplicity,
     ideal_membership,
+    jacobian_basis,
     jacobian_groebner_basis,
     krull_dimension,
     normal_form,
     partial_term_counts,
     staircase_count,
     standard_basis,
+    _hilbert,
+    _minimal_packed,
     _packing,
 )
+from nuchi import groebner
 from nuchi.poly import (
     GF,
     LEX,
@@ -43,6 +47,7 @@ from .oracles import (
     lazard_colength_local,
     macaulay_colength_global,
     macaulay_colength_local,
+    monomial_degree,
     monomial_lattice_colength,
     monomial_subset_dimension,
     mono_divides,
@@ -348,6 +353,29 @@ def test_monomial_ideal_dimension_matches_subset_oracle(case):
     assert krull_dimension(I) == monomial_subset_dimension(gens, arity)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=6),
+        )
+    )
+)
+@example((2, [(2, 0), (1, 1), (0, 2)]))  # both of Bigatti's branches at one k
+@example((3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]))  # three lines: degree 3
+@example((3, [(2, 0, 0), (0, 2, 0), (1, 1, 1)]))  # a triple line with an embedded point
+def test_hilbert_counter_matches_the_oracles(case):
+    arity, gens = case
+    pk = _packing(arity)
+    length, dim, degree = _hilbert(_minimal_packed(map(pk.pack, gens), pk.guard), pk)
+    box = monomial_lattice_colength(gens, arity)
+    assert (length == INFINITE) == (box is None)
+    assert box is None or length == box
+    assert dim == monomial_subset_dimension(gens, arity)
+    assert degree == monomial_degree(gens, arity)
+
+
 # -------------------------------------------------------------- multiplicity
 
 def test_hs_multiplicity_examples():
@@ -633,23 +661,29 @@ def test_fglm_eliminant_is_pinned():
 # ------------------------------------------------- invariants and the boundary
 
 @st.composite
-def small_bases(draw):
-    """A degrevlex or lex basis of up to three small random generators in
-    two or three variables, or a local basis: of up to two random generators
-    in two variables, or of a ``local_ideals`` ideal.  (Mora runs past 20 s
-    on some ideals of three random generators in three variables.)"""
+def small_ideals(draw, global_orders=(DEGREVLEX, LEX)):
+    """(I, order): up to three small random generators in two or three
+    variables under a global order, or under the local order up to two
+    random generators in two variables or a ``local_ideals`` ideal.  (Mora
+    runs past 20 s on some ideals of three random generators in three
+    variables.)"""
     if draw(st.booleans()):
         ring = draw(st.sampled_from([RING_XY, RING_XYZ]))
         gens = draw(st.lists(polynomials(ring, max_terms=3, max_exp=2), max_size=3))
-        return groebner_basis(Ideal(ring, gens), draw(st.sampled_from([DEGREVLEX, LEX])))
+        return Ideal(ring, gens), draw(st.sampled_from(global_orders))
     if draw(st.booleans()):
-        return standard_basis(draw(local_ideals()))
+        return draw(local_ideals()), LOCAL_DEGREVLEX
     gens = draw(st.lists(polynomials(RING_XY, max_terms=3, max_exp=3), max_size=2))
-    return standard_basis(Ideal(RING_XY, gens))
+    return Ideal(RING_XY, gens), LOCAL_DEGREVLEX
+
+
+def basis_of(case):
+    I, order = case
+    return groebner_basis(I, order) if order.is_global else standard_basis(I)
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_bases())
+@given(small_ideals().map(basis_of))
 @example(groebner_basis(ideal()))  # the zero ideal
 @example(standard_basis(ideal()))
 @example(groebner_basis(ideal("x", "x - 1")))  # the unit ideal
@@ -668,6 +702,38 @@ def test_invariants_read_the_leading_term_ideal(basis):
     else:
         assert degree > 0 and (length == INFINITE) == (dim > 0)
         assert dim > 0 or degree == length
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_ideals(global_orders=(DEGREVLEX, LEX, elimination_order({0}))))
+# a chain criterion that drops a pair without testing the lcm loses an
+# element on each of these
+@example((ideal("x*y^2 + 2*x^2 - 3*y", "-2*x^2*y^2 + 3*x*y"), LEX))
+@example((ideal("-3*x^2 + 3", "-x*y*z^2 + 3*y", ring=RING_XYZ), elimination_order({0})))
+@example((ideal("x^2", "y^4", "z^4", "z^3 - 3*x*y", ring=RING_XYZ), LOCAL_DEGREVLEX))
+def test_driver_bases_pass_the_s_polynomial_check(case):
+    # the product and chain criteria drop pairs; the oracle reduces every
+    # S-polynomial of the output elements, under each order's own reduction
+    checked(basis_of(case))
+
+
+@pytest.mark.parametrize(
+    "f,mu,most",
+    [
+        ("x^3 + y^4 + z^5", 24, 0),
+        ("x^4 + y^5 + z^6 + x*y*z", 14, 8),
+        ("x^3 + y^3 + z^4 + x*y*z", 9, 8),
+        ("x^3 + y^4 + z^5 + x*y^2*z", 24, 12),
+    ],
+)
+def test_jacobian_basis_reduces_few_s_polynomials(monkeypatch, f, mu, most):
+    # every pair the criteria keep costs one S-polynomial
+    made = []
+    s_poly = groebner._s_poly
+    monkeypatch.setattr(groebner, "_s_poly", lambda *args: made.append(args) or s_poly(*args))
+    basis = jacobian_basis(RING_XYZ.parse(f))
+    assert basis.invariants()[0] == mu
+    assert len(made) <= most
 
 
 def test_only_groebner_reads_its_internals():
