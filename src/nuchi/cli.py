@@ -51,8 +51,8 @@ from .cycles import (
     Presentation,
     REGULAR_SEQUENCE,
     SMOOTH,
+    _euler_obstruction_at,
     distinguished_cycle,
-    euler_obstruction,
     normal_cone_ideal,
     presentation_from_critical_locus,
 )
@@ -256,7 +256,7 @@ def _handle_cycle(spec):
 def _handle_nu(spec):
     point = coerce_point(spec["point"], spec["ring"])  # checked even if the cycle is empty
     cycle = distinguished_cycle(_presentation(spec))
-    value = euler_obstruction(cycle, point)
+    value = _euler_obstruction_at(cycle, point)
     return {"nu": value, "route": "cycle", "cycle": cycle.to_payload()}, []
 
 

@@ -32,9 +32,12 @@ colength is one of the basis's invariants, and each variable's eliminant e_i
 comes from :func:`~nuchi.groebner.eliminant` as primitive integer
 coefficients (a univariate basis element, or else a minimal polynomial by
 fraction-free FGLM), both read off the driver's integer entries.  Its rational
-roots are found exactly and p-adically on its squarefree part (Hensel
-lifting of the roots modulo a small prime; no coefficient is factored), each
-with its multiplicity k_i in e_i.  The grid of roots is filtered by the basis
+roots are found exactly on its squarefree part, in closed form up to degree 2
+and p-adically above (Hensel lifting of the roots modulo a small prime; no
+coefficient is factored), each with its multiplicity k_i in e_i, which is
+read off gcd(e_i, e_i') only when e_i is not squarefree.  Each point keeps
+the text of its coordinates, built once, for its sort key, its payload and
+the Euler obstruction.  The grid of roots is filtered by the basis
 elements in more than one variable, the only basis elements built as
 Polynomials (in identity coordinates there are none).  The same data give
 mu_P without a local (Mora) basis: it is 1 when every k_i is 1, and otherwise
@@ -56,7 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Union
@@ -89,23 +92,27 @@ from .singular import as_point, coerce_point, jacobian_ideal, shift_ideal
 
 @dataclass(frozen=True)
 class PointCycle:
-    """A rational point; its coordinates are kept as Fractions."""
+    """A rational point; its coordinates are kept as Fractions and, built
+    once, as their text."""
 
     ring: Ring
     coordinates: tuple
+    text: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if any(type(c) is not Fraction for c in self.coordinates):
             object.__setattr__(self, "coordinates", tuple(map(Fraction, self.coordinates)))
+        object.__setattr__(self, "text", tuple(map(str, self.coordinates)))
 
     def dimension(self) -> int:
         return 0
 
     def sort_key(self):
-        return (0, str(self.coordinates))
+        # orders the points of one ring as the text of their Fraction tuples
+        return (0, self.text)
 
     def to_payload(self):
-        return {"kind": "point", "data": {"coordinates": [str(c) for c in self.coordinates]}}
+        return {"kind": "point", "data": {"coordinates": list(self.text)}}
 
 
 @dataclass(frozen=True)
@@ -188,12 +195,7 @@ class Cycle:
         return not self.terms
 
     def to_payload(self):
-        out = []
-        for coeff, d in self.terms:
-            entry = {"coefficient": coeff}
-            entry.update(d.to_payload())
-            out.append(entry)
-        return out
+        return [{"coefficient": coeff, **d.to_payload()} for coeff, d in self.terms]
 
     def __repr__(self):
         if not self.terms:
@@ -202,24 +204,6 @@ class Cycle:
 
 
 # ------------------------------------------------------------ point splitting
-
-def _primitive(f: list) -> list:
-    content = math.gcd(*f)
-    return [c // content for c in f] if content > 1 else f
-
-
-def _pseudo_remainder(f: list, g: list) -> list:
-    """The primitive part of the remainder of lc(g)^k * f by g, for integer
-    coefficient lists (lowest first)."""
-    while len(f) >= len(g):
-        lead, shift = f[-1], len(f) - len(g)
-        f = [c * g[-1] for c in f[:-1]]
-        for j, c in enumerate(g[:-1]):
-            f[shift + j] -= lead * c
-        while f and not f[-1]:
-            f.pop()
-    return _primitive(f)
-
 
 def _multiplicity(p: list, a: int, b: int) -> int:
     """How many times b*x - a divides the integer polynomial p (coefficients
@@ -243,12 +227,12 @@ def _multiplicity(p: list, a: int, b: int) -> int:
         p, k = q, k + 1
 
 
-def _value(q: list, y: int, modulus: int) -> int:
-    """q(y) mod the modulus, for integer coefficients lowest first."""
-    v = 0
-    for c in reversed(q):
-        v = (v * y + c) % modulus
-    return v
+def _horner(q: list, y: int) -> tuple:
+    """q(y) and q'(y), for integer coefficients listed highest first."""
+    v = dv = 0
+    for c in q:
+        v, dv = v * y + c, dv * y + v
+    return v, dv
 
 
 def _rational_roots(coeffs: dict):
@@ -258,19 +242,25 @@ def _rational_roots(coeffs: dict):
 
     The power x^zeros of least exponent is split off before the rest, p, is
     listed densely, so x^zeros alone costs nothing whatever its degree.  The
-    roots are searched on the squarefree part s = p / gcd(p, p'), so their
-    number of candidates does not grow with the multiplicities, and p splits
-    when s has as many roots as its degree d.
+    roots are searched on the squarefree part s = p / g of the primitive p,
+    where g = gcd(p, p') comes from the chain of primitive pseudo-remainders;
+    p splits when s has as many roots as its degree d.  A root of s is a
+    root of g one time fewer than of p, so its multiplicity is read off g by
+    exact division, and is 1 with no division when g is constant.  Up to
+    degree 2 the roots are read in closed form: p of degree 2 is not divided
+    by g, and its discriminant, a square or not by ``math.isqrt``, gives a
+    double root, two roots or none.
 
-    The search is p-adic (Loos, SIAM J. Comput. 12, 1983) and factors no
-    coefficient.  For L > 0 the leading coefficient of s, y = L*x maps the
-    rational roots of s to the integer roots of the monic
+    From degree 3 the search is p-adic (Loos, SIAM J. Comput. 12, 1983) and
+    factors no coefficient.  For L > 0 the leading coefficient of s,
+    y = L*x maps the rational roots of s to the integer roots of the monic
     q(y) = L^(d-1) * s(y/L).  At the first prime l > d where every root of
     q mod l is simple (any l not dividing the discriminant of q, so one
-    exists), each root of q mod l lifts to exactly one l-adic root, by Newton
-    steps that square the modulus M.  An integer root y of q has
-    |y| <= B = 1 + max |q_i| (Cauchy), so it is the symmetric residue of its
-    lift once M > 2B.  That residue is tested exactly at every step, so a
+    exists; one scan of the residues reads q and q'), each root of q mod l
+    lifts to exactly one l-adic root, by Newton steps that square the
+    modulus M.  An integer root y of q has |y| <= B = 1 + max |q_i|
+    (Cauchy), so it is the symmetric residue of its lift once M > 2B.  That
+    residue is tested exactly by Horner's rule on q at every step, so a
     small root stops at once, and a lift whose residue is still no root once
     M > 2B is dropped: at most d candidates, with no cutoff.
     """
@@ -278,49 +268,68 @@ def _rational_roots(coeffs: dict):
     p = [0] * (max(coeffs) - zeros + 1)  # coefficients lowest first
     for k, c in coeffs.items():
         p[k - zeros] = int(c)  # integral Fractions are accepted as well
-    p = _primitive(p)
-    g, h = p, _primitive([k * c for k, c in enumerate(p)][1:])
-    while h:
-        g, h = h, _pseudo_remainder(g, h)
-    # g is primitive, so the quotient is integral (Gauss)
-    d = len(p) - len(g)
-    rest, s = list(p), [0] * (d + 1)
-    for k in reversed(range(d + 1)):
-        s[k] = rest[k + len(g) - 1] // g[-1]
-        if s[k]:
-            for j, c in enumerate(g):
-                rest[k + j] -= s[k] * c
-    # the roots are near/lead for one lead > 0: collected as (near, k) pairs
-    roots, lead = [(0, zeros)] if zeros else [], 1
-    if d:
-        if s[-1] < 0:
-            s = [-c for c in s]
-        lead = s[-1]
-        q = [c * lead ** (d - 1 - i) for i, c in enumerate(s[:-1])] + [1]
-        dq = [i * c for i, c in enumerate(q)][1:]
-        bound = 2 * (1 + max(map(abs, q[:-1])))
-        ell = d + 1
-        while True:
-            if all(ell % f for f in range(2, math.isqrt(ell) + 1)):
-                residues = [y for y in range(ell) if not _value(q, y, ell)]
-                if all(_value(dq, y, ell) for y in residues):
-                    break
-            ell += 1
+    content = math.gcd(*p) if p[-1] > 0 else -math.gcd(*p)
+    p = [c // content for c in p]
+    s, g = p, None  # g stays None when p is squarefree
+    if len(p) > 3:
+        f, h = p, [k * c for k, c in enumerate(p)][1:]
+        while h:  # f, h = h, the primitive pseudo-remainder of f by h
+            content = math.gcd(*h)
+            h = [c // content for c in h]
+            top, lh = len(h) - 1, h[-1]
+            while len(f) > top:
+                lead, shift = f[-1], len(f) - 1 - top
+                f = [c * lh for c in f[:-1]]
+                for j in range(top):
+                    f[shift + j] -= lead * h[j]
+                while f and not f[-1]:
+                    f.pop()
+            f, h = h, f
+        if len(f) > 1:  # g is primitive, so the quotient is integral (Gauss)
+            g, rest = f if f[-1] > 0 else [-c for c in f], list(p)
+            s = [0] * (len(p) - len(g) + 1)
+            for k in reversed(range(len(s))):
+                s[k] = rest[k + len(g) - 1] // g[-1]
+                for j, c in enumerate(g):
+                    rest[k + j] -= s[k] * c
+    d, lead = len(s) - 1, s[-1]  # the roots of s are near/lead, each near found
+    found = [-s[0]] if d == 1 else []
+    if d == 2:
+        c, b, a = s
+        disc, lead = b * b - 4 * a * c, 2 * a
+        r = math.isqrt(disc) if disc > 0 else 0
+        if not disc:  # a double root of p = s, whose derivative is gcd(p, p')
+            d, found, g = 1, [-b], [b, lead]
+        elif r * r == disc:
+            found = [-b - r, -b + r]
+    elif d > 2:
+        q = [1] + [c * lead**j for j, c in enumerate(s[-2::-1])]  # highest first
+        bound = 2 * (1 + max(map(abs, q[1:])))
+        for ell in itertools.chain((5, 7, 11, 13, 17, 19, 23, 29, 31), itertools.count(37, 2)):
+            if ell <= d or ell > 31 and not all(ell % m for m in range(3, math.isqrt(ell) + 1, 2)):
+                continue
+            values = [_horner(q, y) for y in range(ell)]
+            residues = [y for y, (v, _) in enumerate(values) if not v % ell]
+            if all(values[y][1] % ell for y in residues):
+                break
         for y in residues:
             modulus = ell
             while True:
                 near = y - modulus if 2 * y > modulus else y  # the symmetric residue
-                e = math.gcd(near, lead)
-                k = _multiplicity(p, near // e, lead // e)
-                if k:
-                    roots.append((near, k))
+                v, dv = _horner(q, near)
+                if not v:
+                    found.append(near)
                     break
                 if modulus > bound:
                     break
                 modulus *= modulus
-                y = (y - _value(q, y, modulus) * pow(_value(dq, y, modulus), -1, modulus)) % modulus
+                y = (near - v * pow(dv, -1, modulus)) % modulus
+    roots = [(0, zeros)] if zeros else []
+    for near in found:
+        e = math.gcd(near, lead)
+        roots.append((near, 1 if g is None else 1 + _multiplicity(g, near // e, lead // e)))
     roots.sort()
-    return [(Fraction(near, lead), k) for near, k in roots], len(roots) - bool(zeros) == d
+    return [(Fraction(near, lead), k) for near, k in roots], len(found) == d
 
 
 def _points_from_basis(basis: StandardBasis, length: int, mixed: list):
@@ -627,12 +636,11 @@ def distinguished_cycle(presentation: Presentation) -> Cycle:
         if isinstance(total, Infinite):
             raise UnsupportedPresentation("regular-sequence class requires finite colength")
         mixed = basis.multivariate_elements()
-        terms = []
-        accounted = 0
-        for P, k in _points_from_basis(basis, total, mixed):
-            mu = _length_at(ring, mixed, P, k)
-            accounted += mu
-            terms.append((mu, PointCycle(ring, P)))
+        terms = [
+            (_length_at(ring, mixed, P, k), PointCycle(ring, P))
+            for P, k in _points_from_basis(basis, total, mixed)
+        ]
+        accounted = sum(mu for mu, _ in terms)
         if accounted != total:
             raise IrrationalPoint(
                 f"rational points account for length {accounted} of {total}; "
@@ -673,17 +681,20 @@ def euler_obstruction(c: Cycle, point) -> int:
     check the point in; :func:`nu_from_cycle` checks it against the
     presentation's ring first.
     """
-    total, P = 0, None
-    for coeff, d in c.terms:
-        if P is None:
-            P = coerce_point(point, d.ring)
-        total += coeff * _eu_descriptor(d, P)
-    return total
+    return _euler_obstruction_at(c, coerce_point(point, c.terms[0][1].ring)) if c.terms else 0
 
 
-def _eu_descriptor(d: Descriptor, P: tuple) -> int:
+def _euler_obstruction_at(c: Cycle, P: tuple) -> int:
+    """:func:`euler_obstruction` at a point P already coerced into the
+    domain of the cycle's ring.  A point descriptor compares its coordinate
+    text with P's, which is canonical in both Q and F_p."""
+    text = tuple(map(str, P))
+    return sum(coeff * _eu_descriptor(d, P, text) for coeff, d in c.terms)
+
+
+def _eu_descriptor(d: Descriptor, P: tuple, text: tuple) -> int:
     if isinstance(d, PointCycle):
-        return 1 if P == d.coordinates else 0
+        return 1 if text == d.text else 0
     if isinstance(d, CoordinateSubspaceCycle):
         return 1 if all(P[i] == 0 for i in d.zero_vars) else 0
     if isinstance(d, SmoothVarietyCycle):
@@ -694,7 +705,8 @@ def _eu_descriptor(d: Descriptor, P: tuple) -> int:
 def nu_from_cycle(presentation: Presentation, point) -> int:
     """nu via the cycle route: Euler obstruction of the distinguished cycle.
 
-    The point is coerced into the presentation's ring before the cycle is
-    built, so a bad point raises InputError even when the cycle is empty."""
+    The point is coerced into the presentation's ring once, before the
+    cycle is built, so a bad point raises InputError even when the cycle is
+    empty."""
     point = coerce_point(point, presentation.ring)
-    return euler_obstruction(distinguished_cycle(presentation), point)
+    return _euler_obstruction_at(distinguished_cycle(presentation), point)

@@ -17,11 +17,13 @@ from nuchi.errors import (
     UnitIdeal,
     UnsupportedPresentation,
 )
+import nuchi.cli as cli_module
+import nuchi.cycles as cycles_module
 import nuchi.groebner as groebner
 from nuchi.cli import run_job
 from nuchi.groebner import Ideal, colength, eliminant, eliminate, groebner_basis
 from nuchi.poly import GF, Polynomial, Ring
-from nuchi.singular import behrend_at, jacobian_ideal, milnor_number
+from nuchi.singular import behrend_at, coerce_point, jacobian_ideal, milnor_number
 from nuchi.cycles import (
     _rational_roots,
     CoordinateSubspaceCycle,
@@ -221,6 +223,20 @@ def test_cycle_merge_matches_the_dict_merge(terms):
     assert [id(d) for _, d in got] == [id(d) for _, d in want]
 
 
+_rational = st.builds(
+    Fraction, st.integers(-20, 20) | st.integers(-10**12, 10**12), st.integers(1, 30)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(*[_rational] * n), max_size=8)))
+def test_point_keys_order_as_the_text_of_their_fractions(points):
+    # a point's key is its coordinates' text, and it orders the points of one
+    # ring, and so the payload, as the text of their tuples of Fractions
+    ring = Ring(("x", "y", "z")[: len(points[0])]) if points else R1
+    assert sorted(points, key=lambda P: PointCycle(ring, P).sort_key()) == sorted(points, key=str)
+
+
 # --------------------------------------------------------- Euler obstruction
 
 def test_euler_obstruction_point_cycles():
@@ -257,6 +273,30 @@ def test_empty_cycle_still_checks_the_point():
     unit_p = regular_sequence_presentation(Ideal.from_strings(F5, ["1", "x"]))
     with pytest.raises(InputError, match="divisible by p = 5"):
         nu_from_cycle(unit_p, (Fraction(1, 5), 0))
+
+
+def test_a_nu_job_coerces_its_point_once(monkeypatch):
+    # the job and nu_from_cycle coerce the point before the cycle is built,
+    # and its Euler obstruction reads the point as it is; the public
+    # euler_obstruction coerces the point it is given
+    calls = []
+    real = coerce_point
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cli_module, cycles_module):
+        monkeypatch.setattr(module, "coerce_point", counting)
+    spec = {"command": "nu", "ring": {"vars": ["x", "y"]},
+            "critical_locus": "x^3 - 3*x + y^2", "point": "1,0"}
+    assert run_job(spec, use_cache=False)["payload"]["nu"] == 1
+    assert len(calls) == 1
+    presentation = presentation_from_critical_locus(R2.parse("x^3 - 3*x + y^2"))
+    calls.clear()
+    assert nu_from_cycle(presentation, (1, 0)) == 1 and len(calls) == 1
+    calls.clear()
+    assert euler_obstruction(distinguished_cycle(presentation), (-1, 0)) == 1 and len(calls) == 1
 
 
 # --------------------------------------------------------- route equivalence
