@@ -108,7 +108,7 @@ class PointCycle:
         return 0
 
     def sort_key(self):
-        # orders the points of one ring as the text of their Fraction tuples
+        # sorts the points of one ring as str() of their Fraction tuples does
         return (0, self.text)
 
     def to_payload(self):

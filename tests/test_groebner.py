@@ -733,7 +733,7 @@ def sharing_ideals(draw):
 @given(sharing_ideals())
 def test_chain_criterion_keeps_the_pairs_it_needs(case):
     # a chain criterion that drops a pair without testing the lcm against the
-    # lead they share loses an element in about one draw in eight
+    # lead they share loses an element in about one random draw in eight
     checked(basis_of(case))
 
 
